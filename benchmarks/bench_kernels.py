@@ -1,19 +1,27 @@
-"""Times each jitted kernel against its vectorized numpy twin.
+"""Times the hot kernels: jitted against numpy twins, alignment against the oracle.
 
-Run as `python3 benchmarks/bench_kernels.py`. The variants are called
-directly, so the ONIONPRINT_NUMBA selection flag does not matter here;
-what it selects is exactly what this script compares.
+Run as `python3 benchmarks/bench_kernels.py` from the repository root.
+Thinning and the turning scan are timed as their numba and numpy
+variants, called directly, so the ONIONPRINT_NUMBA selection flag does
+not matter here. The branch-and-bound `best_alignment` is timed against
+the exhaustive search in `tests/oracles.py`, and the two must return
+identical results.
 """
 
 import argparse
 import math
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
 from onionprint import kernels, synth
 from onionprint.minutiae import MinutiaSet
 from onionprint.turning import turning_function
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from oracles import best_alignment_exhaustive  # noqa: E402
 
 
 def best_of(fn, repeat, inner):
@@ -101,9 +109,6 @@ def main():
         ("zhang_suen full thin",
          kernels.zhang_suen_pass_numba, kernels.zhang_suen_pass_numpy,
          lambda fn: thin_with(fn, img), 1),
-        ("best_alignment 50 vs ~50",
-         kernels.best_alignment_numba, kernels.best_alignment_numpy,
-         lambda fn: fn(*align_args), 3),
         ("min_turning_distance 25-gon",
          kernels.min_turning_distance_numba, kernels.min_turning_distance_numpy,
          lambda fn: fn(*turn_args), 20),
@@ -123,6 +128,17 @@ def main():
         ratio = f"{t_np / t_jit:9.1f}x" if t_jit == t_jit else "       n/a"
         jit_txt = fmt(t_jit) if t_jit == t_jit else "       n/a"
         print(f"{name:<28}{jit_txt:>12}{fmt(t_np):>12}{ratio}")
+
+    got = kernels.best_alignment(*align_args)
+    want = best_alignment_exhaustive(*align_args)
+    same = (got[:2] == want[:2] and np.array_equal(got[2], want[2])
+            and np.array_equal(got[3], want[3]) and got[4] == want[4])
+    if not same:
+        raise SystemExit("best_alignment disagrees with the exhaustive oracle")
+    t_bb = best_of(lambda: kernels.best_alignment(*align_args), args.repeat, 3)
+    t_ex = best_of(lambda: best_alignment_exhaustive(*align_args), args.repeat, 1)
+    print(f"\n{'kernel':<28}{'bound':>12}{'exhaustive':>12}{'speedup':>10}")
+    print(f"{'best_alignment 50 vs ~50':<28}{fmt(t_bb):>12}{fmt(t_ex):>12}{t_ex / t_bb:9.1f}x")
 
 
 if __name__ == "__main__":

@@ -6,6 +6,13 @@ minutia onto its counterpart. Each hypothesis is scored by greedy
 one-to-one pairing under spatial and angular tolerances; the best
 hypothesis wins deterministically. Scale is fixed at 1 because
 impressions from one sensor share resolution.
+
+The search (`kernels.best_alignment`) is an exact branch and bound. The
+tolerance test of a pair under a hypothesis only depends on where each
+minutia sits relative to its own anchor, so one vectorized pass bounds
+the matched count of every hypothesis, and only the hypotheses whose
+bound can still reach the best count are paired out. The winner is the
+one exhaustive verification picks.
 """
 
 import math
@@ -125,7 +132,7 @@ def match_minutiae(
     considers tolerance-passing pairs by (distance, i, j) ascending and
     accepts a pair only when both minutiae are still free.
     """
-    if r0 < 0:
+    if not (r0 >= 0):
         raise InvalidInputError(f"r0 must be nonnegative, got {r0}")
     if not (0.0 <= theta0 <= 180.0):
         raise InvalidInputError(f"theta0 must be in [0, 180], got {theta0}")

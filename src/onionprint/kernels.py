@@ -1,13 +1,22 @@
-"""Hot numeric kernels: numba-jitted loops with pure-numpy fallbacks.
+"""Hot numeric kernels.
 
-Three kernels dominate runtime: the thinning subiteration, the
-exhaustive alignment search over minutia-pair hypotheses, and the
-critical-shift scan of the turning-function distance. Each exists in two
-variants computing identical results: a ``*_numba`` scalar loop and a
-``*_numpy`` vectorized fallback. The unsuffixed module-level names
-dispatch to the numba variant when numba imports and the
-``ONIONPRINT_NUMBA`` environment variable is not 0/false/no.
-``benchmarks/bench_kernels.py`` times the variants side by side.
+Three kernels dominate runtime: the thinning subiteration, the alignment
+search over minutia-pair hypotheses, and the critical-shift scan of the
+turning-function distance.
+
+Thinning and the turning scan each exist in two variants computing
+identical results: a ``*_numba`` scalar loop and a ``*_numpy``
+vectorized fallback. The unsuffixed module-level names dispatch to the
+numba variant when numba imports and the ``ONIONPRINT_NUMBA``
+environment variable is not 0/false/no.
+
+The alignment search has one implementation, ``best_alignment``, an
+exact branch and bound: an upper bound on every hypothesis's matched
+count, computed from anchor-relative invariants padded by
+``BOUND_EPS``, decides which hypotheses are verified, and the result is
+the one the exhaustive search gives (``tests/oracles.py`` keeps that
+search as the reference). ``benchmarks/bench_kernels.py`` times the
+kernels.
 """
 
 import math
@@ -143,160 +152,189 @@ def zhang_suen_pass_numpy(img, step):
 # the angle-label difference, then translate a onto b. Pairs passing both
 # tolerances are matched greedily in order of increasing spatial
 # distance, ties broken by generation order (a-index major). The winning
-# candidate maximizes the matched count, then minimizes the summed
+# hypothesis maximizes the matched count, then minimizes the summed
 # matched distance, then comes earliest in (a, b) order.
+#
+# The search is branch and bound. Under hypothesis (a, b), input i can
+# pair with template j only if i, seen from a's frame (origin at a, axis
+# along theta_a), lies within r0 of j seen from b's frame, and the two
+# orientations relative to the anchors differ by at most theta0: that is
+# the tolerance test itself, rewritten in anchor-relative terms that do
+# not depend on the other hypotheses. The greedy count k of (a, b) is at
+# most the smaller of the number of distinct i and of distinct j with
+# such a partner. Hypotheses are verified in order of descending bound
+# until the bound drops below the best k found, so the winner is the
+# one the exhaustive search finds.
 # ---------------------------------------------------------------------------
 
+# Pad on both tolerances inside the bound (times the coordinate scale
+# for distances), far above float rounding and far below any tolerance,
+# so that rounding at a tolerance edge never prunes a valid hypothesis.
+BOUND_EPS = 1e-6
 
-@njit(cache=True, nogil=True)
-def _candidate_pairs(xi, yi, ti, xj, yj, tj, ki, kj, strict, r2, theta0, cosv, sinv, dx, dy, dth, sd_buf, ii_buf, jj_buf):
+# Working memory of one pass of the bound computation, in bytes: at
+# most this plus one anchor's worth, whatever the set sizes.
+PASS_BYTES = 1 << 18
+
+
+def _verify(xi, yi, ti, xj, yj, tj, ki, kj, strict, r2, theta0, a, b):
+    """Greedy pairing under hypothesis (a, b): (k, ssum, pairs_i, pairs_j)."""
     m = xi.shape[0]
     n = xj.shape[0]
-    cnt = 0
-    for i in range(m):
-        px = cosv * xi[i] - sinv * yi[i] + dx
-        py = sinv * xi[i] + cosv * yi[i] + dy
-        tr = (ti[i] + dth) % 360.0
-        for j in range(n):
-            ddx = px - xj[j]
-            ddy = py - yj[j]
-            d2 = ddx * ddx + ddy * ddy
-            if d2 > r2:
-                continue
-            if strict and ki[i] != kj[j]:
-                continue
-            diff = abs(tr - tj[j])
-            if diff > 180.0:
-                diff = 360.0 - diff
-            if diff > theta0:
-                continue
-            sd_buf[cnt] = math.sqrt(d2)
-            ii_buf[cnt] = i
-            jj_buf[cnt] = j
-            cnt += 1
-    return cnt
-
-
-@njit(cache=True, nogil=True)
-def _greedy_accept(cnt, sd_buf, ii_buf, jj_buf, used_i, used_j, out_i, out_j, record):
-    for i in range(used_i.shape[0]):
-        used_i[i] = False
-    for j in range(used_j.shape[0]):
-        used_j[j] = False
-    order = np.argsort(sd_buf[:cnt], kind="mergesort")
-    k = 0
+    dth = (tj[b] - ti[a]) % 360.0
+    rad = dth * math.pi / 180.0
+    cosv, sinv = math.cos(rad), math.sin(rad)
+    dx = xj[b] - (cosv * xi[a] - sinv * yi[a])
+    dy = yj[b] - (sinv * xi[a] + cosv * yi[a])
+    px = cosv * xi - sinv * yi + dx
+    py = sinv * xi + cosv * yi + dy
+    d2 = (px[:, None] - xj[None, :]) ** 2 + (py[:, None] - yj[None, :]) ** 2
+    diff = np.abs((ti[:, None] + dth) % 360.0 - tj[None, :])
+    diff = np.minimum(diff, 360.0 - diff)
+    ok = (d2 <= r2) & (diff <= theta0)
+    if strict:
+        ok &= ki[:, None] == kj[None, :]
+    ii, jj = np.nonzero(ok)  # row-major: i-major, j-minor
+    sd = np.sqrt(d2[ii, jj])
+    order = np.argsort(sd, kind="stable")
+    used_i = np.zeros(m, bool)
+    used_j = np.zeros(n, bool)
+    pi, pj = [], []
     ssum = 0.0
-    for o in range(cnt):
-        idx = order[o]
-        i = ii_buf[idx]
-        j = jj_buf[idx]
+    for idx in order:
+        i, j = ii[idx], jj[idx]
         if used_i[i] or used_j[j]:
             continue
         used_i[i] = True
         used_j[j] = True
-        if record:
-            out_i[k] = i
-            out_j[k] = j
-        ssum += sd_buf[idx]
-        k += 1
-    return k, ssum
+        pi.append(i)
+        pj.append(j)
+        ssum += sd[idx]
+    return len(pi), ssum, np.asarray(pi, np.int64), np.asarray(pj, np.int64)
 
 
-@njit(cache=True, nogil=True)
-def best_alignment_numba(xi, yi, ti, xj, yj, tj, ki, kj, strict, r0, theta0):
+def _local_frames(x, y, t):
+    """Every point of a set seen from every point: (anchor, point) arrays.
+
+    Position is rotated into the anchor's frame, orientation is taken
+    relative to the anchor's, in [0, 360).
+    """
+    rad = t * (math.pi / 180.0)
+    c = np.cos(rad)[:, None]
+    s = np.sin(rad)[:, None]
+    dx = x[None, :] - x[:, None]
+    dy = y[None, :] - y[:, None]
+    return c * dx + s * dy, c * dy - s * dx, (t[None, :] - t[:, None]) % 360.0
+
+
+def _alignment_bounds(xi, yi, ti, xj, yj, tj, r0, theta0):
+    """Upper bound on the greedy count of every hypothesis, (a, b) order.
+
+    The template's n^2 local points go into a dense grid of cells at
+    least r0 wide, so every partner of an input local point lies in the
+    3 x 3 cells around it: three runs of consecutive cells, one per row.
+    Candidates from those runs get the exact tests; each survivor marks
+    its i and its j as pairable under its (a, b).
+    """
     m = xi.shape[0]
     n = xj.shape[0]
-    r2 = r0 * r0
-    sd_buf = np.empty(m * n, np.float64)
-    ii_buf = np.empty(m * n, np.int64)
-    jj_buf = np.empty(m * n, np.int64)
-    used_i = np.empty(m, np.bool_)
-    used_j = np.empty(n, np.bool_)
-    cap = m if m < n else n
-    out_i = np.empty(cap, np.int64)
-    out_j = np.empty(cap, np.int64)
-    best_k = -1
-    best_sum = np.inf
-    best_a = 0
-    best_b = 0
-    for a in range(m):
-        for b in range(n):
-            dth = (tj[b] - ti[a]) % 360.0
-            rad = dth * math.pi / 180.0
-            cosv = math.cos(rad)
-            sinv = math.sin(rad)
-            dx = xj[b] - (cosv * xi[a] - sinv * yi[a])
-            dy = yj[b] - (sinv * xi[a] + cosv * yi[a])
-            cnt = _candidate_pairs(
-                xi, yi, ti, xj, yj, tj, ki, kj, strict, r2, theta0, cosv, sinv, dx, dy, dth, sd_buf, ii_buf, jj_buf
-            )
-            k, ssum = _greedy_accept(cnt, sd_buf, ii_buf, jj_buf, used_i, used_j, out_i, out_j, False)
-            if k > best_k or (k == best_k and ssum < best_sum):
-                best_k = k
-                best_sum = ssum
-                best_a = a
-                best_b = b
-    # rebuild the matching of the winning candidate
-    dth = (tj[best_b] - ti[best_a]) % 360.0
-    rad = dth * math.pi / 180.0
-    cosv = math.cos(rad)
-    sinv = math.sin(rad)
-    dx = xj[best_b] - (cosv * xi[best_a] - sinv * yi[best_a])
-    dy = yj[best_b] - (sinv * xi[best_a] + cosv * yi[best_a])
-    cnt = _candidate_pairs(
-        xi, yi, ti, xj, yj, tj, ki, kj, strict, r2, theta0, cosv, sinv, dx, dy, dth, sd_buf, ii_buf, jj_buf
-    )
-    k, ssum = _greedy_accept(cnt, sd_buf, ii_buf, jj_buf, used_i, used_j, out_i, out_j, True)
-    return best_a, best_b, out_i[:k].copy(), out_j[:k].copy(), ssum
+    scale = max(1.0, r0, *(float(np.abs(v).max()) for v in (xi, yi, xj, yj)))
+    r_pad = r0 + BOUND_EPS * scale
+    t_pad = theta0 + BOUND_EPS
+    ix, iy, it = _local_frames(xi, yi, ti)
+    jx, jy, jt = _local_frames(xj, yj, tj)
+    if not all(np.isfinite(v).all() for v in (ix, iy, jx, jy)):
+        # coordinates so far apart that their differences overflow: no
+        # bound, every hypothesis gets verified
+        return np.full(m * n, min(m, n))
+
+    # cells wider than r_pad by one more pad, so no rounding in the cell
+    # index can put two partners two cells apart; wider still when the
+    # points spread far, so the table has at most 153 x 153 cells and
+    # its keys fit int16, which numpy sorts by radix
+    x0, y0 = float(jx.min()), float(jy.min())
+    span = max(float(jx.max()) - x0, float(jy.max()) - y0)
+    cell = max(r_pad + BOUND_EPS * scale, span / 150)
+    # one empty cell of margin on every side: clamping a query's cell to
+    # the inside then only ever widens its 3 x 3 neighbourhood
+    gx = (np.floor((jx - x0) / cell) + 1).astype(np.intp)
+    gy = (np.floor((jy - y0) / cell) + 1).astype(np.intp)
+    nx = int(gx.max()) + 2
+    ny = int(gy.max()) + 2
+    key = (gy * nx + gx).ravel().astype(np.int16)
+    order = np.argsort(key, kind="stable")
+    start = np.zeros(nx * ny + 1, np.intp)
+    np.cumsum(np.bincount(key, minlength=nx * ny), out=start[1:])
+    sx = jx.ravel().take(order)
+    sy = jy.ravel().take(order)
+    st = jt.ravel().take(order)
+    sb, sj = np.divmod(order, n)
+
+    # every input local point queries three runs of three cells, one
+    # run per row of its 3 x 3 neighbourhood
+    qx, qy, qt = ix.ravel(), iy.ravel(), it.ravel()
+    cx = np.clip(np.floor((qx - x0) / cell) + 1, 1, nx - 2).astype(np.intp)
+    cy = np.clip(np.floor((qy - y0) / cell) + 1, 1, ny - 2).astype(np.intp)
+    first = (cy * nx + cx - 1)[None, :] + np.arange(-nx, nx + 1, nx)[:, None]
+    lo = start[first]
+    cnt = start[first + 3] - lo
+
+    # passes over runs of consecutive anchors; an anchor costs about 64
+    # bytes per candidate plus its n * (m + n) pairability marks
+    cost = 64 * cnt.reshape(3, m, m).sum(axis=(0, 2)) + n * (m + n)
+    group = (np.cumsum(cost) - cost) // PASS_BYTES
+    cuts = [0, *(np.flatnonzero(np.diff(group)) + 1).tolist(), m]
+    bound = np.empty(m * n, np.intp)
+    for a0, a1 in zip(cuts[:-1], cuts[1:]):
+        lo_p = lo[:, a0 * m:a1 * m].ravel()
+        cnt_p = cnt[:, a0 * m:a1 * m].ravel()
+        # intp indices throughout: numpy gathers with them several
+        # times faster than with int32
+        skip = lo_p - (np.cumsum(cnt_p) - cnt_p)
+        pos = np.arange(int(cnt_p.sum())) + np.repeat(skip, cnt_p)
+        q = np.repeat(np.tile(np.arange(a0 * m, a1 * m), 3), cnt_p)
+        ddx = qx.take(q) - sx.take(pos)
+        ddy = qy.take(q) - sy.take(pos)
+        dt = np.abs(qt.take(q) - st.take(pos))
+        ok = (ddx * ddx + ddy * ddy <= r_pad * r_pad) & (np.minimum(dt, 360.0 - dt) <= t_pad)
+        q = q[ok]
+        pos = pos[ok]
+        hyp = (q // m - a0) * n + sb.take(pos)  # within the pass
+        size = (a1 - a0) * n
+        has_i = np.zeros(size * m, bool)
+        has_j = np.zeros(size * n, bool)
+        has_i[hyp * m + q % m] = True
+        has_j[hyp * n + sj.take(pos)] = True
+        bound[a0 * n:a1 * n] = np.minimum(has_i.reshape(size, m).sum(axis=1), has_j.reshape(size, n).sum(axis=1))
+    return bound
 
 
-def best_alignment_numpy(xi, yi, ti, xj, yj, tj, ki, kj, strict, r0, theta0):
-    """Vectorized-per-candidate fallback with identical tie-breaking."""
+def best_alignment(xi, yi, ti, xj, yj, tj, ki, kj, strict, r0, theta0):
+    """Winning hypothesis and its pairing: (a, b, pairs_i, pairs_j, ssum).
+
+    Same result as verifying all m * n hypotheses, from only those whose
+    bound can still reach the best count. `strict` only removes
+    candidates, so the bound ignores it. Empty sets give (0, 0, [], [], 0).
+    """
     m = xi.shape[0]
     n = xj.shape[0]
+    if m == 0 or n == 0:
+        return 0, 0, np.empty(0, np.int64), np.empty(0, np.int64), 0.0
+    bound = _alignment_bounds(xi, yi, ti, xj, yj, tj, r0, theta0)
     r2 = r0 * r0
-
-    def candidate_match(a, b):
-        dth = (tj[b] - ti[a]) % 360.0
-        # same expression as the jitted variant so the two agree bitwise
-        rad = dth * math.pi / 180.0
-        cosv, sinv = math.cos(rad), math.sin(rad)
-        dx = xj[b] - (cosv * xi[a] - sinv * yi[a])
-        dy = yj[b] - (sinv * xi[a] + cosv * yi[a])
-        px = cosv * xi - sinv * yi + dx
-        py = sinv * xi + cosv * yi + dy
-        d2 = (px[:, None] - xj[None, :]) ** 2 + (py[:, None] - yj[None, :]) ** 2
-        diff = np.abs((ti[:, None] + dth) % 360.0 - tj[None, :])
-        diff = np.minimum(diff, 360.0 - diff)
-        ok = (d2 <= r2) & (diff <= theta0)
-        if strict:
-            ok &= ki[:, None] == kj[None, :]
-        ii, jj = np.nonzero(ok)  # row-major: i-major, j-minor
-        sd = np.sqrt(d2[ii, jj])
-        order = np.argsort(sd, kind="stable")
-        used_i = np.zeros(m, bool)
-        used_j = np.zeros(n, bool)
-        pi, pj = [], []
-        ssum = 0.0
-        for idx in order:
-            i, j = ii[idx], jj[idx]
-            if used_i[i] or used_j[j]:
-                continue
-            used_i[i] = True
-            used_j[j] = True
-            pi.append(i)
-            pj.append(j)
-            ssum += sd[idx]
-        return len(pi), ssum, pi, pj
-
-    best = (-1, np.inf, 0, 0)
-    for a in range(m):
-        for b in range(n):
-            k, ssum, _, _ = candidate_match(a, b)
-            if k > best[0] or (k == best[0] and ssum < best[1]):
-                best = (k, ssum, a, b)
-    _, ssum, pi, pj = candidate_match(best[2], best[3])
-    return best[2], best[3], np.asarray(pi, np.int64), np.asarray(pj, np.int64), ssum
+    best = None  # (k, ssum, hypothesis, pairs_i, pairs_j)
+    # descending bound, then (a, b); a level below the best k cannot win,
+    # a level equal to it still can, on ssum
+    level = int(bound.max())
+    while best is None or level >= best[0]:
+        for h in np.flatnonzero(bound == level).tolist():
+            k, ssum, pi, pj = _verify(xi, yi, ti, xj, yj, tj, ki, kj, strict, r2, theta0, *divmod(h, n))
+            # a later level can hold an earlier (a, b), so that rule is explicit
+            if best is None or k > best[0] or (k == best[0] and (ssum < best[1] or (ssum == best[1] and h < best[2]))):
+                best = (k, ssum, h, pi, pj)
+        level -= 1
+    a, b = divmod(best[2], n)
+    return a, b, best[3], best[4], best[1]
 
 
 # ---------------------------------------------------------------------------
@@ -442,9 +480,7 @@ def min_turning_distance_numpy(fs, fa, gs, ga):
 
 if USE_NUMBA:
     zhang_suen_pass = zhang_suen_pass_numba
-    best_alignment = best_alignment_numba
     min_turning_distance = min_turning_distance_numba
 else:
     zhang_suen_pass = zhang_suen_pass_numpy
-    best_alignment = best_alignment_numpy
     min_turning_distance = min_turning_distance_numpy

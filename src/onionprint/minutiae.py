@@ -78,7 +78,10 @@ class MinutiaSet:
 def format_minutiae(mset) -> str:
     lines = [FILE_HEADER]
     for m in mset:
-        lines.append(f"{m.x:.3f} {m.y:.3f} {m.theta:.3f} {m.kind.value}")
+        # rounded and wrapped first: an angle in [359.9995, 360) would
+        # otherwise print as 360.000, which the parser rejects
+        theta = round(m.theta, 3) % 360.0
+        lines.append(f"{m.x:.3f} {m.y:.3f} {theta:.3f} {m.kind.value}")
     return "\n".join(lines) + "\n"
 
 

@@ -54,14 +54,14 @@ class ScoreBreakdown:
         return len(self.layer_dists)
 
 
-def layer_distances(matched_input, matched_template, p=2):
-    """Turning distances of peer rings, innermost pair first.
+def layer_distances(layers_input, layers_template, p=2):
+    """Turning distances of peer rings of two peelings, innermost pair first.
 
     Rings with fewer than 3 vertices have no turning function and are
     skipped; the shorter remaining stack bounds the comparison.
     """
-    rings_a = _proper_rings(matched_input)
-    rings_b = _proper_rings(matched_template)
+    rings_a = [lay.ring for lay in layers_input.proper_layers()]
+    rings_b = [lay.ring for lay in layers_template.proper_layers()]
     out = []
     for ra, rb in zip(reversed(rings_a), reversed(rings_b)):
         fa = turning.turning_function(ra)
@@ -70,12 +70,8 @@ def layer_distances(matched_input, matched_template, p=2):
     return out
 
 
-def _positions(minutiae):
-    return [(mu.x, mu.y) for mu in minutiae]
-
-
-def _proper_rings(minutiae):
-    return [lay.ring for lay in geometry.convex_layers(_positions(minutiae)).proper_layers()]
+def _peel(minutiae):
+    return geometry.convex_layers([(mu.x, mu.y) for mu in minutiae])
 
 
 def average_distance(dists) -> float:
@@ -114,8 +110,10 @@ def match_pair(a, b, cfg=None, ida=None, idb=None) -> ScoreBreakdown:
 
     res = alignment.match_minutiae(sa, sb, cfg.r0, cfg.theta0)
     left, right = alignment.matched_subsets(res, sa, sb)
-    la = len(geometry.convex_layers(_positions(left)))
-    lb = len(geometry.convex_layers(_positions(right)))
+    # one peeling per side serves both the ring-count gate and the rings
+    layers_a = _peel(left)
+    layers_b = _peel(right)
+    la, lb = len(layers_a), len(layers_b)
 
     gate = ""
     if res.score < cfg.sim:
@@ -127,7 +125,7 @@ def match_pair(a, b, cfg=None, ida=None, idb=None) -> ScoreBreakdown:
             ida, idb, res.k, res.m, res.n, res.score, la, lb, (), None, None, 0.0, gate
         )
 
-    dists = tuple(layer_distances(left, right, cfg.p))
+    dists = tuple(layer_distances(layers_a, layers_b, cfg.p))
     avg = average_distance(dists)
     alpha, final = final_score(res.score, avg)
     return ScoreBreakdown(

@@ -299,3 +299,58 @@ def merge_groups_unionfind(points, rm):
     for i in range(len(pts)):
         groups.setdefault(find(i), []).append(i)
     return frozenset(frozenset(g) for g in groups.values())
+
+
+def best_alignment_exhaustive(xi, yi, ti, xj, yj, tj, ki, kj, strict, r0, theta0):
+    """Verify every (a, b) hypothesis in (a, b) order; the reference search.
+
+    Same arguments and result as `kernels.best_alignment`: the winner
+    maximizes the greedy matched count, then minimizes the summed matched
+    distance, then comes first in (a, b) order.
+    """
+    m = xi.shape[0]
+    n = xj.shape[0]
+    if m == 0 or n == 0:
+        return 0, 0, np.empty(0, np.int64), np.empty(0, np.int64), 0.0
+    r2 = r0 * r0
+
+    def candidate_match(a, b):
+        dth = (tj[b] - ti[a]) % 360.0
+        rad = dth * math.pi / 180.0
+        cosv, sinv = math.cos(rad), math.sin(rad)
+        dx = xj[b] - (cosv * xi[a] - sinv * yi[a])
+        dy = yj[b] - (sinv * xi[a] + cosv * yi[a])
+        px = cosv * xi - sinv * yi + dx
+        py = sinv * xi + cosv * yi + dy
+        d2 = (px[:, None] - xj[None, :]) ** 2 + (py[:, None] - yj[None, :]) ** 2
+        diff = np.abs((ti[:, None] + dth) % 360.0 - tj[None, :])
+        diff = np.minimum(diff, 360.0 - diff)
+        ok = (d2 <= r2) & (diff <= theta0)
+        if strict:
+            ok &= ki[:, None] == kj[None, :]
+        ii, jj = np.nonzero(ok)  # row-major: i-major, j-minor
+        sd = np.sqrt(d2[ii, jj])
+        order = np.argsort(sd, kind="stable")
+        used_i = np.zeros(m, bool)
+        used_j = np.zeros(n, bool)
+        pi, pj = [], []
+        ssum = 0.0
+        for idx in order:
+            i, j = ii[idx], jj[idx]
+            if used_i[i] or used_j[j]:
+                continue
+            used_i[i] = True
+            used_j[j] = True
+            pi.append(i)
+            pj.append(j)
+            ssum += sd[idx]
+        return len(pi), ssum, pi, pj
+
+    best = (-1, np.inf, 0, 0)
+    for a in range(m):
+        for b in range(n):
+            k, ssum, _, _ = candidate_match(a, b)
+            if k > best[0] or (k == best[0] and ssum < best[1]):
+                best = (k, ssum, a, b)
+    _, ssum, pi, pj = candidate_match(best[2], best[3])
+    return best[2], best[3], np.asarray(pi, np.int64), np.asarray(pj, np.int64), ssum

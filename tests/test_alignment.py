@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -18,7 +19,8 @@ from onionprint.alignment import (
 )
 from onionprint.errors import InvalidInputError
 from onionprint.minutiae import Minutia, MinutiaKind, MinutiaSet
-from oracles import optimal_alignment_cardinality
+from onionprint.synth import synthetic_corpus
+from oracles import best_alignment_exhaustive, optimal_alignment_cardinality
 
 
 def _mu(x, y, theta=0.0, kind=MinutiaKind.ENDING):
@@ -209,6 +211,14 @@ def test_rigid_motion_preserves_matched_count():
         assert match_minutiae(_transform_set(motion, a), b).k == base
 
 
+def test_tolerances_validated():
+    ms = _random_set(np.random.default_rng(118), 3)
+    for r0, theta0 in [(-1.0, 10.0), (math.nan, 10.0), (15.0, -1.0), (15.0, 181.0), (15.0, math.nan)]:
+        with pytest.raises(InvalidInputError):
+            match_minutiae(ms, ms, r0=r0, theta0=theta0)
+    assert match_minutiae(ms, ms, r0=math.inf, theta0=180.0).k == 3
+
+
 def test_strict_kind_flag():
     a = MinutiaSet.from_iterable([_mu(10, 10, 0.0, MinutiaKind.ENDING)])
     b = MinutiaSet.from_iterable([_mu(10, 10, 0.0, MinutiaKind.BIFURCATION)])
@@ -226,22 +236,126 @@ def test_score_bounds_random():
         assert res.k <= min(res.m, res.n)
 
 
-def test_kernel_variants_agree():
+def _kernel_args(a, b, strict=False, r0=15.0, theta0=10.0):
+    pa, pb = a.positions(), b.positions()
+    return (
+        pa[:, 0].copy(), pa[:, 1].copy(), a.thetas(),
+        pb[:, 0].copy(), pb[:, 1].copy(), b.thetas(),
+        a.kind_codes(), b.kind_codes(), strict, r0, theta0,
+    )
+
+
+def _assert_matches_exhaustive(args):
+    """Branch and bound returns exactly what verifying every hypothesis does."""
+    got = kernels.best_alignment(*args)
+    want = best_alignment_exhaustive(*args)
+    assert (got[0], got[1]) == (want[0], want[1])
+    assert got[2].tolist() == want[2].tolist()
+    assert got[3].tolist() == want[3].tolist()
+    assert got[4] == want[4]
+    return got
+
+
+def test_best_alignment_matches_exhaustive_random():
     rng = np.random.default_rng(112)
-    for _ in range(6):
-        a = _random_set(rng, int(rng.integers(4, 11)))
-        b = _random_set(rng, int(rng.integers(4, 11)))
-        args = (
-            a.positions()[:, 0].copy(), a.positions()[:, 1].copy(), a.thetas(),
-            b.positions()[:, 0].copy(), b.positions()[:, 1].copy(), b.thetas(),
-            a.kind_codes(), b.kind_codes(), False, 15.0, 10.0,
+    tolerances = [(15.0, 10.0), (8.0, 25.0), (40.0, 3.0), (0.0, 10.0), (15.0, 180.0)]
+    for trial in range(25):
+        a = _random_set(rng, int(rng.integers(1, 15)))
+        b = _random_set(rng, int(rng.integers(1, 15)))
+        r0, theta0 = tolerances[trial % len(tolerances)]
+        _assert_matches_exhaustive(_kernel_args(a, b, trial % 3 == 0, r0, theta0))
+
+
+def test_best_alignment_matches_exhaustive_corpus():
+    corpus = synthetic_corpus(7, fingers=3, impressions=2, n_min=20, n_max=30)
+    for (_, _, a), (_, _, b) in itertools.combinations(corpus, 2):
+        _assert_matches_exhaustive(_kernel_args(a, b))
+
+
+def test_best_alignment_empty_and_singleton():
+    empty = MinutiaSet.from_iterable([])
+    one = MinutiaSet.from_iterable([_mu(3.0, 4.0, 50.0)])
+    other = MinutiaSet.from_iterable([_mu(90.0, -7.5, 300.0)])
+    many = _random_set(np.random.default_rng(114), 6)
+    for a, b in [(empty, empty), (empty, many), (many, empty)]:
+        got = _assert_matches_exhaustive(_kernel_args(a, b))
+        assert got[2].tolist() == [] and got[4] == 0.0
+    for a, b in [(one, one), (one, other), (one, many), (many, one)]:
+        got = _assert_matches_exhaustive(_kernel_args(a, b))
+        assert len(got[2]) == 1
+
+
+def test_best_alignment_coordinates_near_float_limit():
+    # differences of these coordinates overflow to inf
+    a = MinutiaSet.from_iterable([_mu(-1e308, 0.0, 10.0), _mu(1e308, 5.0, 20.0), _mu(3.0, 4.0, 30.0)])
+    b = MinutiaSet.from_iterable([_mu(1e308, 1e308, 15.0), _mu(-1e308, -9e307, 25.0), _mu(1.0, 1.0, 35.0)])
+    with np.errstate(all="ignore"):
+        _assert_matches_exhaustive(_kernel_args(a, b))
+        _assert_matches_exhaustive(_kernel_args(a, a))
+
+
+def _spaced_points(rng, count):
+    """Distinct integer grid points 50 apart, so partners never compete."""
+    cells = rng.choice(64, size=count, replace=False)
+    return [(50.0 * (c % 8), 50.0 * (c // 8)) for c in cells]
+
+
+def test_best_alignment_partner_exactly_at_r0():
+    # all points but one move by the same 3-4-5 offset of length r0 = 15,
+    # so every hypothesis anchored on a moved point matches all of them
+    # with one partner exactly r0 away, and these hypotheses tie; a common
+    # orientation rotates the anchor frames, so the bound's distances
+    # round while the verified ones stay exact. The second half repeats
+    # the cases far from the origin.
+    rng = np.random.default_rng(115)
+    offsets = itertools.cycle([(9.0, 12.0), (-12.0, 9.0), (15.0, 0.0), (0.0, -15.0), (-9.0, -12.0)])
+    thetas = [30.0, 47.0, 123.4, 301.0, 211.7, 5.5, 99.9, 333.3]
+    for offset, theta, far in zip(offsets, thetas + thetas, [0.0] * 8 + [3e6] * 8):
+        pts = [(x + far, y - far) for x, y in _spaced_points(rng, 7)]
+        shift = rng.integers(-20, 21, size=2).astype(float)
+        a = MinutiaSet.from_iterable(_mu(x, y, theta) for x, y in pts)
+        b = MinutiaSet.from_iterable(
+            _mu(x + shift[0] + (offset[0] if idx else 0.0), y + shift[1] + (offset[1] if idx else 0.0), theta)
+            for idx, (x, y) in enumerate(pts)
         )
-        na = kernels.best_alignment_numba(*args)
-        nb = kernels.best_alignment_numpy(*args)
-        assert na[0] == nb[0] and na[1] == nb[1]
-        assert list(na[2]) == list(nb[2])
-        assert list(na[3]) == list(nb[3])
-        assert abs(na[4] - nb[4]) < 1e-12
+        got = _assert_matches_exhaustive(_kernel_args(a, b))
+        assert (len(got[2]), got[4]) == (7, 15.0)
+
+
+def test_best_alignment_angle_exactly_theta0_across_wrap():
+    # partner orientations differ by exactly theta0 = 10 and cross 0/360
+    rng = np.random.default_rng(116)
+    for _ in range(4):
+        pts = _spaced_points(rng, 7)
+        thetas = rng.choice([350.0, 352.5, 355.0, 357.5, 0.0, 2.5, 5.0], size=7)
+        turns = [0.0] + [float(t) for t in rng.choice([-10.0, 10.0], size=6)]
+        a = MinutiaSet.from_iterable(_mu(x, y, t) for (x, y), t in zip(pts, thetas))
+        b = MinutiaSet.from_iterable(
+            _mu(x + 6.0, y - 4.0, (t + d) % 360.0) for (x, y), t, d in zip(pts, thetas, turns)
+        )
+        got = _assert_matches_exhaustive(_kernel_args(a, b))
+        assert len(got[2]) == 7
+
+
+def test_best_alignment_ties_break_to_earliest_hypothesis():
+    # every hypothesis matches one pair; (0, 0), (0, 1) and (1, 2) do so
+    # at distance exactly 0. (0, 1) has the larger bound (a0 could also
+    # take b2, a1 only b1), so it is verified before (0, 0), which must
+    # still win on (a, b) order.
+    xi, yi, ti = np.array([0.0, 10.0]), np.array([0.0, 0.0]), np.array([0.0, 8.0])
+    xj, yj, tj = np.array([0.0, 100.0, 88.0]), np.zeros(3), np.array([0.0, 0.0, 8.0])
+    args = (xi, yi, ti, xj, yj, tj, np.zeros(2, np.int8), np.zeros(3, np.int8), False, 15.0, 10.0)
+    got = _assert_matches_exhaustive(args)
+    assert (got[0], got[1], len(got[2]), got[4]) == (0, 0, 1, 0.0)
+    # lattices: every hypothesis with the same offset ties on k and ssum
+    rng = np.random.default_rng(117)
+    lattice = [(10.0 * u, 10.0 * v) for u in range(4) for v in range(4)]
+    for _ in range(6):
+        a = MinutiaSet.from_iterable(_mu(x, y) for x, y in
+                                     (lattice[i] for i in rng.choice(16, size=9, replace=False)))
+        b = MinutiaSet.from_iterable(_mu(x + 20.0, y) for x, y in
+                                     (lattice[i] for i in rng.choice(16, size=9, replace=False)))
+        _assert_matches_exhaustive(_kernel_args(a, b))
 
 
 def test_match_dump_rows():

@@ -84,6 +84,15 @@ def test_minutiae_round_trip():
     assert again == ms
 
 
+def test_minutiae_write_read_angle_just_below_360(tmp_path):
+    # rounds to 360.000 at three decimals, which must wrap to 0
+    ms = MinutiaSet.from_iterable([Minutia(4.0, 5.0, 359.9996, MinutiaKind.ENDING)])
+    p = tmp_path / "m.txt"
+    write_minutiae(p, ms)
+    assert p.read_text().splitlines()[1] == "4.000 5.000 0.000 E"
+    assert [m.theta for m in read_minutiae(p)] == [0.0]
+
+
 def test_minutiae_sorted_by_y_x_kind():
     ms = MinutiaSet.from_iterable(
         [

@@ -6,6 +6,7 @@ import pytest
 from onionprint.alignment import Transform, apply_transform
 from onionprint.config import MatchConfig
 from onionprint.errors import InvalidInputError
+from onionprint.geometry import convex_layers
 from onionprint.minutiae import Minutia, MinutiaKind, MinutiaSet
 from onionprint.scoring import (
     CSV_HEADER,
@@ -39,6 +40,11 @@ def _nested_triangles(radii, cx=50.0, cy=50.0):
     return out
 
 
+def _ring_distances(a, b):
+    """layer_distances of the peelings of two minutia lists."""
+    return layer_distances(*(convex_layers([(m.x, m.y) for m in ms]) for ms in (a, b)))
+
+
 def _random_set(rng, n, box=120.0):
     pts = set()
     while len(pts) < n:
@@ -53,7 +59,7 @@ def _random_set(rng, n, box=120.0):
 
 def test_layer_distances_identical_sets_are_zero():
     pts = _nested_triangles([3.0, 9.0, 27.0])
-    dists = layer_distances(pts, pts)
+    dists = _ring_distances(pts, pts)
     assert len(dists) == 3
     assert all(d <= 1e-9 for d in dists)
 
@@ -63,7 +69,7 @@ def test_layer_distances_pairs_innermost_first():
     # innermost-first pairing compares the shared rings and reports zero.
     two = _nested_triangles([3.0, 9.0])
     three = _nested_triangles([3.0, 9.0]) + _ring_minutiae(50.0, 50.0, 200.0, 3, phase=1.0)
-    dists = layer_distances(two, three)
+    dists = _ring_distances(two, three)
     assert len(dists) == 2
     assert all(d <= 1e-9 for d in dists)
 
@@ -73,7 +79,7 @@ def test_layer_distances_rigid_motion_invariant():
     pts = [_mu(x, y) for x, y in rng.uniform(0, 100, size=(14, 2)).round(2)]
     motion = Transform(1.0, 40.0, 31.0, -7.0)
     moved = [apply_transform(motion, m) for m in pts]
-    dists = layer_distances(pts, moved)
+    dists = _ring_distances(pts, moved)
     assert len(dists) >= 1
     assert all(d <= 1e-9 for d in dists)
 
@@ -82,8 +88,8 @@ def test_layer_distances_skip_degenerate_rings():
     # two points never form a ring; only the triangles are compared
     a = _nested_triangles([5.0]) + [_mu(50.0, 50.0), _mu(50.2, 50.0)]
     b = _nested_triangles([5.0])
-    assert len(layer_distances(a, b)) == 1
-    assert layer_distances([], []) == []
+    assert len(_ring_distances(a, b)) == 1
+    assert _ring_distances([], []) == []
 
 
 # ---------------------------------------------------------------------------
