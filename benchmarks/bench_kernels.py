@@ -1,10 +1,11 @@
-"""Times the hot kernels: jitted against numpy twins, alignment against the oracle.
+"""Times the hot kernels: jitted against numpy twins, alignment and merging against oracles.
 
 Run as `python3 benchmarks/bench_kernels.py` from the repository root.
 Thinning and the turning scan are timed as their numba and numpy
 variants, called directly, so the ONIONPRINT_NUMBA selection flag does
 not matter here. The branch-and-bound `best_alignment` is timed against
-the exhaustive search in `tests/oracles.py`, and the two must return
+the exhaustive search in `tests/oracles.py`, and the grid-bucketed
+`merge_close` against the dense n x n merge there; each pair must return
 identical results.
 """
 
@@ -16,12 +17,12 @@ from pathlib import Path
 
 import numpy as np
 
-from onionprint import kernels, synth
-from onionprint.minutiae import MinutiaSet
+from onionprint import imgproc, kernels, synth
+from onionprint.minutiae import Minutia, MinutiaSet
 from onionprint.turning import turning_function
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
-from oracles import best_alignment_exhaustive  # noqa: E402
+from oracles import best_alignment_exhaustive, merge_close_dense  # noqa: E402
 
 
 def best_of(fn, repeat, inner):
@@ -39,6 +40,24 @@ def ridge_image(side=384, period=9):
     yy, xx = np.mgrid[0:side, 0:side]
     phase = yy + 6.0 * np.sin(xx / 23.0)
     return ((phase % period) < period / 2.5).astype(np.uint8)
+
+
+def merge_workload(width=384, height=296, seed=5):
+    """Border-cleaned detections of a noisy print with diagonal ridges.
+
+    The size and ridge angle are the largest and most staircased of the
+    rendered prints; each detection gets its own angle, so the merged
+    orientation names the representative.
+    """
+    rng = np.random.default_rng(seed)
+    yy, xx = np.mgrid[0:height, 0:width].astype(np.float64)
+    phase = (2.0 * math.pi / 10.0) * (xx + yy) / math.sqrt(2.0)
+    for k, (x, y) in enumerate(rng.uniform(40, 256, size=(12, 2))):
+        phase += (-1) ** k * np.arctan2(yy - y, xx - x)
+    img = 128.0 + 100.0 * np.cos(phase) + rng.normal(0.0, 15.0, size=phase.shape)
+    detected, sk = imgproc.raw_minutiae(np.clip(np.rint(img), 0, 255).astype(np.uint8))
+    kept = imgproc.remove_border_minutiae(detected, sk.shape, 12.0)
+    return [Minutia(x=d.x, y=d.y, theta=i * 0.01, kind=d.kind) for i, d in enumerate(kept)]
 
 
 def thin_with(pass_fn, binary):
@@ -139,6 +158,17 @@ def main():
     t_ex = best_of(lambda: best_alignment_exhaustive(*align_args), args.repeat, 1)
     print(f"\n{'kernel':<28}{'bound':>12}{'exhaustive':>12}{'speedup':>10}")
     print(f"{'best_alignment 50 vs ~50':<28}{fmt(t_bb):>12}{fmt(t_ex):>12}{t_ex / t_bb:9.1f}x")
+
+    dets = merge_workload()
+    got = [(m.x, m.y, m.kind, m.rep.theta) for m in imgproc.merge_close(dets, 5.0)]
+    want = [(m.x, m.y, m.kind, m.theta) for m in merge_close_dense(dets, 5.0)]
+    if got != want:
+        raise SystemExit("merge_close disagrees with the dense oracle")
+    t_grid = best_of(lambda: imgproc.merge_close(dets, 5.0), args.repeat, 3)
+    t_dense = best_of(lambda: merge_close_dense(dets, 5.0), args.repeat, 1)
+    print(f"\n{'kernel':<28}{'grid':>12}{'dense':>12}{'speedup':>10}")
+    name = f"merge_close {len(dets)} points"
+    print(f"{name:<28}{fmt(t_grid):>12}{fmt(t_dense):>12}{t_dense / t_grid:9.1f}x")
 
 
 if __name__ == "__main__":

@@ -461,8 +461,8 @@ def sweep(ds: Dataset, grid, base_cfg=None, mode=MODE_FVC, threads=1,
             if isinstance(cached, MinutiaSet):
                 sets[e.path] = cached
             else:
-                detected, shape = cached
-                sets[e.path] = clean_minutiae(detected, shape, cfg, source=e.label)
+                detected, sk = cached
+                sets[e.path] = clean_minutiae(detected, sk, cfg, source=e.label)
         table = score_pairs(pairs, cfg, threads, sets=sets)
         basis = table.without_gated() if exclude_gated else table
         report = rates_and_metrics(basis)

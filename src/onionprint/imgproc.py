@@ -2,12 +2,18 @@
 
 Pipeline: binarize (ridges are dark, so foreground means intensity
 below threshold), optional despeckle, Zhang-Suen thinning, neighbor
-count classification on the skeleton, spurious-minutia cleanup.
+count classification on the skeleton, spurious-minutia cleanup (border
+removal, then merging of detections within rm, found by grid-bucketed
+near-neighbor search), and orientation by a short ridge trace. Merging
+places each cleaned minutia by position alone and gives it the
+orientation of one raw detection, so only those representatives are
+traced, not the ~90 % of detections the cleanup drops.
 Coordinates are screen pixels (origin top-left, y down); angles are
 degrees counterclockwise from +x in image space, so "up" is 270.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,8 +25,28 @@ from .minutiae import Minutia, MinutiaKind, MinutiaSet
 # ridge-following horizon for orientation estimation, in skeleton steps
 TRACE_STEPS = 10
 
+# candidate pairs `merge_close` tests per batch; bounds its memory
+MERGE_CHUNK = 1 << 18
+
 # 8-neighborhood in raster order
 _OFFSETS = ((-1, -1), (0, -1), (1, -1), (-1, 0), (1, 0), (-1, 1), (0, 1), (1, 1))
+
+
+class Detection(NamedTuple):
+    """A skeleton pixel classified as a minutia, orientation not yet traced."""
+
+    x: float
+    y: float
+    kind: MinutiaKind
+
+
+class Merged(NamedTuple):
+    """A cleaned position and kind, and the input whose orientation it takes."""
+
+    x: float
+    y: float
+    kind: MinutiaKind
+    rep: object
 
 
 def _as_gray(img):
@@ -190,93 +216,146 @@ def estimate_orientation(sk, p, kind, trace_steps=TRACE_STEPS):
     return bifurcation_direction(branch_angles), False
 
 
-def detect_minutiae(sk, trace_steps=TRACE_STEPS):
+def detect_minutiae(sk):
     """Classify skeleton pixels by foreground neighbor count.
 
     1 neighbor is an ending, more than 2 a bifurcation, exactly 2 an
     ordinary ridge pixel, 0 an ignored speck. Output is in raster
-    order, which already matches the canonical (y, x) sort.
+    order, which already matches the canonical (y, x) sort. No
+    orientation is traced here: most detections are cut at the border
+    or merged away, so `clean_minutiae` traces only the survivors.
     """
     sk = _as_binary(sk)
     if not is_thin(sk):
         raise PreconditionError("detect_minutiae requires a fully thinned skeleton")
     counts = _neighbor_counts(sk)
-    out = []
-    for y, x in zip(*np.nonzero(sk)):
-        c = counts[y, x]
-        if c == 1:
-            kind = MinutiaKind.ENDING
-        elif c > 2:
-            kind = MinutiaKind.BIFURCATION
-        else:
-            continue
-        theta, _ = estimate_orientation(sk, (x, y), kind, trace_steps)
-        out.append(Minutia(x=float(x), y=float(y), theta=theta, kind=kind))
-    return out
+    ys, xs = np.nonzero((sk == 1) & ((counts == 1) | (counts > 2)))
+    ending = counts[ys, xs] == 1
+    return [
+        Detection(x, y, MinutiaKind.ENDING if e else MinutiaKind.BIFURCATION)
+        for x, y, e in zip(xs.astype(float).tolist(), ys.astype(float).tolist(), ending.tolist())
+    ]
 
 
 def merge_close(ms, rm):
     """Collapse groups of minutiae linked by distances <= rm.
 
-    Grouping is the transitive closure of the distance relation. Each
-    group becomes one minutia at the centroid, carrying the orientation
-    of the member nearest the centroid (ties to lowest (y, x)) and kind
-    Bifurcation if any member was one. Merged centroids can re-enter
+    `ms` holds anything with x, y and kind. Grouping is the transitive
+    closure of `dx*dx + dy*dy <= rm*rm`. Each group becomes one `Merged`
+    at its centroid, kind Bifurcation if any member was one, carrying as
+    `rep` the member nearest the centroid (ties to lowest (y, x)), whose
+    orientation the merged minutia takes. Merged centroids can re-enter
     each other's radius, so the pass repeats until stable; the result
-    therefore keeps all pairwise distances above rm.
+    therefore keeps all pairwise distances above rm. Output is sorted by
+    (y, x).
+
+    Pairs are found by fixed-radius near-neighbor search: points are
+    bucketed into square cells, and only pairs in the same or adjacent
+    cells are tested, then joined by union-find. Cells are rm plus a pad
+    of `kernels.BOUND_EPS` times max(1, rm, largest |coordinate|) wide,
+    so float rounding of a cell index can never put two points within
+    rm two cells apart, and no cell index exceeds about 1e6 in size.
+    Groups and their members keep the order of the dense search, so
+    every output bit is that of testing all n^2 pairs
+    (`tests/oracles.py` keeps that version); memory is
+    O(n + MERGE_CHUNK).
     """
-    if rm < 0:
+    if not rm >= 0:
         raise InvalidInputError(f"rm must be nonnegative, got {rm}")
-    cur = list(ms)
-    while len(cur) > 1:
-        pos = np.array([[m.x, m.y] for m in cur])
-        d2 = ((pos[:, None, :] - pos[None, :, :]) ** 2).sum(axis=2)
-        adj = d2 <= rm * rm
-        np.fill_diagonal(adj, False)
-        groups = _components(adj)
-        if all(len(g) == 1 for g in groups):
-            break
-        merged = []
-        for g in groups:
-            if len(g) == 1:
-                merged.append(cur[g[0]])
-                continue
-            centroid = pos[g].mean(axis=0)
-            rep_idx = min(
-                g,
-                key=lambda i: (float(((pos[i] - centroid) ** 2).sum()), cur[i].y, cur[i].x),
-            )
-            kind = (
-                MinutiaKind.BIFURCATION
-                if any(cur[i].kind is MinutiaKind.BIFURCATION for i in g)
-                else MinutiaKind.ENDING
-            )
-            merged.append(
-                Minutia(x=float(centroid[0]), y=float(centroid[1]), theta=cur[rep_idx].theta, kind=kind)
-            )
-        cur = merged
-    return sorted(cur, key=lambda m: m.sort_key)
+    ms = list(ms)
+    if not ms:
+        return []
+    pos = np.array([[m.x, m.y] for m in ms], dtype=float)
+    bif = np.array([m.kind is MinutiaKind.BIFURCATION for m in ms])
+    rep = np.arange(len(ms))
+    r2 = rm * rm
+    with np.errstate(over="ignore"):
+        while len(pos) > 1:
+            root = _merge_roots(pos, rm, r2)
+            if np.array_equal(root, np.arange(len(pos))):
+                break
+            # members grouped by root, the group's smallest index, and
+            # ascending inside each group, so each group starts at its root
+            order = np.argsort(root, kind="stable")
+            starts = np.flatnonzero(root[order] == order)
+            sizes = np.diff(np.r_[starts, len(pos)])
+            centroid = pos[order[starts]]
+            for g in np.flatnonzero(sizes > 1).tolist():
+                centroid[g] = pos[order[starts[g]:starts[g] + sizes[g]]].mean(axis=0)
+            if not np.isfinite(centroid).all():
+                raise InvalidInputError("merged minutia coordinates overflow")
+            group = np.repeat(np.arange(len(starts)), sizes)
+            d2 = ((pos[order] - centroid[group]) ** 2).sum(axis=1)
+            nearest = np.lexsort((pos[order, 0], pos[order, 1], d2, group))[starts]
+            rep = rep[order[nearest]]
+            bif = np.logical_or.reduceat(bif[order], starts)
+            pos = centroid
+    out = np.lexsort((pos[:, 0], pos[:, 1]))
+    return [
+        Merged(float(pos[i, 0]), float(pos[i, 1]),
+               MinutiaKind.BIFURCATION if bif[i] else MinutiaKind.ENDING, ms[rep[i]])
+        for i in out.tolist()
+    ]
 
 
-def _components(adj):
-    n = len(adj)
-    seen = [False] * n
-    groups = []
-    for i in range(n):
-        if seen[i]:
-            continue
-        stack = [i]
-        seen[i] = True
-        comp = []
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for u in np.nonzero(adj[v])[0]:
-                if not seen[u]:
-                    seen[u] = True
-                    stack.append(int(u))
-        groups.append(sorted(comp))
-    return groups
+def _merge_roots(pos, rm, r2):
+    """Smallest member index of each point's group under d2 <= r2."""
+    n = len(pos)
+    root = np.arange(n)
+    span = pos.max(axis=0) - pos.min(axis=0)
+    if span[0] * span[0] + span[1] * span[1] <= r2:
+        # no pair is farther apart than the bounding box's diagonal
+        return np.zeros(n, np.int64)
+    width = rm + kernels.BOUND_EPS * max(1.0, rm, float(np.abs(pos).max()))
+    cell = np.floor(pos / width).astype(np.int64)
+    cell -= cell.min(axis=0)
+    # one spare row per column, so a key plus or minus 1 never aliases
+    # the next column
+    rows = int(cell[:, 1].max()) + 2
+    key = cell[:, 0] * rows + cell[:, 1]
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    # each unordered pair once: later points of the own cell, and the
+    # cells above-right, right, below-right and below
+    begin = [np.arange(1, n + 1)]
+    end = [np.searchsorted(key, key, "right")]
+    for off in (rows - 1, rows, rows + 1, 1):
+        begin.append(np.searchsorted(key, key + off, "left"))
+        end.append(np.searchsorted(key, key + off, "right"))
+    src = np.tile(np.arange(n), len(begin))
+    begin, end = np.concatenate(begin), np.concatenate(end)
+    count = np.maximum(end - begin, 0)
+    total = np.cumsum(count)
+    done = 0
+    while done < len(src):
+        stop = max(done + 1, int(np.searchsorted(total, total[done] - count[done] + MERGE_CHUNK, "right")))
+        c = count[done:stop]
+        step = np.arange(int(c.sum())) - np.repeat(np.cumsum(c) - c, c)
+        i = order[np.repeat(src[done:stop], c)]
+        j = order[np.repeat(begin[done:stop], c) + step]
+        dx = pos[i, 0] - pos[j, 0]
+        dy = pos[i, 1] - pos[j, 1]
+        close = dx * dx + dy * dy <= r2
+        _union(root, i[close], j[close])
+        done = stop
+    return root
+
+
+def _union(root, i, j):
+    """Join the groups of each (i, j) edge; every root is its group's minimum.
+
+    `root` maps each point straight to its root on entry and on exit.
+    """
+    while len(i):
+        ri, rj = root[i], root[j]
+        apart = ri != rj
+        i, j, ri, rj = i[apart], j[apart], ri[apart], rj[apart]
+        np.minimum.at(root, np.maximum(ri, rj), np.minimum(ri, rj))
+        while True:
+            nxt = root[root]
+            if np.array_equal(nxt, root):
+                break
+            root[:] = nxt
 
 
 def remove_border_minutiae(ms, shape, margin):
@@ -290,7 +369,7 @@ def remove_border_minutiae(ms, shape, margin):
 
 
 def raw_minutiae(img, cfg=None):
-    """Image through detection, before any cleanup: (minutiae, shape).
+    """Image through detection, before any cleanup: (detections, skeleton).
 
     Split out from extract so parameter sweeps can cache this expensive
     stage per image and rerun only the cleanup below it.
@@ -300,31 +379,29 @@ def raw_minutiae(img, cfg=None):
     if cfg.despeckle:
         binary = despeckle(binary)
     sk = thin(binary)
-    return detect_minutiae(sk), sk.shape
+    return detect_minutiae(sk), sk
 
 
-def clean_minutiae(detected, shape, cfg=None, source=None) -> MinutiaSet:
-    """Border removal, merging, and 3-decimal quantization.
+def clean_minutiae(detected, sk, cfg=None, source=None) -> MinutiaSet:
+    """Border removal, merging, orientation, and 3-decimal quantization.
 
-    Quantization makes a set round-trip exactly through the text format.
+    Each surviving minutia's orientation is traced on the skeleton `sk`
+    from its representative detection. Quantization makes a set
+    round-trip exactly through the text format.
     """
     cfg = cfg if cfg is not None else MatchConfig()
-    ms = remove_border_minutiae(detected, shape, cfg.border_margin)
-    ms = merge_close(ms, cfg.rm)
-    quantized = [
-        Minutia(
-            x=round(m.x, 3),
-            y=round(m.y, 3),
-            theta=round(m.theta, 3) % 360.0,
-            kind=m.kind,
+    kept = remove_border_minutiae(detected, np.shape(sk), cfg.border_margin)
+    quantized = []
+    for m in merge_close(kept, cfg.rm):
+        theta, _ = estimate_orientation(sk, m.rep, m.rep.kind)
+        quantized.append(
+            Minutia(x=round(m.x, 3), y=round(m.y, 3), theta=round(theta, 3) % 360.0, kind=m.kind)
         )
-        for m in ms
-    ]
     return MinutiaSet.from_iterable(quantized, source=source)
 
 
 def extract(img, cfg=None, source=None) -> MinutiaSet:
     """Full image-to-minutiae pipeline, deterministic for equal inputs."""
     cfg = cfg if cfg is not None else MatchConfig()
-    detected, shape = raw_minutiae(img, cfg)
-    return clean_minutiae(detected, shape, cfg, source)
+    detected, sk = raw_minutiae(img, cfg)
+    return clean_minutiae(detected, sk, cfg, source)

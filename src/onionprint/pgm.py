@@ -66,6 +66,12 @@ def parse_pgm(data: bytes, name="<pgm>") -> np.ndarray:
             error(f"truncated raster: expected {count} bytes, got {len(raster)}")
         img = np.frombuffer(raster, dtype=np.uint8).reshape(height, width).copy()
     else:
+        # every sample takes a separator and a digit, so a header cannot
+        # declare more samples than half the bytes left; checked before
+        # allocating, since a few bytes can declare gigapixels
+        if count > (n - pos) // 2:
+            error(f"truncated raster: {count} samples need at least {2 * count} bytes, "
+                  f"{n - pos} left")
         vals = np.empty(count, dtype=np.int32)
         for i in range(count):
             vals[i] = next_int(f"sample {i}")

@@ -2,14 +2,18 @@
 
 Everything here is deliberately naive: hull membership by exhaustive
 triangle tests, peeling by repeated application of that test, step
-function integrals by rectangle overlaps or dense Riemann sums. Nothing
-imports the modules under test.
+function integrals by rectangle overlaps or dense Riemann sums, merging
+over all n^2 pairs. Only the data types of `onionprint.minutiae` are
+imported at module level; `extract_eager` reuses the extraction stages
+it does not check.
 """
 
 import itertools
 import math
 
 import numpy as np
+
+from onionprint.minutiae import Minutia, MinutiaKind, MinutiaSet
 
 TWO_PI = 2.0 * math.pi
 
@@ -354,3 +358,102 @@ def best_alignment_exhaustive(xi, yi, ti, xj, yj, tj, ki, kj, strict, r0, theta0
                 best = (k, ssum, a, b)
     _, ssum, pi, pj = candidate_match(best[2], best[3])
     return best[2], best[3], np.asarray(pi, np.int64), np.asarray(pj, np.int64), ssum
+
+
+def merge_close_dense(ms, rm):
+    """`imgproc.merge_close` over dense n x n distance arrays, on minutiae.
+
+    Groups are the connected components of `d2 <= rm * rm`, found by
+    depth-first search; each group becomes a minutia at its centroid
+    with the orientation of the member nearest the centroid (ties to
+    lowest (y, x)), repeated until stable.
+    """
+    cur = list(ms)
+    while len(cur) > 1:
+        pos = np.array([[m.x, m.y] for m in cur])
+        d2 = ((pos[:, None, :] - pos[None, :, :]) ** 2).sum(axis=2)
+        adj = d2 <= rm * rm
+        np.fill_diagonal(adj, False)
+        groups = _components(adj)
+        if all(len(g) == 1 for g in groups):
+            break
+        merged = []
+        for g in groups:
+            if len(g) == 1:
+                merged.append(cur[g[0]])
+                continue
+            centroid = pos[g].mean(axis=0)
+            rep_idx = min(
+                g,
+                key=lambda i: (float(((pos[i] - centroid) ** 2).sum()), cur[i].y, cur[i].x),
+            )
+            kind = (
+                MinutiaKind.BIFURCATION
+                if any(cur[i].kind is MinutiaKind.BIFURCATION for i in g)
+                else MinutiaKind.ENDING
+            )
+            merged.append(
+                Minutia(x=float(centroid[0]), y=float(centroid[1]), theta=cur[rep_idx].theta, kind=kind)
+            )
+        cur = merged
+    return sorted(cur, key=lambda m: m.sort_key)
+
+
+def _components(adj):
+    n = len(adj)
+    seen = [False] * n
+    groups = []
+    for i in range(n):
+        if seen[i]:
+            continue
+        stack = [i]
+        seen[i] = True
+        comp = []
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for u in np.nonzero(adj[v])[0]:
+                if not seen[u]:
+                    seen[u] = True
+                    stack.append(int(u))
+        groups.append(sorted(comp))
+    return groups
+
+
+def extract_eager(img, cfg, source=None):
+    """`imgproc.extract` tracing an orientation for every raw detection.
+
+    Detection classifies each skeleton pixel by a per-pixel neighbor
+    count and traces its orientation at once; border removal, dense
+    merging and quantization follow.
+    """
+    from onionprint.imgproc import (
+        binarize,
+        despeckle,
+        estimate_orientation,
+        remove_border_minutiae,
+        thin,
+    )
+
+    binary = binarize(img, cfg.binarize, cfg.fixed_threshold)
+    if cfg.despeckle:
+        binary = despeckle(binary)
+    sk = thin(binary)
+    h, w = sk.shape
+    detected = []
+    for y, x in zip(*np.nonzero(sk)):
+        c = int(sk[max(y - 1, 0):y + 2, max(x - 1, 0):x + 2].sum()) - 1
+        if c == 1:
+            kind = MinutiaKind.ENDING
+        elif c > 2:
+            kind = MinutiaKind.BIFURCATION
+        else:
+            continue
+        theta, _ = estimate_orientation(sk, (x, y), kind)
+        detected.append(Minutia(x=float(x), y=float(y), theta=theta, kind=kind))
+    ms = merge_close_dense(remove_border_minutiae(detected, (h, w), cfg.border_margin), cfg.rm)
+    return MinutiaSet.from_iterable(
+        (Minutia(x=round(m.x, 3), y=round(m.y, 3), theta=round(m.theta, 3) % 360.0, kind=m.kind)
+         for m in ms),
+        source=source,
+    )

@@ -1,14 +1,34 @@
 """End-to-end checks of the command-line front end."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import onionprint
 from onionprint import synth
 from onionprint.cli import main
-from onionprint.minutiae import FILE_HEADER, write_minutiae
+from onionprint.imgproc import raw_minutiae
+from onionprint.minutiae import FILE_HEADER, read_minutiae, write_minutiae
 from onionprint.pgm import write_pgm
+
+# Address-space limit for the bounded-memory runs. Extracting the noise
+# image below peaked at 155 MB of virtual memory (VmPeak; 84 MB
+# resident) with one BLAS thread, Python 3.11 and numpy 2.4; the limit
+# leaves over 3x that, while dense n x n merging (20 GiB) or allocating
+# what a P2 header declares (37 GiB) fails under it.
+MEMORY_LIMIT = 512 * 2**20
+
+_LIMITED_CLI = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))
+from onionprint.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
 
 
 def _two_ridge_image():
@@ -245,3 +265,32 @@ def test_mutually_exclusive_output_formats(tmp_path, capsys):
     write_pgm(img_path, _two_ridge_image())
     assert main(["match", str(img_path), str(img_path), "--json", "--csv"]) == 2
     capsys.readouterr()
+
+
+def _run_cli_with_memory_limit(*args):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    src = str(Path(onionprint.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = _LIMITED_CLI.format(limit=MEMORY_LIMIT)
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_extract_p2_dimension_bomb_exits_2_in_bounded_memory(tmp_path):
+    bomb = tmp_path / "bomb.pgm"
+    bomb.write_bytes(b"P2\n100000 100000\n255\n0 0 0\n")  # declares 37 GiB of samples
+    done = _run_cli_with_memory_limit("extract", bomb, tmp_path / "bomb.min")
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("error:") and "truncated" in done.stderr
+    assert len(done.stderr.splitlines()) == 1
+
+
+def test_extract_uniform_noise_image_in_bounded_memory(tmp_path):
+    # FVC2002 DB2 size; every other pixel is a raw detection
+    img = np.random.default_rng(920).integers(0, 256, size=(296, 560)).astype(np.uint8)
+    assert len(raw_minutiae(img)[0]) > 50_000
+    path = tmp_path / "noise.pgm"
+    write_pgm(path, img)
+    done = _run_cli_with_memory_limit("extract", path, tmp_path / "noise.min")
+    assert done.returncode == 0, done.stderr
+    read_minutiae(tmp_path / "noise.min")

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -313,6 +314,41 @@ def test_sweep_writes_curve_files(tmp_path):
     grid = (out / "grid.csv").read_text().splitlines()
     assert grid[0].startswith("index,rm,")
     assert len(grid) == 3
+
+
+def _image_dataset_dir(tmp_path, seed=81, fingers=2, impressions=2, side=112):
+    """Rendered ridge images: per finger a ridge angle and spiral minutiae,
+    per impression a small shift and fresh noise."""
+    d = tmp_path / "imgs"
+    d.mkdir()
+    rng = np.random.default_rng(seed)
+    yy, xx = np.mgrid[0:side, 0:side].astype(float)
+    for f in range(1, fingers + 1):
+        angle = math.radians(rng.uniform(0.0, 90.0))
+        spirals = rng.uniform(25.0, side - 25.0, size=(4, 2))
+        for i in range(1, impressions + 1):
+            sx, sy = rng.uniform(-3.0, 3.0, size=2)
+            u, v = xx - sx, yy - sy
+            phase = (2.0 * math.pi / 9.0) * (u * math.cos(angle) + v * math.sin(angle))
+            for k, (cx, cy) in enumerate(spirals):
+                phase += (-1) ** k * np.arctan2(v - cy, u - cx)
+            img = 128.0 + 100.0 * np.cos(phase) + rng.normal(0.0, 10.0, size=phase.shape)
+            write_pgm(d / f"{f:03d}_{i}.pgm", np.clip(np.rint(img), 0, 255).astype(np.uint8))
+    return d
+
+
+def test_sweep_over_images_equals_direct_runs(tmp_path):
+    # the cache keeps detections and skeleton per image and reruns only
+    # the cleanup, orientation tracing included, for each merge radius
+    ds = load_dataset(_image_dataset_dir(tmp_path))
+    cfg = MatchConfig(border_margin=8.0)
+    grid = [{"rm": rm} for rm in (2.0, 4.0, 6.0)]
+    results = sweep(ds, grid, cfg, mode="all_pairs", out_dir=tmp_path / "sweep")
+    assert len(results) == len(grid)
+    for (overrides, table, report), g in zip(results, grid):
+        assert overrides == g
+        assert (table, report) == evaluate(ds, replace(cfg, **g), mode="all_pairs")
+    assert len({r[1] for r in results}) > 1  # the radius changes the scores
 
 
 def test_sweep_rejects_unknown_keys(tmp_path):

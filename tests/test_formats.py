@@ -48,6 +48,16 @@ def test_pgm_p5_truncated_raises():
         parse_pgm(good[:-3], "x")
 
 
+def test_pgm_p2_header_larger_than_its_bytes_raises():
+    # the shortest P2 body is a separator and a digit per sample
+    assert parse_pgm(b"P2\n3 1\n255\n0 1 2", "x").tolist() == [[0, 1, 2]]
+    with pytest.raises(InvalidInputError, match="truncated"):
+        parse_pgm(b"P2\n3 1\n255\n0 12", "x")
+    # checked before anything of the declared size is allocated
+    with pytest.raises(InvalidInputError, match="truncated"):
+        parse_pgm(b"P2\n100000 100000\n255\n0 0 0\n", "x")
+
+
 def test_pgm_rejects_bad_magic_and_maxval():
     with pytest.raises(InvalidInputError):
         parse_pgm(b"P6\n2 2\n255\n" + bytes(12), "x")

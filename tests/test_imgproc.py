@@ -10,6 +10,7 @@ from onionprint.imgproc import (
     binarize,
     despeckle,
     detect_minutiae,
+    estimate_orientation,
     extract,
     is_thin,
     merge_close,
@@ -20,7 +21,9 @@ from onionprint.imgproc import (
 from onionprint.minutiae import Minutia, MinutiaKind
 from oracles import (
     count_components_8,
+    extract_eager,
     has_full_2x2_block,
+    merge_close_dense,
     merge_groups_unionfind,
     otsu_threshold_bruteforce,
 )
@@ -32,6 +35,10 @@ def _E(x, y, theta=0.0):
 
 def _B(x, y, theta=0.0):
     return Minutia(x=x, y=y, theta=theta, kind=MinutiaKind.BIFURCATION)
+
+
+def _theta(sk, d):
+    return estimate_orientation(sk, d, d.kind)[0]
 
 
 def _y_skeleton():
@@ -175,26 +182,27 @@ def test_detect_straight_segment():
         (17.0, 3.0, MinutiaKind.ENDING),
     ]
     # left end points rightward along the ridge, right end leftward
-    assert ms[0].theta == 0.0
-    assert ms[1].theta == 180.0
+    assert _theta(sk, ms[0]) == 0.0
+    assert _theta(sk, ms[1]) == 180.0
 
 
 def test_detect_vertical_top_ending_is_270():
     sk = np.zeros((20, 7), np.uint8)
     sk[2:18, 3] = 1
     ms = detect_minutiae(sk)
-    assert ms[0].theta == 270.0
-    assert ms[1].theta == 90.0
+    assert _theta(sk, ms[0]) == 270.0
+    assert _theta(sk, ms[1]) == 90.0
 
 
 def test_detect_y_junction():
-    ms = detect_minutiae(_y_skeleton())
+    sk = _y_skeleton()
+    ms = detect_minutiae(sk)
     bifs = [m for m in ms if m.kind is MinutiaKind.BIFURCATION]
     ends = [m for m in ms if m.kind is MinutiaKind.ENDING]
     assert len(bifs) == 1 and len(ends) == 3
     assert (bifs[0].x, bifs[0].y) == (8.0, 8.0)
     # closest branch pair (225, 315) bisects to 270, away from the up branch
-    assert bifs[0].theta == 270.0
+    assert _theta(sk, bifs[0]) == 270.0
 
 
 def test_detect_ignores_isolated_pixels():
@@ -258,7 +266,7 @@ def test_merge_chain_is_transitive():
 def test_merge_orientation_from_member_nearest_centroid():
     out = merge_close([_E(0.0, 0.0, 11.0), _E(2.0, 0.0, 22.0), _E(2.5, 0.0, 33.0)], 5.0)
     assert len(out) == 1
-    assert out[0].theta == 22.0  # centroid 1.5, nearest member is x=2
+    assert out[0].rep.theta == 22.0  # centroid 1.5, nearest member is x=2
 
 
 def test_merge_rejects_negative_radius():
@@ -307,6 +315,178 @@ def test_merge_matches_unionfind_oracle():
         for i in range(len(out)):
             for j in range(i + 1, len(out)):
                 assert math.dist((out[i].x, out[i].y), (out[j].x, out[j].y)) > rm
+
+
+def _labelled(points, bif_every=0):
+    """Minutiae at the points, each with its own angle so its orientation names it."""
+    return [
+        Minutia(
+            x=float(x),
+            y=float(y),
+            theta=(i * 0.25) % 360.0,
+            kind=MinutiaKind.BIFURCATION if bif_every and i % bif_every == 0 else MinutiaKind.ENDING,
+        )
+        for i, (x, y) in enumerate(points)
+    ]
+
+
+def _assert_merge_exact(ms, rm):
+    """merge_close equals the dense n^2 merge bit for bit, representative included."""
+    got = [(m.x, m.y, m.kind, m.rep.theta) for m in merge_close(ms, rm)]
+    with np.errstate(over="ignore"):
+        want = [(m.x, m.y, m.kind, m.theta) for m in merge_close_dense(ms, rm)]
+    assert got == want
+    return got
+
+
+def test_merge_matches_dense_oracle_random():
+    rng = np.random.default_rng(915)
+    for trial in range(60):
+        n = int(rng.integers(1, 80))
+        if trial % 3 == 0:
+            # integer grid: coincident points and exact distance ties
+            pts = rng.integers(0, 12, size=(n, 2)).astype(float)
+        else:
+            pts = rng.uniform(-30.0, 90.0, size=(n, 2))
+        rm = float(rng.choice([0.0, 0.5, 1.0, 2.0, float(rng.uniform(0.1, 25.0))]))
+        _assert_merge_exact(_labelled(pts, bif_every=int(rng.integers(0, 5))), rm)
+
+
+def test_merge_matches_dense_oracle_long_chains():
+    rng = np.random.default_rng(916)
+    rm = 5.0
+    # a straight chain that merges only transitively, end to end
+    line = [(i * 4.9, 100.0) for i in range(300)]
+    assert len(_assert_merge_exact(_labelled(line), rm)) == 1
+    # a jittered spiral whose links are just under rm
+    t = np.arange(400) * 0.05
+    spiral = np.stack([200 + 12 * t * np.cos(t), 200 + 12 * t * np.sin(t)], axis=1)
+    spiral += rng.uniform(-0.2, 0.2, size=spiral.shape)
+    _assert_merge_exact(_labelled(spiral, bif_every=7), rm)
+    # a chain in reverse index order: roots must still be group minima
+    _assert_merge_exact(_labelled(line[::-1], bif_every=11), rm)
+
+
+def _rings(rng):
+    """Arcs of points around a few inner points, shuffled with scattered ones.
+
+    An arc and its inner points are apart in the first round, but the
+    arc's centroid falls near them, so merging cascades over rounds.
+    """
+    pts = []
+    for _ in range(int(rng.integers(1, 5))):
+        cx, cy = rng.uniform(0, 100, 2)
+        radius = rng.uniform(6, 15)
+        t = rng.uniform(0, 2 * math.pi) + np.linspace(0, rng.uniform(math.pi, 2 * math.pi),
+                                                      int(rng.integers(8, 30)))
+        pts += list(zip(cx + radius * np.cos(t), cy + radius * np.sin(t)))
+        pts += [(cx + dx, cy + dy) for dx, dy in rng.uniform(-3, 3, size=(int(rng.integers(0, 4)), 2))]
+    pts += list(rng.uniform(0, 100, size=(int(rng.integers(0, 30)), 2)))
+    return [pts[i] for i in rng.permutation(len(pts))]
+
+
+def test_merge_matches_dense_oracle_over_cascading_rounds():
+    # a ring of 24 points 2.6 apart around a center 10 away: the ring
+    # merges first, and its centroid then takes in the center
+    ring = [(50 + 10 * math.cos(k * math.pi / 12), 50 + 10 * math.sin(k * math.pi / 12)) for k in range(24)]
+    assert len(_assert_merge_exact(_labelled(ring + [(50.0, 50.5)]), 4.0)) == 1
+    # groups of three or more in later rounds sum their members in order
+    rng = np.random.default_rng(921)
+    for _ in range(120):
+        _assert_merge_exact(_labelled(_rings(rng), bif_every=5), float(rng.uniform(3, 6)))
+
+
+def test_merge_partner_exactly_at_rm():
+    for ox, oy in ((0.0, 0.0), (-3.0, 7.0), (1e6, 1e6), (-1e6 + 0.5, 1e6 - 2.25)):
+        for dx, dy, rm in ((5.0, 0.0, 5.0), (3.0, 4.0, 5.0), (0.0, -2.5, 2.5), (6.0, 8.0, 10.0)):
+            pair = _labelled([(ox, oy), (ox + dx, oy + dy)])
+            assert len(_assert_merge_exact(pair, rm)) == 1
+            # one ulp past rm is too far
+            far = _labelled([(ox, oy), (np.nextafter(ox + dx, math.inf) if dx else ox,
+                                        np.nextafter(oy + dy, math.inf) if dy > 0 else oy + dy)])
+            _assert_merge_exact(far, rm)
+    # pairs at rm straddling many cell boundaries
+    rng = np.random.default_rng(917)
+    base = rng.integers(-10**6, 10**6, size=(200, 2)).astype(float)
+    pts = np.concatenate([base, base + [3.0, 4.0]])
+    got = _assert_merge_exact(_labelled(pts), 5.0)
+    assert len(got) <= 200
+
+
+def test_merge_rm_zero_merges_only_coincident():
+    pts = [(1.0, 1.0), (1.0, 1.0), (2.0, 1.0), (1.0, 1.0 + 1e-12), (5.0, 5.0), (5.0, 5.0)]
+    got = _assert_merge_exact(_labelled(pts, bif_every=4), 0.0)
+    assert [(x, y) for x, y, _, _ in got] == [(1.0, 1.0), (2.0, 1.0), (1.0, 1.0 + 1e-12), (5.0, 5.0)]
+
+
+def test_merge_rm_inf_is_one_group():
+    rng = np.random.default_rng(918)
+    pts = rng.uniform(-1e300, 1e300, size=(40, 2))
+    assert len(_assert_merge_exact(_labelled(pts), math.inf)) == 1
+    assert len(_assert_merge_exact(_labelled(rng.uniform(0, 50, size=(40, 2))), math.inf)) == 1
+
+
+def test_merge_rejects_nan_radius():
+    with pytest.raises(InvalidInputError):
+        merge_close([_E(0.0, 0.0), _E(1.0, 0.0)], math.nan)
+
+
+def test_merge_extreme_finite_coordinates():
+    big = np.finfo(float).max
+    pts = [(-big, -big), (-big, big), (big, big), (big, -big), (big, big * 0.5),
+           (0.0, 0.0), (1.0, 0.0), (5e-324, 0.0)]
+    # five points one ulp (about 1.6e144) apart, near 1e160
+    x = 1e160
+    for _ in range(5):
+        pts.append((x, -1e160))
+        x = float(np.nextafter(x, math.inf))
+    for rm in (0.0, 1e-300, 1.0, 1e144, 2e144, 1e150, 1e154):
+        _assert_merge_exact(_labelled(pts), rm)
+    # past about 1.3e154, rm * rm is infinite and everything is one
+    # group, whose centroid overflows: an input error for both
+    for rm in (1e155, 1e300, big):
+        for merge in (merge_close, merge_close_dense):
+            with pytest.raises(InvalidInputError), np.errstate(over="ignore"):
+                merge(_labelled(pts), rm)
+
+
+def test_merge_lattice_representative_ties():
+    # every member of a square or hexagonal group is equally near its
+    # centroid, so the representative is decided by lowest (y, x)
+    for rows, cols, step, rm in ((2, 2, 1.0, 1.0), (3, 3, 2.0, 2.0), (4, 5, 1.5, 1.5),
+                                 (6, 6, 3.0, 3.5), (5, 4, 2.0, 2.9)):
+        square = [(c * step, r * step) for r in range(rows) for c in range(cols)]
+        _assert_merge_exact(_labelled(square, bif_every=3), rm)
+        _assert_merge_exact(_labelled(square[::-1]), rm)
+    hexagon = [(10 + 2 * math.cos(k * math.pi / 3), 10 + 2 * math.sin(k * math.pi / 3)) for k in range(6)]
+    _assert_merge_exact(_labelled(hexagon), 2.0)
+    # many small squares far apart: one tie per group, decided in one round
+    squares = [(x + dx, y + dy) for x in range(0, 200, 20) for y in range(0, 200, 20)
+               for dx in (0.0, 1.0) for dy in (0.0, 1.0)]
+    assert len(_assert_merge_exact(_labelled(squares), 1.0)) == 100
+
+
+def _diagonal_ridges(rng, width, height, noise, period=10.0):
+    """Noisy cosine ridges at 45 degrees with a few spiral minutiae."""
+    yy, xx = np.mgrid[0:height, 0:width].astype(float)
+    phase = (2.0 * math.pi / period) * (xx + yy) / math.sqrt(2.0)
+    for k in range(4):
+        cx, cy = rng.uniform(20, width - 20), rng.uniform(20, height - 20)
+        phase += (-1) ** k * np.arctan2(yy - cy, xx - cx)
+    img = 128.0 + 100.0 * np.cos(phase) + rng.normal(0.0, noise, size=phase.shape)
+    return np.clip(np.rint(img), 0, 255).astype(np.uint8)
+
+
+def test_extract_matches_eager_oracle_on_noisy_diagonal_ridges():
+    rng = np.random.default_rng(919)
+    for width, height, noise, cfg in ((120, 96, 15.0, MatchConfig()),
+                                      (96, 120, 40.0, MatchConfig(rm=8.0, border_margin=4.0)),
+                                      (80, 80, 5.0, MatchConfig(rm=0.0, border_margin=0.0))):
+        img = _diagonal_ridges(rng, width, height, noise)
+        got = extract(img, cfg, source="img")
+        assert len(got) > 0
+        assert got == extract_eager(img, cfg, source="img")
+        assert [m.theta for m in got] == [m.theta for m in extract_eager(img, cfg)]
 
 
 # ---------------------------------------------------------------------------
