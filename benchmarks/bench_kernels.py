@@ -1,12 +1,12 @@
-"""Times the hot kernels: jitted against numpy twins, alignment and merging against oracles.
+"""Times each hot kernel against its slow reference in tests/oracles.py.
 
 Run as `python3 benchmarks/bench_kernels.py` from the repository root.
-Thinning and the turning scan are timed as their numba and numpy
-variants, called directly, so the ONIONPRINT_NUMBA selection flag does
-not matter here. The branch-and-bound `best_alignment` is timed against
-the exhaustive search in `tests/oracles.py`, and the grid-bucketed
-`merge_close` against the dense n x n merge there; each pair must return
-identical results.
+Rows: thinning by the 9-bit lookup-table pass against the scalar
+Zhang-Suen loop, the batched ridge trace (`imgproc.orientations`)
+against the scalar trace, the turning scan against the shift-by-shift
+sweep, the branch-and-bound `best_alignment` against the exhaustive
+search, and the grid-bucketed `merge_close` against the dense n x n
+merge. Each row exits if the two results differ.
 """
 
 import argparse
@@ -18,11 +18,17 @@ from pathlib import Path
 import numpy as np
 
 from onionprint import imgproc, kernels, synth
-from onionprint.minutiae import Minutia, MinutiaSet
+from onionprint.minutiae import Minutia, MinutiaKind, MinutiaSet
 from onionprint.turning import turning_function
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
-from oracles import best_alignment_exhaustive, merge_close_dense  # noqa: E402
+from oracles import (  # noqa: E402
+    best_alignment_exhaustive,
+    merge_close_dense,
+    min_turning_distance_scan,
+    orientation_scalar,
+    thin_scalar,
+)
 
 
 def best_of(fn, repeat, inner):
@@ -42,12 +48,11 @@ def ridge_image(side=384, period=9):
     return ((phase % period) < period / 2.5).astype(np.uint8)
 
 
-def merge_workload(width=384, height=296, seed=5):
-    """Border-cleaned detections of a noisy print with diagonal ridges.
+def rendered_print(width=384, height=296, seed=5):
+    """Skeleton and raw detections of a noisy print with diagonal ridges.
 
     The size and ridge angle are the largest and most staircased of the
-    rendered prints; each detection gets its own angle, so the merged
-    orientation names the representative.
+    rendered prints.
     """
     rng = np.random.default_rng(seed)
     yy, xx = np.mgrid[0:height, 0:width].astype(np.float64)
@@ -56,19 +61,15 @@ def merge_workload(width=384, height=296, seed=5):
         phase += (-1) ** k * np.arctan2(yy - y, xx - x)
     img = 128.0 + 100.0 * np.cos(phase) + rng.normal(0.0, 15.0, size=phase.shape)
     detected, sk = imgproc.raw_minutiae(np.clip(np.rint(img), 0, 255).astype(np.uint8))
+    return detected, sk
+
+
+def merge_workload(detected, sk):
+    """Border-cleaned detections as minutiae, each with its own angle,
+    so the merged orientation names the representative."""
     kept = imgproc.remove_border_minutiae(detected, sk.shape, 12.0)
-    return [Minutia(x=d.x, y=d.y, theta=i * 0.01, kind=d.kind) for i, d in enumerate(kept)]
-
-
-def thin_with(pass_fn, binary):
-    h, w = binary.shape
-    padded = np.zeros((h + 2, w + 2), np.uint8)
-    padded[1:-1, 1:-1] = binary
-    while True:
-        changed = pass_fn(padded, 0)
-        changed += pass_fn(padded, 1)
-        if changed == 0:
-            return padded[1:-1, 1:-1]
+    return kept, [Minutia(x=x, y=y, theta=i * 0.01, kind=MinutiaKind.BIFURCATION if b else MinutiaKind.ENDING)
+                  for i, (x, y, b) in enumerate(zip(kept.x.tolist(), kept.y.tolist(), kept.bif.tolist()))]
 
 
 def alignment_workload(seed=3):
@@ -98,11 +99,13 @@ def turning_workload(seed=4, nv=25):
 
 
 def agree(a, b):
-    if isinstance(a, np.ndarray):
-        return np.array_equal(a, b)
-    if isinstance(a, tuple):
-        return len(a) == len(b) and all(agree(x, y) for x, y in zip(a, b))
-    return math.isclose(float(a), float(b), rel_tol=0.0, abs_tol=1e-9)
+    """(distance, shift, rotation) equal to 1e-9: the two sum in different orders."""
+    return all(math.isclose(x, y, rel_tol=0.0, abs_tol=1e-9) for x, y in zip(a, b))
+
+
+def same_alignment(got, want):
+    return (got[:2] == want[:2] and np.array_equal(got[2], want[2])
+            and np.array_equal(got[3], want[3]) and got[4] == want[4])
 
 
 def fmt(seconds):
@@ -117,58 +120,42 @@ def main():
                         help="timing repetitions, best is reported")
     args = parser.parse_args()
 
-    if not kernels.HAVE_NUMBA:
-        print("numba is not importable; timing the numpy fallback only")
-
-    img = ridge_image()
+    binary = ridge_image()
+    detected, sk = rendered_print()
+    xs, ys, bif = detected.x, detected.y, detected.bif
+    points = list(zip(xs.astype(int).tolist(), ys.astype(int).tolist(), bif.tolist()))
     align_args = alignment_workload()
     turn_args = turning_workload()
+    kept, minutiae = merge_workload(detected, sk)
 
-    cases = [
-        ("zhang_suen full thin",
-         kernels.zhang_suen_pass_numba, kernels.zhang_suen_pass_numpy,
-         lambda fn: thin_with(fn, img), 1),
-        ("min_turning_distance 25-gon",
-         kernels.min_turning_distance_numba, kernels.min_turning_distance_numpy,
-         lambda fn: fn(*turn_args), 20),
+    def merged_rows():
+        out = imgproc.merge_close(kept, 5.0)
+        return [(x, y, b, minutiae[r].theta)
+                for x, y, b, r in zip(out.x.tolist(), out.y.tolist(), out.bif.tolist(), out.rep.tolist())]
+
+    def dense_rows():
+        return [(m.x, m.y, m.kind is MinutiaKind.BIFURCATION, m.theta) for m in merge_close_dense(minutiae, 5.0)]
+
+    # (name, fast, reference, same results, calls per timing)
+    rows = [
+        ("thin 384x384, 9-bit table", lambda: imgproc.thin(binary), lambda: thin_scalar(binary),
+         np.array_equal, 3),
+        (f"orientations {len(points)} points", lambda: imgproc.orientations(sk, xs, ys, bif).tolist(),
+         lambda: [orientation_scalar(sk, (x, y), b) for x, y, b in points], lambda a, b: a == b, 3),
+        ("min_turning_distance 25-gon", lambda: kernels.min_turning_distance(*turn_args),
+         lambda: min_turning_distance_scan(*turn_args), agree, 20),
+        ("best_alignment 50 vs ~50", lambda: kernels.best_alignment(*align_args),
+         lambda: best_alignment_exhaustive(*align_args), same_alignment, 3),
+        (f"merge_close {len(kept)} points", merged_rows, dense_rows, lambda a, b: a == b, 3),
     ]
 
-    print(f"{'kernel':<28}{'numba':>12}{'numpy':>12}{'speedup':>10}")
-    for name, jitted, plain, run, inner in cases:
-        baseline = run(plain)  # warms nothing, numpy has no compile step
-        if kernels.HAVE_NUMBA:
-            got = run(jitted)  # first call compiles
-            if not agree(baseline, got):
-                raise SystemExit(f"{name}: variants disagree")
-            t_jit = best_of(lambda: run(jitted), args.repeat, inner)
-        else:
-            t_jit = math.nan
-        t_np = best_of(lambda: run(plain), args.repeat, inner)
-        ratio = f"{t_np / t_jit:9.1f}x" if t_jit == t_jit else "       n/a"
-        jit_txt = fmt(t_jit) if t_jit == t_jit else "       n/a"
-        print(f"{name:<28}{jit_txt:>12}{fmt(t_np):>12}{ratio}")
-
-    got = kernels.best_alignment(*align_args)
-    want = best_alignment_exhaustive(*align_args)
-    same = (got[:2] == want[:2] and np.array_equal(got[2], want[2])
-            and np.array_equal(got[3], want[3]) and got[4] == want[4])
-    if not same:
-        raise SystemExit("best_alignment disagrees with the exhaustive oracle")
-    t_bb = best_of(lambda: kernels.best_alignment(*align_args), args.repeat, 3)
-    t_ex = best_of(lambda: best_alignment_exhaustive(*align_args), args.repeat, 1)
-    print(f"\n{'kernel':<28}{'bound':>12}{'exhaustive':>12}{'speedup':>10}")
-    print(f"{'best_alignment 50 vs ~50':<28}{fmt(t_bb):>12}{fmt(t_ex):>12}{t_ex / t_bb:9.1f}x")
-
-    dets = merge_workload()
-    got = [(m.x, m.y, m.kind, m.rep.theta) for m in imgproc.merge_close(dets, 5.0)]
-    want = [(m.x, m.y, m.kind, m.theta) for m in merge_close_dense(dets, 5.0)]
-    if got != want:
-        raise SystemExit("merge_close disagrees with the dense oracle")
-    t_grid = best_of(lambda: imgproc.merge_close(dets, 5.0), args.repeat, 3)
-    t_dense = best_of(lambda: merge_close_dense(dets, 5.0), args.repeat, 1)
-    print(f"\n{'kernel':<28}{'grid':>12}{'dense':>12}{'speedup':>10}")
-    name = f"merge_close {len(dets)} points"
-    print(f"{name:<28}{fmt(t_grid):>12}{fmt(t_dense):>12}{t_dense / t_grid:9.1f}x")
+    print(f"{'kernel':<34}{'fast':>12}{'reference':>12}{'speedup':>10}")
+    for name, fast, ref, same, inner in rows:
+        if not same(fast(), ref()):
+            raise SystemExit(f"{name}: results differ from the reference")
+        t_fast = best_of(fast, args.repeat, inner)
+        t_ref = best_of(ref, args.repeat, 1)
+        print(f"{name:<34}{fmt(t_fast):>12}{fmt(t_ref):>12}{t_ref / t_fast:9.1f}x", flush=True)
 
 
 if __name__ == "__main__":

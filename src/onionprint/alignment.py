@@ -154,15 +154,15 @@ def match_minutiae(
         float(r0),
         float(theta0),
     )
-    tr = _hypothesis(inp.minutiae[a], tpl.minutiae[b])
+    tr = _hypothesis(inp[a], tpl[b])
     pairs = tuple((int(i), int(j)) for i, j in zip(out_i, out_j))
     return MatchResult(tr, pairs, len(pairs), m, n, minutiae_score(len(pairs), m, n))
 
 
 def matched_subsets(result: MatchResult, inp: MinutiaSet, tpl: MinutiaSet):
-    """The paired minutiae of each set, in pair order."""
-    left = [inp.minutiae[i] for i, _ in result.pairs]
-    right = [tpl.minutiae[j] for _, j in result.pairs]
+    """Positions of the paired minutiae of each set, in pair order: two (k, 2) arrays."""
+    left = inp.positions()[[i for i, _ in result.pairs]]
+    right = tpl.positions()[[j for _, j in result.pairs]]
     return left, right
 
 
@@ -174,8 +174,8 @@ def match_to_csv_rows(result: MatchResult, inp: MinutiaSet, tpl: MinutiaSet):
     """
     rows = ["i,j,xi,yi,xj,yj,sd,dd"]
     for i, j in result.pairs:
-        a = inp.minutiae[i]
-        b = tpl.minutiae[j]
+        a = inp[i]
+        b = tpl[j]
         ta = apply_transform(result.transform, a)
         rows.append(
             f"{i},{j},{float(a.x)!r},{float(a.y)!r},{float(b.x)!r},{float(b.y)!r},"

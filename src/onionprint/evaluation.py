@@ -198,7 +198,7 @@ def load_fingerprint(path, cfg=None, source=None) -> MinutiaSet:
     except UnicodeDecodeError:
         raise InvalidInputError(f"{name}: neither a PGM image nor a minutiae file") from None
     ms = parse_minutiae(text, name)
-    return MinutiaSet(ms.minutiae, source=source or name)
+    return replace(ms, source=source or name)
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +240,15 @@ def _ordered_map(fn, items, threads):
         return list(pool.map(fn, items))
 
 
+def _unique_entries(pairs):
+    """Entries of labeled pairs, each path once, in order of first appearance."""
+    unique = {}
+    for a, b, _ in pairs:
+        unique.setdefault(a.path, a)
+        unique.setdefault(b.path, b)
+    return list(unique.values())
+
+
 def score_pairs(pairs, cfg=None, threads=1, sets=None) -> ScoreTable:
     """Score labeled entry pairs; each entry is loaded and extracted once.
 
@@ -248,13 +257,7 @@ def score_pairs(pairs, cfg=None, threads=1, sets=None) -> ScoreTable:
     """
     cfg = cfg if cfg is not None else MatchConfig()
     if sets is None:
-        unique = []
-        seen = set()
-        for a, b, _ in pairs:
-            for e in (a, b):
-                if e.path not in seen:
-                    seen.add(e.path)
-                    unique.append(e)
+        unique = _unique_entries(pairs)
         loaded = _ordered_map(
             lambda e: load_fingerprint(e.path, cfg, source=e.label), unique, threads
         )
@@ -431,13 +434,7 @@ def sweep(ds: Dataset, grid, base_cfg=None, mode=MODE_FVC, threads=1,
                 raise InvalidInputError(f"sweep key {key!r} not one of {SWEEP_KEYS}")
 
     pairs = pair_protocol(ds, mode)
-    unique = []
-    seen = set()
-    for a, b, _ in pairs:
-        for e in (a, b):
-            if e.path not in seen:
-                seen.add(e.path)
-                unique.append(e)
+    unique = _unique_entries(pairs)
 
     # cache per entry: either the detection-stage output of an image or
     # the already-final set from a minutiae file

@@ -157,12 +157,6 @@ def polygon_signed_area(verts) -> float:
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
-def polygon_perimeter(verts) -> float:
-    v = _as_points(verts)
-    d = np.roll(v, -1, axis=0) - v
-    return float(np.sum(np.hypot(d[:, 0], d[:, 1])))
-
-
 def layers_to_csv_rows(layers: ConvexLayers) -> list[str]:
     """Debug dump: one 'depth,x,y' row per ring vertex."""
     rows = []

@@ -1,26 +1,31 @@
 """Grayscale fingerprint image to cleaned minutia set.
 
 Pipeline: binarize (ridges are dark, so foreground means intensity
-below threshold), optional despeckle, Zhang-Suen thinning, neighbor
-count classification on the skeleton, spurious-minutia cleanup (border
-removal, then merging of detections within rm, found by grid-bucketed
-near-neighbor search), and orientation by a short ridge trace. Merging
-places each cleaned minutia by position alone and gives it the
-orientation of one raw detection, so only those representatives are
-traced, not the ~90 % of detections the cleanup drops.
+below threshold), optional despeckle, Zhang-Suen thinning by a 9-bit
+neighbourhood lookup table, neighbor count classification on the
+skeleton, spurious-minutia cleanup (border removal, then merging of
+detections within rm, found by grid-bucketed near-neighbor search),
+and orientation by a short ridge trace. Everything after binarization
+works on arrays: detections are a `Detections` record of x, y and
+bifurcation-flag arrays, merging names each group's representative by
+index, and `orientations` traces all the survivors at once, every
+walker stepping together on the padded skeleton. Merging places each
+cleaned minutia by position alone and gives it the orientation of one
+raw detection, so only those representatives are traced, not the
+~90 % of detections the cleanup drops.
 Coordinates are screen pixels (origin top-left, y down); angles are
 degrees counterclockwise from +x in image space, so "up" is 270.
 """
 
 import math
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
 from .config import MatchConfig
 from .errors import InvalidInputError, PreconditionError
-from .minutiae import Minutia, MinutiaKind, MinutiaSet
+from .minutiae import MinutiaSet
 
 # ridge-following horizon for orientation estimation, in skeleton steps
 TRACE_STEPS = 10
@@ -28,25 +33,39 @@ TRACE_STEPS = 10
 # candidate pairs `merge_close` tests per batch; bounds its memory
 MERGE_CHUNK = 1 << 18
 
-# 8-neighborhood in raster order
-_OFFSETS = ((-1, -1), (0, -1), (1, -1), (-1, 0), (1, 0), (-1, 1), (0, 1), (1, 1))
+# 8-neighborhood offsets (dx, dy) in raster order
+_OFF_X, _OFF_Y = np.array(((-1, -1), (0, -1), (1, -1), (-1, 0), (1, 0), (-1, 1), (0, 1), (1, 1))).T
+
+# direction from a pixel to one dy rows and dx columns away, indexed
+# [dy + TRACE_STEPS, dx + TRACE_STEPS]; no trace ends farther away
+_ANGLE = np.array([
+    [math.degrees(math.atan2(-dy, dx)) % 360.0 for dx in range(-TRACE_STEPS, TRACE_STEPS + 1)]
+    for dy in range(-TRACE_STEPS, TRACE_STEPS + 1)
+])
 
 
-class Detection(NamedTuple):
-    """A skeleton pixel classified as a minutia, orientation not yet traced."""
+@dataclass(frozen=True, eq=False)
+class Detections:
+    """Skeleton pixels classified as minutiae, as parallel arrays.
 
-    x: float
-    y: float
-    kind: MinutiaKind
+    `x` and `y` are float pixel coordinates, `bif` is True for a
+    bifurcation and False for an ending; len() is the detection count.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    bif: np.ndarray
+
+    def __len__(self):
+        return len(self.x)
 
 
-class Merged(NamedTuple):
-    """A cleaned position and kind, and the input whose orientation it takes."""
+@dataclass(frozen=True, eq=False)
+class Merged(Detections):
+    """Cleaned positions and kinds, and for each the index of the input
+    detection whose orientation it takes."""
 
-    x: float
-    y: float
-    kind: MinutiaKind
-    rep: object
+    rep: np.ndarray
 
 
 def _as_gray(img):
@@ -97,7 +116,7 @@ def binarize(img, method="otsu", threshold=128):
 
 def _neighbor_counts(binary):
     """Count of foreground 8-neighbors at every pixel."""
-    p = np.pad(binary, 1).astype(np.int32)
+    p = np.pad(binary, 1)  # 0/1 uint8, so sums of 8 fit
     return (
         p[:-2, :-2] + p[:-2, 1:-1] + p[:-2, 2:]
         + p[1:-1, :-2] + p[1:-1, 2:]
@@ -115,12 +134,21 @@ def despeckle(binary):
     return out
 
 
-def thin(binary):
-    """Zhang-Suen thinning to a one-pixel-wide skeleton."""
+def _padded(binary):
     b = _as_binary(binary)
     h, w = b.shape
     padded = np.zeros((h + 2, w + 2), np.uint8)
     padded[1:-1, 1:-1] = b
+    return padded
+
+
+def thin(binary):
+    """Zhang-Suen thinning to a one-pixel-wide skeleton.
+
+    Each subiteration is one `kernels.zhang_suen_pass`, a lookup of every
+    pixel's 9-bit neighbourhood code in the deletion table.
+    """
+    padded = _padded(binary)
     while True:
         changed = kernels.zhang_suen_pass(padded, 0)
         changed += kernels.zhang_suen_pass(padded, 1)
@@ -131,92 +159,101 @@ def thin(binary):
 
 def is_thin(skeleton) -> bool:
     """True when one more thinning iteration would delete nothing."""
-    b = _as_binary(skeleton)
-    h, w = b.shape
-    padded = np.zeros((h + 2, w + 2), np.uint8)
-    padded[1:-1, 1:-1] = b
+    padded = _padded(skeleton)
     return kernels.zhang_suen_pass(padded, 0) + kernels.zhang_suen_pass(padded, 1) == 0
 
 
-def _fg_neighbors(sk, x, y):
-    h, w = sk.shape
-    out = []
-    for dx, dy in _OFFSETS:
-        nx, ny = x + dx, y + dy
-        if 0 <= nx < w and 0 <= ny < h and sk[ny, nx]:
-            out.append((nx, ny))
-    return out
+def bifurcation_direction(branch_angles):
+    """Bisector of the two most alike branch directions, per row, in [0, 360).
 
-
-def _trace_ridge(sk, start, prev, steps):
-    """Follow unambiguous ridge pixels away from prev; stop at junctions."""
-    path = [start]
-    cur = start
-    for _ in range(steps):
-        nxt = [q for q in _fg_neighbors(sk, *cur) if q != prev]
-        if len(nxt) != 1:
-            break
-        prev, cur = cur, nxt[0]
-        path.append(cur)
-    return path
-
-
-def _angle_from(p, q) -> float:
-    # y grows downward, angles grow counterclockwise
-    return math.degrees(math.atan2(-(q[1] - p[1]), q[0] - p[0])) % 360.0
-
-
-def bifurcation_direction(branch_angles) -> float:
-    """Bisector of the two most alike branch directions, in [0, 360).
-
-    Ties between pairs go to the pair whose leftover branches contain
-    the smallest angle; the bisector follows the short arc.
+    Each row of `branch_angles` holds one bifurcation's branch angles in
+    degrees, padded with NaN, at least two per row. Within the sorted
+    angles of a row, the pair (i, j) with the smallest gap wins; ties go
+    to the pair whose leftover branches contain the smallest angle, then
+    to the first (i, j). The bisector follows the short arc.
     """
-    angles = sorted(float(a) % 360.0 for a in branch_angles)
-    if len(angles) < 2:
+    angles = np.sort(np.asarray(branch_angles, dtype=float) % 360.0, axis=1)  # NaN last
+    count = np.count_nonzero(~np.isnan(angles), axis=1)
+    if (count < 2).any():
         raise PreconditionError("bifurcation needs at least 2 branch directions")
-    best = None
-    for i in range(len(angles)):
-        for j in range(i + 1, len(angles)):
-            gap = abs(angles[i] - angles[j])
-            gap = min(gap, 360.0 - gap)
-            rest = [angles[k] for k in range(len(angles)) if k != i and k != j]
-            key = (gap, min(rest) if rest else 0.0, i, j)
-            if best is None or key < best[0]:
-                best = (key, angles[i], angles[j])
-    _, a, b = best
+    rows = np.arange(len(angles))[:, None]
+    i, j = np.triu_indices(angles.shape[1], 1)  # (i, j) order
+    gap = np.abs(angles[:, i] - angles[:, j])
+    gap = np.minimum(gap, 360.0 - gap)  # NaN for pairs past the row's count
+    # the smallest leftover angle is the first sorted one outside (i, j);
+    # none is left when the row holds two angles
+    first = np.where(i > 0, 0, np.where(j > 1, 1, 2))
+    rest = np.pad(angles, ((0, 0), (0, 1)))[:, first]
+    rest[first >= count[:, None]] = 0.0
+    with np.errstate(invalid="ignore"):
+        tied = gap == np.nanmin(gap, axis=1, keepdims=True)
+    tied &= rest == np.where(tied, rest, np.inf).min(axis=1, keepdims=True)
+    pick = tied.argmax(axis=1)[:, None]
+    a = angles[rows, i[pick]][:, 0]
+    b = angles[rows, j[pick]][:, 0]
     delta = (b - a) % 360.0
-    if delta <= 180.0:
-        return (a + delta / 2.0) % 360.0
-    return (b + (360.0 - delta) / 2.0) % 360.0
+    return np.where(delta <= 180.0, (a + delta / 2.0) % 360.0, (b + (360.0 - delta) / 2.0) % 360.0)
 
 
-def estimate_orientation(sk, p, kind, trace_steps=TRACE_STEPS):
-    """Minutia direction in degrees plus a low-confidence flag.
+def orientations(sk, x, y, bif):
+    """Direction in degrees of the minutia at each pixel (x, y) of `sk`.
 
-    Endings point along the ridge toward its interior. Bifurcations
-    point down the bisector of their two closest branches, away from
-    the lone one.
+    Endings point along the ridge toward its interior, at the pixel a
+    trace of TRACE_STEPS steps ends on. Bifurcations point down the
+    bisector of their two closest branches, away from the lone one:
+    each foreground neighbour starts a trace of TRACE_STEPS - 1 steps
+    with the bifurcation behind it, and a trace that ends back on the
+    bifurcation is no branch. A trace steps to the only foreground
+    neighbour other than the pixel it came from and stops where there is
+    none or more than one. An ending whose trace ends where it started,
+    and a bifurcation with fewer than two branches, get 0.
+
+    All traces walk together on the zero-padded, flattened skeleton, so
+    the image edge needs no test; a trace's end offset from its minutia
+    indexes a table of angles.
     """
-    sk = np.asarray(sk)
-    x, y = int(p[0]), int(p[1])
-    if kind is MinutiaKind.ENDING:
-        path = _trace_ridge(sk, (x, y), None, trace_steps)
-        if len(path) < 2:
-            return 0.0, True
-        return _angle_from((x, y), path[-1]), False
-    branch_angles = []
-    for nbr in _fg_neighbors(sk, x, y):
-        path = _trace_ridge(sk, nbr, (x, y), trace_steps - 1)
-        tip = path[-1]
-        if tip != (x, y):
-            branch_angles.append(_angle_from((x, y), tip))
-    if len(branch_angles) < 2:
-        return 0.0, True
-    return bifurcation_direction(branch_angles), False
+    pad = np.pad(np.asarray(sk) != 0, 1)
+    width = pad.shape[1]
+    pad = pad.ravel()
+    step = _OFF_Y * width + _OFF_X
+    x = np.asarray(x).astype(np.intp)
+    y = np.asarray(y).astype(np.intp)
+    centre = (y + 1) * width + x + 1
+    ends = np.flatnonzero(~np.asarray(bif, bool))
+    bifs = np.flatnonzero(bif)
+    # one walker per ending, then one per foreground neighbour of each
+    # bifurcation, in neighbour order
+    owner, k = np.nonzero(pad[centre[bifs, None] + step])
+    ne = len(ends)
+    cur = np.concatenate((centre[ends], centre[bifs[owner]] + step[k]))
+    prev = np.concatenate((np.full(ne, -1), centre[bifs[owner]]))
+    dx = np.concatenate((np.zeros(ne, np.intp), _OFF_X[k]))
+    dy = np.concatenate((np.zeros(ne, np.intp), _OFF_Y[k]))
+    live = np.arange(len(cur))
+    for s in range(TRACE_STEPS):
+        if s == TRACE_STEPS - 1:
+            live = live[live < ne]  # branch traces are one step shorter
+        nbr = cur[live, None] + step
+        fg = pad[nbr] & (nbr != prev[live, None])
+        one = np.count_nonzero(fg, axis=1) == 1
+        live = live[one]
+        go = fg[one].argmax(axis=1)
+        prev[live] = cur[live]
+        cur[live] += step[go]
+        dx[live] += _OFF_X[go]
+        dy[live] += _OFF_Y[go]
+    angle = _ANGLE[dy + TRACE_STEPS, dx + TRACE_STEPS]
+    theta = np.zeros(len(centre))
+    theta[ends] = angle[:ne]
+    branch = np.full((len(bifs), len(step)), np.nan)
+    away = (dx[ne:] != 0) | (dy[ne:] != 0)
+    branch[owner[away], k[away]] = angle[ne:][away]
+    ok = np.count_nonzero(~np.isnan(branch), axis=1) >= 2
+    theta[bifs[ok]] = bifurcation_direction(branch[ok])
+    return theta
 
 
-def detect_minutiae(sk):
+def detect_minutiae(sk) -> Detections:
     """Classify skeleton pixels by foreground neighbor count.
 
     1 neighbor is an ending, more than 2 a bifurcation, exactly 2 an
@@ -230,20 +267,16 @@ def detect_minutiae(sk):
         raise PreconditionError("detect_minutiae requires a fully thinned skeleton")
     counts = _neighbor_counts(sk)
     ys, xs = np.nonzero((sk == 1) & ((counts == 1) | (counts > 2)))
-    ending = counts[ys, xs] == 1
-    return [
-        Detection(x, y, MinutiaKind.ENDING if e else MinutiaKind.BIFURCATION)
-        for x, y, e in zip(xs.astype(float).tolist(), ys.astype(float).tolist(), ending.tolist())
-    ]
+    return Detections(xs.astype(float), ys.astype(float), counts[ys, xs] > 2)
 
 
-def merge_close(ms, rm):
-    """Collapse groups of minutiae linked by distances <= rm.
+def merge_close(d, rm) -> Merged:
+    """Collapse groups of detections linked by distances <= rm.
 
-    `ms` holds anything with x, y and kind. Grouping is the transitive
-    closure of `dx*dx + dy*dy <= rm*rm`. Each group becomes one `Merged`
-    at its centroid, kind Bifurcation if any member was one, carrying as
-    `rep` the member nearest the centroid (ties to lowest (y, x)), whose
+    Grouping is the transitive closure of `dx*dx + dy*dy <= rm*rm` over
+    the positions of `d`. Each group becomes one point at its centroid,
+    a bifurcation if any member was one, and names as `rep` the index of
+    the member nearest the centroid (ties to lowest (y, x)), whose
     orientation the merged minutia takes. Merged centroids can re-enter
     each other's radius, so the pass repeats until stable; the result
     therefore keeps all pairwise distances above rm. Output is sorted by
@@ -262,12 +295,9 @@ def merge_close(ms, rm):
     """
     if not rm >= 0:
         raise InvalidInputError(f"rm must be nonnegative, got {rm}")
-    ms = list(ms)
-    if not ms:
-        return []
-    pos = np.array([[m.x, m.y] for m in ms], dtype=float)
-    bif = np.array([m.kind is MinutiaKind.BIFURCATION for m in ms])
-    rep = np.arange(len(ms))
+    pos = np.column_stack((d.x, d.y)).astype(float)
+    bif = np.asarray(d.bif, bool)
+    rep = np.arange(len(pos))
     r2 = rm * rm
     with np.errstate(over="ignore"):
         while len(pos) > 1:
@@ -280,6 +310,7 @@ def merge_close(ms, rm):
             starts = np.flatnonzero(root[order] == order)
             sizes = np.diff(np.r_[starts, len(pos)])
             centroid = pos[order[starts]]
+            # one mean per group: a segmented sum differs in the last bit
             for g in np.flatnonzero(sizes > 1).tolist():
                 centroid[g] = pos[order[starts[g]:starts[g] + sizes[g]]].mean(axis=0)
             if not np.isfinite(centroid).all():
@@ -291,11 +322,7 @@ def merge_close(ms, rm):
             bif = np.logical_or.reduceat(bif[order], starts)
             pos = centroid
     out = np.lexsort((pos[:, 0], pos[:, 1]))
-    return [
-        Merged(float(pos[i, 0]), float(pos[i, 1]),
-               MinutiaKind.BIFURCATION if bif[i] else MinutiaKind.ENDING, ms[rep[i]])
-        for i in out.tolist()
-    ]
+    return Merged(pos[out, 0], pos[out, 1], bif[out], rep[out])
 
 
 def _merge_roots(pos, rm, r2):
@@ -358,14 +385,11 @@ def _union(root, i, j):
             root[:] = nxt
 
 
-def remove_border_minutiae(ms, shape, margin):
-    """Drop minutiae closer than margin to the image frame."""
+def remove_border_minutiae(d, shape, margin) -> Detections:
+    """Drop detections closer than margin to the image frame."""
     h, w = shape
-    return [
-        m
-        for m in ms
-        if margin <= m.x <= (w - 1) - margin and margin <= m.y <= (h - 1) - margin
-    ]
+    keep = (margin <= d.x) & (d.x <= (w - 1) - margin) & (margin <= d.y) & (d.y <= (h - 1) - margin)
+    return Detections(d.x[keep], d.y[keep], d.bif[keep])
 
 
 def raw_minutiae(img, cfg=None):
@@ -386,18 +410,21 @@ def clean_minutiae(detected, sk, cfg=None, source=None) -> MinutiaSet:
     """Border removal, merging, orientation, and 3-decimal quantization.
 
     Each surviving minutia's orientation is traced on the skeleton `sk`
-    from its representative detection. Quantization makes a set
-    round-trip exactly through the text format.
+    from its representative detection, all in one `orientations` call.
+    Quantization makes a set round-trip exactly through the text format.
     """
     cfg = cfg if cfg is not None else MatchConfig()
     kept = remove_border_minutiae(detected, np.shape(sk), cfg.border_margin)
-    quantized = []
-    for m in merge_close(kept, cfg.rm):
-        theta, _ = estimate_orientation(sk, m.rep, m.rep.kind)
-        quantized.append(
-            Minutia(x=round(m.x, 3), y=round(m.y, 3), theta=round(theta, 3) % 360.0, kind=m.kind)
-        )
-    return MinutiaSet.from_iterable(quantized, source=source)
+    merged = merge_close(kept, cfg.rm)
+    rep = merged.rep
+    theta = orientations(sk, kept.x[rep], kept.y[rep], kept.bif[rep])
+    return MinutiaSet.from_arrays(
+        [round(v, 3) for v in merged.x.tolist()],
+        [round(v, 3) for v in merged.y.tolist()],
+        [round(t, 3) % 360.0 for t in theta.tolist()],
+        merged.bif,
+        source,
+    )
 
 
 def extract(img, cfg=None, source=None) -> MinutiaSet:

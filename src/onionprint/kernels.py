@@ -2,25 +2,27 @@
 
 Three kernels dominate runtime: the thinning subiteration, the alignment
 search over minutia-pair hypotheses, and the critical-shift scan of the
-turning-function distance.
+turning-function distance. Each has one numpy implementation;
+``tests/oracles.py`` keeps a plain reference for each, and the tests
+compare the two.
 
-Thinning and the turning scan each exist in two variants computing
-identical results: a ``*_numba`` scalar loop and a ``*_numpy``
-vectorized fallback. The unsuffixed module-level names dispatch to the
-numba variant when numba imports and the ``ONIONPRINT_NUMBA``
-environment variable is not 0/false/no.
+The thinning subiteration looks every pixel's 3 x 3 neighbourhood up in
+a 512-entry table: three horizontal shifts pack each row triple into 3
+bits, three vertical shifts stack three such rows into a 9-bit code,
+and one ``take`` per subiteration gives the deletion mask. The table is
+built once, on first use, from Zhang and Suen's rule evaluated over all
+512 codes.
 
-The alignment search has one implementation, ``best_alignment``, an
-exact branch and bound: an upper bound on every hypothesis's matched
-count, computed from anchor-relative invariants padded by
-``BOUND_EPS``, decides which hypotheses are verified, and the result is
-the one the exhaustive search gives (``tests/oracles.py`` keeps that
-search as the reference). ``benchmarks/bench_kernels.py`` times the
-kernels.
+The alignment search, ``best_alignment``, is an exact branch and bound:
+an upper bound on every hypothesis's matched count, computed from
+anchor-relative invariants padded by ``BOUND_EPS``, decides which
+hypotheses are verified, and the result is the one the exhaustive
+search gives. ``benchmarks/bench_kernels.py`` times the kernels against
+their references.
 """
 
+import functools
 import math
-import os
 
 import numpy as np
 
@@ -33,116 +35,49 @@ TWO_PI = 2.0 * math.pi
 # O(eps) accuracy on genuine gaps, which are many orders wider.
 SNAP_EPS = 1e-12
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a regular dependency
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(func):
-            return func
-
-        return wrap
-
-
-USE_NUMBA = HAVE_NUMBA and os.environ.get("ONIONPRINT_NUMBA", "1").lower() not in (
-    "0",
-    "false",
-    "no",
-)
-
 
 # ---------------------------------------------------------------------------
 # Zhang-Suen thinning subiteration
 #
-# Operates on a zero-padded uint8 image in place and returns the number
-# of deleted pixels. `step` selects the subiteration (0 or 1). Deletion
-# is simultaneous: pixels are marked first, then cleared.
+# Operates on a zero-padded uint8 0/1 image in place and returns the
+# number of deleted pixels. `step` selects the subiteration (0 or 1).
+# Deletion is simultaneous: every code is read before any pixel clears.
 # ---------------------------------------------------------------------------
 
 
-@njit(cache=True, nogil=True)
-def zhang_suen_pass_numba(img, step):
-    h, w = img.shape
-    mark = np.zeros((h, w), np.uint8)
-    deleted = 0
-    for y in range(1, h - 1):
-        for x in range(1, w - 1):
-            if img[y, x] == 0:
-                continue
-            p2 = img[y - 1, x]
-            p3 = img[y - 1, x + 1]
-            p4 = img[y, x + 1]
-            p5 = img[y + 1, x + 1]
-            p6 = img[y + 1, x]
-            p7 = img[y + 1, x - 1]
-            p8 = img[y, x - 1]
-            p9 = img[y - 1, x - 1]
-            b = int(p2) + int(p3) + int(p4) + int(p5) + int(p6) + int(p7) + int(p8) + int(p9)
-            if b < 2 or b > 6:
-                continue
-            a = 0
-            if p2 == 0 and p3 == 1:
-                a += 1
-            if p3 == 0 and p4 == 1:
-                a += 1
-            if p4 == 0 and p5 == 1:
-                a += 1
-            if p5 == 0 and p6 == 1:
-                a += 1
-            if p6 == 0 and p7 == 1:
-                a += 1
-            if p7 == 0 and p8 == 1:
-                a += 1
-            if p8 == 0 and p9 == 1:
-                a += 1
-            if p9 == 0 and p2 == 1:
-                a += 1
-            if a != 1:
-                continue
-            if step == 0:
-                if p2 * p4 * p6 != 0 or p4 * p6 * p8 != 0:
-                    continue
-            else:
-                if p2 * p4 * p8 != 0 or p2 * p6 * p8 != 0:
-                    continue
-            mark[y, x] = 1
-            deleted += 1
-    if deleted > 0:
-        for y in range(1, h - 1):
-            for x in range(1, w - 1):
-                if mark[y, x] == 1:
-                    img[y, x] = 0
-    return deleted
+@functools.cache
+def _zhang_suen_tables():
+    """Deletion flag of every 3 x 3 neighbourhood code, one row per step.
 
+    Bit 8 is the top-left pixel and bit 0 the bottom-right, in raster
+    order, so the centre is bit 4. Neighbours are named as in Zhang and
+    Suen (CACM 27(3), 1984): p2 above, then clockwise to p9 top-left.
 
-def zhang_suen_pass_numpy(img, step):
-    """Vectorized subiteration on a padded uint8 image, in place."""
-    c = img[1:-1, 1:-1]
-    p2 = img[:-2, 1:-1]
-    p3 = img[:-2, 2:]
-    p4 = img[1:-1, 2:]
-    p5 = img[2:, 2:]
-    p6 = img[2:, 1:-1]
-    p7 = img[2:, :-2]
-    p8 = img[1:-1, :-2]
-    p9 = img[:-2, :-2]
+    Built on first use rather than at import: its integer array
+    operations page in numpy code (about 0.5 MB resident) that a process
+    which never thins would not otherwise load.
+    """
+    code = np.arange(512)
+    p9, p2, p3, p8, c, p4, p7, p6, p5 = ((code >> k) & 1 for k in range(8, -1, -1))
     ring = (p2, p3, p4, p5, p6, p7, p8, p9)
-    b = np.zeros(c.shape, np.int32)
-    for p in ring:
-        b += p
-    a = np.zeros(c.shape, np.int32)
-    for cur, nxt in zip(ring, ring[1:] + ring[:1]):
-        a += (cur == 0) & (nxt == 1)
-    if step == 0:
-        side = (p2 * p4 * p6 == 0) & (p4 * p6 * p8 == 0)
-    else:
-        side = (p2 * p4 * p8 == 0) & (p2 * p6 * p8 == 0)
-    kill = (c == 1) & (b >= 2) & (b <= 6) & (a == 1) & side
-    c[kill] = 0
-    return int(kill.sum())
+    b = sum(ring)
+    a = sum((cur == 0) & (nxt == 1) for cur, nxt in zip(ring, ring[1:] + ring[:1]))
+    core = (c == 1) & (b >= 2) & (b <= 6) & (a == 1)
+    table = np.stack([
+        core & (p2 * p4 * p6 == 0) & (p4 * p6 * p8 == 0),
+        core & (p2 * p4 * p8 == 0) & (p2 * p6 * p8 == 0),
+    ])
+    table.flags.writeable = False  # shared by every call
+    return table
+
+
+def zhang_suen_pass(img, step):
+    """One subiteration on a padded uint8 0/1 image, in place; pixels deleted."""
+    rows = (img[:, :-2] << 2) | (img[:, 1:-1] << 1) | img[:, 2:]
+    code = (rows[:-2].astype(np.uint16) << 6) | (rows[1:-1] << 3) | rows[2:]
+    kill = _zhang_suen_tables()[step].take(code)
+    img[1:-1, 1:-1][kill] = 0
+    return int(np.count_nonzero(kill))
 
 
 # ---------------------------------------------------------------------------
@@ -348,92 +283,14 @@ def best_alignment(xi, yi, ti, xj, yj, tj, ki, kj, strict, r0, theta0):
 # ---------------------------------------------------------------------------
 
 
-@njit(cache=True, nogil=True)
-def _diff_sweep(fs, fa, gs, ga, t, bp, bv, mean, squared):
-    """Integrate (shifted f - g - mean), or its square, over [0, 1).
+def min_turning_distance(fs, fa, gs, ga):
+    """(distance, shift, rotation) minimized over all m * n critical shifts.
 
-    Called twice per shift: once to get the mean offset (the optimal
-    rotation is its negation), then with that mean to accumulate only
-    nonnegative squared deviations, which avoids the cancellation of
-    the textbook E[h^2] - E[h]^2 form.
+    All shifts at once, via a sorted merged-break table.
     """
     m = fs.shape[0]
     n = gs.shape[0]
-    k0 = 0
-    for i in range(m):
-        if fs[i] < t:
-            k0 += 1
-        else:
-            break
-    c = 0
-    for idx in range(k0, m):
-        bp[c] = fs[idx] - t
-        bv[c] = fa[idx]
-        c += 1
-    for idx in range(k0):
-        bp[c] = fs[idx] - t + 1.0
-        bv[c] = fa[idx] + TWO_PI
-        c += 1
-    # value on the gap before the first break wraps from the last break
-    fv = bv[m - 1] - TWO_PI
-    gv = ga[n - 1] - TWO_PI
-    acc = 0.0
-    s = 0.0
-    pf = 0
-    pg = 0
-    while True:
-        nf = bp[pf] if pf < m else 2.0
-        ng = gs[pg] if pg < n else 2.0
-        nxt = nf if nf <= ng else ng
-        if nxt >= 1.0:
-            nxt = 1.0
-        w = nxt - s
-        if w > SNAP_EPS:
-            h = fv - gv - mean
-            if squared:
-                acc += h * h * w
-            else:
-                acc += h * w
-        if nxt >= 1.0:
-            break
-        while pf < m and bp[pf] <= nxt:
-            fv = bv[pf]
-            pf += 1
-        while pg < n and gs[pg] <= nxt:
-            gv = ga[pg]
-            pg += 1
-        s = nxt
-    return acc
-
-
-@njit(cache=True, nogil=True)
-def min_turning_distance_numba(fs, fa, gs, ga):
-    m = fs.shape[0]
-    n = gs.shape[0]
-    bp = np.empty(m, np.float64)
-    bv = np.empty(m, np.float64)
-    best_d2 = np.inf
-    best_t = 0.0
-    best_i1 = 0.0
-    for i in range(m):
-        for j in range(n):
-            t = (fs[i] - gs[j]) % 1.0
-            i1 = _diff_sweep(fs, fa, gs, ga, t, bp, bv, 0.0, False)
-            d2 = _diff_sweep(fs, fa, gs, ga, t, bp, bv, i1, True)
-            if d2 < best_d2:
-                best_d2 = d2
-                best_t = t
-                best_i1 = i1
-    if best_d2 < 0.0:
-        best_d2 = 0.0
-    return math.sqrt(best_d2), best_t, -best_i1
-
-
-def min_turning_distance_numpy(fs, fa, gs, ga):
-    """All critical shifts at once via a sorted merged-break table."""
-    m = fs.shape[0]
-    n = gs.shape[0]
-    shifts = (fs[:, None] - gs[None, :]).ravel() % 1.0  # i-major like the loop
+    shifts = (fs[:, None] - gs[None, :]).ravel() % 1.0  # i-major, like the reference scan
     ns = shifts.shape[0]
     pos_f = (fs[None, :] - shifts[:, None]) % 1.0
     val_f = fa[None, :] + TWO_PI * (fs[None, :] < shifts[:, None])
@@ -470,17 +327,5 @@ def min_turning_distance_numpy(fs, fa, gs, ga):
     # cancellation of E[h^2] - E[h]^2 near zero distances
     dev = h - i1[:, None]
     d2 = (dev * dev * widths).sum(axis=1)
-    best = int(np.argmin(d2))  # first minimum, same tie rule as the loop
+    best = int(np.argmin(d2))  # first minimum, same tie rule as the reference scan
     return math.sqrt(max(d2[best], 0.0)), float(shifts[best]), float(-i1[best])
-
-
-# ---------------------------------------------------------------------------
-# Dispatch
-# ---------------------------------------------------------------------------
-
-if USE_NUMBA:
-    zhang_suen_pass = zhang_suen_pass_numba
-    min_turning_distance = min_turning_distance_numba
-else:
-    zhang_suen_pass = zhang_suen_pass_numpy
-    min_turning_distance = min_turning_distance_numpy

@@ -2,12 +2,13 @@
 
 A minutia is a ridge ending or bifurcation with a position in pixel
 coordinates (origin top-left, y down) and an orientation in degrees.
-Sets are kept in a canonical (y, x, kind) order so that equal contents
-always serialize identically.
+Sets hold minutiae at distinct positions in a canonical (y, x) order,
+so that equal contents always serialize identically.
 """
 
 import enum
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ class Minutia:
     kind: MinutiaKind
 
     def __post_init__(self):
-        if not (np.isfinite(self.x) and np.isfinite(self.y)):
+        if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise InvalidInputError("minutia coordinates must be finite")
         if not (0.0 <= self.theta < 360.0):
             raise InvalidInputError(f"minutia angle {self.theta} outside [0, 360)")
@@ -40,39 +41,78 @@ class Minutia:
         return (self.y, self.x, self.kind.value)
 
 
-@dataclass(frozen=True)
+def _read_only(arr):
+    arr.flags.writeable = False
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
 class MinutiaSet:
-    minutiae: tuple = ()
-    source: str = field(default=None, compare=False)
+    """Minutiae at distinct positions in canonical (y, x) order, as parallel arrays.
+
+    `x`, `y` and `theta` are read-only float64 arrays and `bif` a
+    read-only bool array, True for a bifurcation. Iterating or indexing
+    gives `Minutia` records. Two sets are equal when their minutiae are;
+    `source` is not compared.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    theta: np.ndarray
+    bif: np.ndarray
+    source: str = None
+
+    @classmethod
+    def from_arrays(cls, x, y, theta, bif, source=None):
+        """A set of the given minutiae, validated and sorted by (y, x)."""
+        x, y, theta = (np.asarray(v, dtype=np.float64) for v in (x, y, theta))
+        bif = np.asarray(bif, dtype=bool)
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise InvalidInputError("minutia coordinates must be finite")
+        bad = np.flatnonzero(~((0.0 <= theta) & (theta < 360.0)))
+        if len(bad):
+            raise InvalidInputError(f"minutia angle {theta[bad[0]].item()} outside [0, 360)")
+        order = np.lexsort((x, y))
+        x, y, theta, bif = (_read_only(v[order]) for v in (x, y, theta, bif))
+        same = np.flatnonzero((x[1:] == x[:-1]) & (y[1:] == y[:-1]))
+        if len(same):
+            i = same[0] + 1
+            raise InvalidInputError(f"two minutiae at identical position ({x[i].item()}, {y[i].item()})")
+        return cls(x, y, theta, bif, source)
 
     @classmethod
     def from_iterable(cls, items, source=None):
-        ms = tuple(sorted(items, key=lambda m: m.sort_key))
-        seen = set()
-        for m in ms:
-            if (m.x, m.y) in seen:
-                raise InvalidInputError(f"two minutiae at identical position ({m.x}, {m.y})")
-            seen.add((m.x, m.y))
-        return cls(minutiae=ms, source=source)
+        items = list(items)
+        return cls.from_arrays([m.x for m in items], [m.y for m in items], [m.theta for m in items],
+                               [m.kind is MinutiaKind.BIFURCATION for m in items], source)
 
     def __len__(self):
-        return len(self.minutiae)
+        return len(self.x)
+
+    def __getitem__(self, i):
+        return Minutia(float(self.x[i]), float(self.y[i]), float(self.theta[i]),
+                       MinutiaKind.BIFURCATION if self.bif[i] else MinutiaKind.ENDING)
 
     def __iter__(self):
-        return iter(self.minutiae)
+        for x, y, theta, bif in zip(self.x.tolist(), self.y.tolist(), self.theta.tolist(), self.bif.tolist()):
+            yield Minutia(x, y, theta, MinutiaKind.BIFURCATION if bif else MinutiaKind.ENDING)
+
+    def __eq__(self, other):
+        if not isinstance(other, MinutiaSet):
+            return NotImplemented
+        return all(np.array_equal(a, b) for a, b in ((self.x, other.x), (self.y, other.y),
+                                                     (self.theta, other.theta), (self.bif, other.bif)))
 
     def positions(self):
         """(n, 2) float array of x, y."""
-        if not self.minutiae:
-            return np.empty((0, 2))
-        return np.array([[m.x, m.y] for m in self.minutiae])
+        return np.column_stack((self.x, self.y))
 
     def thetas(self):
-        return np.array([m.theta for m in self.minutiae])
+        return self.theta
 
     def kind_codes(self):
         """int8 codes for the kernels: 0 = ending, 1 = bifurcation."""
-        return np.array([m.kind is MinutiaKind.BIFURCATION for m in self.minutiae], np.int8)
+        return self.bif.astype(np.int8)
 
 
 def format_minutiae(mset) -> str:

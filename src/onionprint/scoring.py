@@ -14,7 +14,7 @@ import numpy as np
 
 from . import alignment, geometry, turning
 from .config import MatchConfig
-from .errors import InvalidInputError
+from .errors import InvalidInputError, InvariantError
 from .imgproc import extract
 from .minutiae import MinutiaSet
 
@@ -70,10 +70,6 @@ def layer_distances(layers_input, layers_template, p=2):
     return out
 
 
-def _peel(minutiae):
-    return geometry.convex_layers([(mu.x, mu.y) for mu in minutiae])
-
-
 def average_distance(dists) -> float:
     if len(dists) == 0:
         return EMPTY_AVERAGE
@@ -111,8 +107,8 @@ def match_pair(a, b, cfg=None, ida=None, idb=None) -> ScoreBreakdown:
     res = alignment.match_minutiae(sa, sb, cfg.r0, cfg.theta0)
     left, right = alignment.matched_subsets(res, sa, sb)
     # one peeling per side serves both the ring-count gate and the rings
-    layers_a = _peel(left)
-    layers_b = _peel(right)
+    layers_a = geometry.convex_layers(left)
+    layers_b = geometry.convex_layers(right)
     la, lb = len(layers_a), len(layers_b)
 
     gate = ""
@@ -121,16 +117,25 @@ def match_pair(a, b, cfg=None, ida=None, idb=None) -> ScoreBreakdown:
     elif abs(la - lb) > cfg.diff:
         gate = GATE_LAYER_DIFF
     if gate:
-        return ScoreBreakdown(
+        return _checked(ScoreBreakdown(
             ida, idb, res.k, res.m, res.n, res.score, la, lb, (), None, None, 0.0, gate
-        )
+        ))
 
     dists = tuple(layer_distances(layers_a, layers_b, cfg.p))
     avg = average_distance(dists)
     alpha, final = final_score(res.score, avg)
-    return ScoreBreakdown(
+    return _checked(ScoreBreakdown(
         ida, idb, res.k, res.m, res.n, res.score, la, lb, dists, avg, alpha, final
-    )
+    ))
+
+
+def _checked(bd: ScoreBreakdown) -> ScoreBreakdown:
+    """The breakdown, once its score is in [0, 1] and k <= min(m, n)."""
+    if not (0.0 <= bd.final <= 1.0 and bd.k <= min(bd.m, bd.n)):
+        raise InvariantError(
+            f"pair {bd.ida}~{bd.idb}: final {bd.final!r} and k {bd.k} of m {bd.m}, n {bd.n} out of range"
+        )
+    return bd
 
 
 def breakdown_to_csv_row(sb: ScoreBreakdown) -> str:

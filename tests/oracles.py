@@ -3,9 +3,10 @@
 Everything here is deliberately naive: hull membership by exhaustive
 triangle tests, peeling by repeated application of that test, step
 function integrals by rectangle overlaps or dense Riemann sums, merging
-over all n^2 pairs. Only the data types of `onionprint.minutiae` are
-imported at module level; `extract_eager` reuses the extraction stages
-it does not check.
+over all n^2 pairs, thinning and ridge tracing pixel by pixel, the
+turning-distance scan shift by shift. Only the data types of
+`onionprint.minutiae` are imported at module level; `extract_eager`
+reuses the extraction stages it does not check.
 """
 
 import itertools
@@ -191,6 +192,66 @@ def grid_min_distance(poly_f, poly_g, grid=10000):
     return best
 
 
+def _diff_sweep(fs, fa, gs, ga, t, mean, squared, snap_eps):
+    """Integrate (shifted f - g - mean), or its square, over [0, 1).
+
+    Called twice per shift: once to get the mean offset (the optimal
+    rotation is its negation), then with that mean to accumulate only
+    nonnegative squared deviations.
+    """
+    m = len(fs)
+    n = len(gs)
+    k0 = 0
+    while k0 < m and fs[k0] < t:
+        k0 += 1
+    bp = [fs[i] - t for i in range(k0, m)] + [fs[i] - t + 1.0 for i in range(k0)]
+    bv = [fa[i] for i in range(k0, m)] + [fa[i] + TWO_PI for i in range(k0)]
+    # value on the gap before the first break wraps from the last break
+    fv = bv[m - 1] - TWO_PI
+    gv = ga[n - 1] - TWO_PI
+    acc = 0.0
+    s = 0.0
+    pf = pg = 0
+    while True:
+        nf = bp[pf] if pf < m else 2.0
+        ng = gs[pg] if pg < n else 2.0
+        nxt = min(nf, ng, 1.0)
+        w = nxt - s
+        if w > snap_eps:
+            h = fv - gv - mean
+            acc += h * h * w if squared else h * w
+        if nxt >= 1.0:
+            break
+        while pf < m and bp[pf] <= nxt:
+            fv = bv[pf]
+            pf += 1
+        while pg < n and gs[pg] <= nxt:
+            gv = ga[pg]
+            pg += 1
+        s = nxt
+    return acc
+
+
+def min_turning_distance_scan(fs, fa, gs, ga):
+    """`kernels.min_turning_distance` one critical shift at a time.
+
+    Shifts are tried i-major, the first minimum wins; each is integrated
+    by a sweep over the merged breakpoints.
+    """
+    from onionprint.kernels import SNAP_EPS
+
+    fs, fa, gs, ga = (np.asarray(v, dtype=float).tolist() for v in (fs, fa, gs, ga))
+    best_d2, best_t, best_i1 = math.inf, 0.0, 0.0
+    for f in fs:
+        for g in gs:
+            t = (f - g) % 1.0
+            i1 = _diff_sweep(fs, fa, gs, ga, t, 0.0, False, SNAP_EPS)
+            d2 = _diff_sweep(fs, fa, gs, ga, t, i1, True, SNAP_EPS)
+            if d2 < best_d2:
+                best_d2, best_t, best_i1 = d2, t, i1
+    return math.sqrt(max(best_d2, 0.0)), best_t, -best_i1
+
+
 def random_convex_polygon(rng, nv, radius=100.0):
     """Convex polygon with nv vertices: hull of points on a random ellipse."""
     ang = np.sort(rng.uniform(0.0, TWO_PI, nv))
@@ -251,6 +312,118 @@ def has_full_2x2_block(binary):
     if b.shape[0] < 2 or b.shape[1] < 2:
         return False
     return bool(np.any(b[:-1, :-1] & b[:-1, 1:] & b[1:, :-1] & b[1:, 1:]))
+
+
+def zhang_suen_pass_scalar(img, step):
+    """One Zhang-Suen subiteration, pixel by pixel, on a padded 0/1 image.
+
+    In place; returns the number of deleted pixels. Every pixel is
+    tested on the image as it was before the pass, then the marked
+    pixels are cleared together.
+    """
+    rows = np.asarray(img).tolist()
+    h, w = len(rows), len(rows[0])
+    marked = []
+    for y in range(1, h - 1):
+        up, row, down = rows[y - 1], rows[y], rows[y + 1]
+        for x in range(1, w - 1):
+            if row[x] == 0:
+                continue
+            p2, p3, p4, p5 = up[x], up[x + 1], row[x + 1], down[x + 1]
+            p6, p7, p8, p9 = down[x], down[x - 1], row[x - 1], up[x - 1]
+            b = p2 + p3 + p4 + p5 + p6 + p7 + p8 + p9
+            if b < 2 or b > 6:
+                continue
+            ring = (p2, p3, p4, p5, p6, p7, p8, p9, p2)
+            a = sum(1 for k in range(8) if ring[k] == 0 and ring[k + 1] == 1)
+            if a != 1:
+                continue
+            if step == 0 and (p2 * p4 * p6 != 0 or p4 * p6 * p8 != 0):
+                continue
+            if step == 1 and (p2 * p4 * p8 != 0 or p2 * p6 * p8 != 0):
+                continue
+            marked.append((y, x))
+    for y, x in marked:
+        img[y, x] = 0
+    return len(marked)
+
+
+def thin_scalar(binary):
+    """`imgproc.thin` with the pixel-by-pixel subiteration."""
+    b = (np.asarray(binary) != 0).astype(np.uint8)
+    padded = np.pad(b, 1)
+    while zhang_suen_pass_scalar(padded, 0) + zhang_suen_pass_scalar(padded, 1):
+        pass
+    return padded[1:-1, 1:-1].copy()
+
+
+# 8-neighborhood in raster order, as (dx, dy)
+_OFFSETS = ((-1, -1), (0, -1), (1, -1), (-1, 0), (1, 0), (-1, 1), (0, 1), (1, 1))
+
+
+def _fg_neighbors(sk, x, y):
+    h, w = sk.shape
+    return [(x + dx, y + dy) for dx, dy in _OFFSETS
+            if 0 <= x + dx < w and 0 <= y + dy < h and sk[y + dy, x + dx]]
+
+
+def _trace_ridge(sk, start, prev, steps):
+    """Follow unambiguous ridge pixels away from prev; stop at junctions."""
+    path = [start]
+    cur = start
+    for _ in range(steps):
+        nxt = [q for q in _fg_neighbors(sk, *cur) if q != prev]
+        if len(nxt) != 1:
+            break
+        prev, cur = cur, nxt[0]
+        path.append(cur)
+    return path
+
+
+def _angle_from(p, q):
+    # y grows downward, angles grow counterclockwise
+    return math.degrees(math.atan2(-(q[1] - p[1]), q[0] - p[0])) % 360.0
+
+
+def bifurcation_direction_scalar(branch_angles):
+    """Bisector of the two most alike of one bifurcation's branch angles.
+
+    The winning pair minimizes (gap, smallest leftover angle, i, j) over
+    the sorted angles; the bisector follows the short arc.
+    """
+    angles = sorted(float(a) % 360.0 for a in branch_angles)
+    best = None
+    for i in range(len(angles)):
+        for j in range(i + 1, len(angles)):
+            gap = abs(angles[i] - angles[j])
+            gap = min(gap, 360.0 - gap)
+            rest = [angles[k] for k in range(len(angles)) if k != i and k != j]
+            key = (gap, min(rest) if rest else 0.0, i, j)
+            if best is None or key < best[0]:
+                best = (key, angles[i], angles[j])
+    _, a, b = best
+    delta = (b - a) % 360.0
+    if delta <= 180.0:
+        return (a + delta / 2.0) % 360.0
+    return (b + (360.0 - delta) / 2.0) % 360.0
+
+
+def orientation_scalar(sk, p, bif):
+    """`imgproc.orientations` for one pixel p = (x, y), by a path-list trace."""
+    steps = 10
+    sk = np.asarray(sk)
+    x, y = int(p[0]), int(p[1])
+    if not bif:
+        path = _trace_ridge(sk, (x, y), None, steps)
+        return 0.0 if len(path) < 2 else _angle_from((x, y), path[-1])
+    branch_angles = []
+    for nbr in _fg_neighbors(sk, x, y):
+        tip = _trace_ridge(sk, nbr, (x, y), steps - 1)[-1]
+        if tip != (x, y):
+            branch_angles.append(_angle_from((x, y), tip))
+    if len(branch_angles) < 2:
+        return 0.0
+    return bifurcation_direction_scalar(branch_angles)
 
 
 def optimal_alignment_cardinality(a_set, b_set, r0, theta0):
@@ -424,22 +597,17 @@ def extract_eager(img, cfg, source=None):
     """`imgproc.extract` tracing an orientation for every raw detection.
 
     Detection classifies each skeleton pixel by a per-pixel neighbor
-    count and traces its orientation at once; border removal, dense
-    merging and quantization follow.
+    count and traces its orientation at once with the scalar trace;
+    border removal, dense merging and quantization follow.
     """
-    from onionprint.imgproc import (
-        binarize,
-        despeckle,
-        estimate_orientation,
-        remove_border_minutiae,
-        thin,
-    )
+    from onionprint.imgproc import binarize, despeckle, thin
 
     binary = binarize(img, cfg.binarize, cfg.fixed_threshold)
     if cfg.despeckle:
         binary = despeckle(binary)
     sk = thin(binary)
     h, w = sk.shape
+    margin = cfg.border_margin
     detected = []
     for y, x in zip(*np.nonzero(sk)):
         c = int(sk[max(y - 1, 0):y + 2, max(x - 1, 0):x + 2].sum()) - 1
@@ -449,9 +617,11 @@ def extract_eager(img, cfg, source=None):
             kind = MinutiaKind.BIFURCATION
         else:
             continue
-        theta, _ = estimate_orientation(sk, (x, y), kind)
+        theta = orientation_scalar(sk, (x, y), kind is MinutiaKind.BIFURCATION)
         detected.append(Minutia(x=float(x), y=float(y), theta=theta, kind=kind))
-    ms = merge_close_dense(remove_border_minutiae(detected, (h, w), cfg.border_margin), cfg.rm)
+    kept = [m for m in detected
+            if margin <= m.x <= (w - 1) - margin and margin <= m.y <= (h - 1) - margin]
+    ms = merge_close_dense(kept, cfg.rm)
     return MinutiaSet.from_iterable(
         (Minutia(x=round(m.x, 3), y=round(m.y, 3), theta=round(m.theta, 3) % 360.0, kind=m.kind)
          for m in ms),

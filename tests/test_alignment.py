@@ -371,4 +371,4 @@ def test_match_dump_rows():
         assert float(sd) < 1e-9
         assert float(dd) < 1e-9
     left, right = matched_subsets(res, ms, ms)
-    assert left == right
+    assert left.shape == (5, 2) and np.array_equal(left, right)

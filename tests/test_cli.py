@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import onionprint
-from onionprint import synth
+from onionprint import scoring, synth
 from onionprint.cli import main
 from onionprint.imgproc import raw_minutiae
 from onionprint.minutiae import FILE_HEADER, read_minutiae, write_minutiae
@@ -90,6 +90,16 @@ def test_match_same_file_twice_scores_one(tmp_path, capsys):
     assert got["final"] == "1.0"
     assert got["minutiae_score"] == "1.0"
     assert got["gate_reason"] == ""
+
+
+def test_match_score_out_of_range_exits_3(tmp_path, capsys, monkeypatch):
+    img_path = tmp_path / "a.pgm"
+    write_pgm(img_path, _two_ridge_image())
+    monkeypatch.setattr(scoring, "final_score", lambda score, avg: (1.0, 1.5))
+    assert main(["match", str(img_path), str(img_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error:") and "final 1.5" in err
+    assert len(err.splitlines()) == 1
 
 
 def test_match_different_fingers_below_one(tmp_path, capsys):

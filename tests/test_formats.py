@@ -131,6 +131,41 @@ def test_minutiae_duplicate_position_rejected():
         )
 
 
+def test_minutiae_set_order_matches_sorted_records():
+    # coarse values, so y, x and kind ties are common; -0.0 equals 0.0
+    rng = np.random.default_rng(41)
+    for _ in range(50):
+        recs = [Minutia(float(rng.choice([-0.0, 0.0, 1.0, 2.5, 3.0])), float(rng.integers(0, 4)),
+                        float(rng.integers(0, 360)), MinutiaKind.BIFURCATION if rng.random() < 0.5 else MinutiaKind.ENDING)
+                for _ in range(int(rng.integers(0, 6)))]
+        want = sorted(recs, key=lambda m: m.sort_key)
+        if len({(m.x, m.y) for m in recs}) < len(recs):
+            with pytest.raises(InvalidInputError, match="identical position"):
+                MinutiaSet.from_iterable(recs)
+            continue
+        ms = MinutiaSet.from_iterable(recs, source="s")
+        assert list(ms) == want
+        assert [ms[i] for i in range(len(ms))] == want
+        assert ms == MinutiaSet.from_iterable(reversed(recs), source="other")
+
+
+def test_minutiae_set_arrays_are_read_only_and_checked():
+    ms = MinutiaSet.from_arrays([2.0, 1.0], [5.0, 5.0], [10.0, 20.0], [False, True], source="s")
+    assert ms.x.tolist() == [1.0, 2.0] and ms.bif.tolist() == [True, False]
+    assert ms.positions().tolist() == [[1.0, 5.0], [2.0, 5.0]]
+    assert ms.kind_codes().tolist() == [1, 0]
+    for arr in (ms.x, ms.y, ms.theta, ms.bif):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    assert ms != MinutiaSet.from_arrays([2.0, 1.0], [5.0, 5.0], [10.0, 20.5], [False, True])
+    with pytest.raises(InvalidInputError, match="finite"):
+        MinutiaSet.from_arrays([np.inf], [0.0], [0.0], [False])
+    with pytest.raises(InvalidInputError, match="angle 360.0"):
+        MinutiaSet.from_arrays([0.0, 1.0], [0.0, 0.0], [0.0, 360.0], [False, False])
+    empty = MinutiaSet.from_arrays([], [], [], [])
+    assert len(empty) == 0 and list(empty) == [] and empty.positions().shape == (0, 2)
+
+
 def test_minutia_validation():
     with pytest.raises(InvalidInputError):
         Minutia(1.0, 2.0, 360.0, MinutiaKind.ENDING)

@@ -6,26 +6,33 @@ import pytest
 from onionprint.config import MatchConfig
 from onionprint.errors import InvalidInputError, PreconditionError
 from onionprint.imgproc import (
+    Detections,
     bifurcation_direction,
     binarize,
+    clean_minutiae,
     despeckle,
     detect_minutiae,
-    estimate_orientation,
     extract,
     is_thin,
     merge_close,
+    orientations,
     otsu_threshold,
     remove_border_minutiae,
     thin,
 )
+from onionprint.kernels import zhang_suen_pass
 from onionprint.minutiae import Minutia, MinutiaKind
 from oracles import (
+    bifurcation_direction_scalar,
     count_components_8,
     extract_eager,
     has_full_2x2_block,
     merge_close_dense,
     merge_groups_unionfind,
+    orientation_scalar,
     otsu_threshold_bruteforce,
+    thin_scalar,
+    zhang_suen_pass_scalar,
 )
 
 
@@ -37,8 +44,26 @@ def _B(x, y, theta=0.0):
     return Minutia(x=x, y=y, theta=theta, kind=MinutiaKind.BIFURCATION)
 
 
-def _theta(sk, d):
-    return estimate_orientation(sk, d, d.kind)[0]
+def _detections(ms):
+    """Detections at the positions and kinds of a list of minutiae."""
+    return Detections(np.array([m.x for m in ms], dtype=float), np.array([m.y for m in ms], dtype=float),
+                      np.array([m.kind is MinutiaKind.BIFURCATION for m in ms], dtype=bool))
+
+
+def _rows(d):
+    """(x, y, kind) per detection."""
+    return [(x, y, MinutiaKind.BIFURCATION if b else MinutiaKind.ENDING)
+            for x, y, b in zip(d.x.tolist(), d.y.tolist(), d.bif.tolist())]
+
+
+def _merge(ms, rm):
+    """merge_close over minutiae: (x, y, kind, orientation of the representative) rows."""
+    out = merge_close(_detections(ms), rm)
+    return [(x, y, kind, ms[r].theta) for (x, y, kind), r in zip(_rows(out), out.rep.tolist())]
+
+
+def _thetas(sk, d):
+    return orientations(sk, d.x, d.y, d.bif).tolist()
 
 
 def _y_skeleton():
@@ -50,6 +75,18 @@ def _y_skeleton():
         sk[8 + k, 8 + k] = 1
     sk[8, 8] = 1
     return sk
+
+
+def _ridges(rng, width, height, noise, angle=45.0, period=10.0):
+    """Noisy cosine ridges across direction `angle` (degrees) with a few spiral minutiae."""
+    yy, xx = np.mgrid[0:height, 0:width].astype(float)
+    t = math.radians(angle)
+    phase = (2.0 * math.pi / period) * (xx * math.cos(t) + yy * math.sin(t))
+    for k in range(4):
+        cx, cy = rng.uniform(20, width - 20), rng.uniform(20, height - 20)
+        phase += (-1) ** k * np.arctan2(yy - cy, xx - cx)
+    img = 128.0 + 100.0 * np.cos(phase) + rng.normal(0.0, noise, size=phase.shape)
+    return np.clip(np.rint(img), 0, 255).astype(np.uint8)
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +189,47 @@ def test_thin_random_blobs_properties():
         assert count_components_8(sk) == count_components_8(img)
 
 
+def _code_image(code):
+    """The 3x3 neighbourhood of a 9-bit code (bit 8 top-left, raster order), zero-padded."""
+    img = np.zeros((5, 5), np.uint8)
+    img[1:4, 1:4] = ((code >> np.arange(8, -1, -1)) & 1).reshape(3, 3)
+    return img
+
+
+def test_zhang_suen_pass_matches_scalar_rule_on_all_neighbourhoods():
+    deleted = 0
+    for code in range(512):
+        for step in (0, 1):
+            got, want = _code_image(code), _code_image(code)
+            assert zhang_suen_pass(got, step) == zhang_suen_pass_scalar(want, step)
+            assert np.array_equal(got, want)
+            deleted += int(got[2, 2] == 0 and code & 16)
+    assert deleted > 0
+
+
+def test_zhang_suen_pass_matches_scalar_rule_on_random_binaries():
+    rng = np.random.default_rng(932)
+    for density in (0.2, 0.5, 0.8):
+        for _ in range(6):
+            shape = rng.integers(1, 48, size=2)
+            binary = (rng.random(shape) < density).astype(np.uint8)
+            got = np.pad(binary, 1)
+            want = got.copy()
+            for step in (0, 1, 0, 1, 1, 0):
+                assert zhang_suen_pass(got, step) == zhang_suen_pass_scalar(want, step)
+                assert np.array_equal(got, want)
+            assert np.array_equal(thin(binary), thin_scalar(binary))
+
+
+def test_thin_matches_scalar_loop_on_rendered_prints():
+    rng = np.random.default_rng(933)
+    for angle in (0.0, 15.0, 30.0, 45.0):
+        binary = binarize(_ridges(rng, 96, 80, 25.0, angle))
+        sk = thin(binary)
+        assert np.array_equal(sk, thin_scalar(binary))
+        assert is_thin(sk)
+
+
 # ---------------------------------------------------------------------------
 # despeckle
 # ---------------------------------------------------------------------------
@@ -177,38 +255,33 @@ def test_detect_straight_segment():
     sk = np.zeros((7, 20), np.uint8)
     sk[3, 2:18] = 1
     ms = detect_minutiae(sk)
-    assert [(m.x, m.y, m.kind) for m in ms] == [
+    assert _rows(ms) == [
         (2.0, 3.0, MinutiaKind.ENDING),
         (17.0, 3.0, MinutiaKind.ENDING),
     ]
     # left end points rightward along the ridge, right end leftward
-    assert _theta(sk, ms[0]) == 0.0
-    assert _theta(sk, ms[1]) == 180.0
+    assert _thetas(sk, ms) == [0.0, 180.0]
 
 
 def test_detect_vertical_top_ending_is_270():
     sk = np.zeros((20, 7), np.uint8)
     sk[2:18, 3] = 1
-    ms = detect_minutiae(sk)
-    assert _theta(sk, ms[0]) == 270.0
-    assert _theta(sk, ms[1]) == 90.0
+    assert _thetas(sk, detect_minutiae(sk)) == [270.0, 90.0]
 
 
 def test_detect_y_junction():
     sk = _y_skeleton()
     ms = detect_minutiae(sk)
-    bifs = [m for m in ms if m.kind is MinutiaKind.BIFURCATION]
-    ends = [m for m in ms if m.kind is MinutiaKind.ENDING]
-    assert len(bifs) == 1 and len(ends) == 3
-    assert (bifs[0].x, bifs[0].y) == (8.0, 8.0)
+    assert len(ms) == 4 and ms.bif.sum() == 1
+    assert (ms.x[ms.bif][0], ms.y[ms.bif][0]) == (8.0, 8.0)
     # closest branch pair (225, 315) bisects to 270, away from the up branch
-    assert _theta(sk, bifs[0]) == 270.0
+    assert orientations(sk, ms.x[ms.bif], ms.y[ms.bif], ms.bif[ms.bif]).tolist() == [270.0]
 
 
 def test_detect_ignores_isolated_pixels():
     sk = np.zeros((5, 5), np.uint8)
     sk[2, 2] = 1
-    assert detect_minutiae(sk) == []
+    assert len(detect_minutiae(sk)) == 0
 
 
 def test_detect_rejects_non_thin_input():
@@ -222,20 +295,148 @@ def test_detect_locality():
     # presence and kind depend only on the 3x3 block around each pixel
     base = np.zeros((9, 30), np.uint8)
     base[4, 2:28] = 1
-    before = [(m.x, m.y, m.kind) for m in detect_minutiae(base)]
+    before = _rows(detect_minutiae(base))
     edited = base.copy()
     edited[0, 10] = 1  # far from both endings
-    after = [(m.x, m.y, m.kind) for m in detect_minutiae(edited)]
+    after = _rows(detect_minutiae(edited))
     assert [p for p in after if p[1] == 4.0] == before
 
 
 def test_bifurcation_direction_examples():
-    assert bifurcation_direction([90.0, 210.0, 330.0]) == 270.0
-    assert bifurcation_direction([0.0, 40.0, 180.0]) == 20.0
-    # equally-close pairs: prefer the one excluding the smallest angle
-    assert bifurcation_direction([0.0, 90.0, 180.0]) == 135.0
-    # bisector takes the short arc even across the wraparound
-    assert bifurcation_direction([350.0, 10.0, 180.0]) == 0.0
+    rows = [
+        [90.0, 210.0, 330.0],
+        [0.0, 40.0, 180.0],
+        # equally-close pairs: prefer the one excluding the smallest angle
+        [0.0, 90.0, 180.0],
+        # bisector takes the short arc even across the wraparound
+        [350.0, 10.0, 180.0],
+    ]
+    assert bifurcation_direction(rows).tolist() == [270.0, 20.0, 135.0, 0.0]
+    # NaN pads a row's missing branches
+    assert bifurcation_direction([[math.nan, 100.0, math.nan, 60.0]]).tolist() == [80.0]
+    with pytest.raises(PreconditionError):
+        bifurcation_direction([[10.0, math.nan, math.nan]])
+
+
+def test_bifurcation_direction_matches_scalar_rule():
+    # angles from a coarse set, so gaps and leftover minima tie often
+    rng = np.random.default_rng(931)
+    for width in (2, 3, 4, 8):
+        table = rng.choice([0.0, 45.0, 90.0, 135.0, 180.0, 225.0, 270.0, 315.0, 26.565051177077994,
+                            333.434948822922, 359.5, 0.5], size=(400, width))
+        count = rng.integers(2, width + 1, size=400)
+        table[np.arange(width)[None, :] >= count[:, None]] = math.nan
+        for row in table:
+            rng.shuffle(row)
+        want = [bifurcation_direction_scalar(row[~np.isnan(row)]) for row in table]
+        assert bifurcation_direction(table).tolist() == want
+
+
+def _assert_orientations_exact(sk, xs, ys, bif):
+    got = orientations(sk, np.asarray(xs, dtype=float), np.asarray(ys, dtype=float), np.asarray(bif, bool))
+    want = [orientation_scalar(sk, (x, y), b) for x, y, b in zip(xs, ys, bif)]
+    assert got.tolist() == want
+    return want
+
+
+def _assert_every_pixel_exact(sk):
+    """orientations equals the scalar trace at every foreground pixel, read as either kind."""
+    ys, xs = np.nonzero(sk)
+    for bif in (False, True):
+        _assert_orientations_exact(sk, xs.tolist(), ys.tolist(), [bif] * len(xs))
+
+
+def test_orientations_match_scalar_trace_on_rendered_prints():
+    rng = np.random.default_rng(934)
+    for angle in (0.0, 15.0, 30.0, 45.0):
+        sk = thin(binarize(_ridges(rng, 96, 80, 25.0, angle)))
+        d = detect_minutiae(sk)
+        assert len(d) > 50 and d.bif.any() and not d.bif.all()
+        _assert_orientations_exact(sk, d.x.astype(int).tolist(), d.y.astype(int).tolist(), d.bif.tolist())
+
+
+def test_orientations_match_scalar_trace_on_random_skeletons():
+    # thinned noise: junctions, loops and spurs everywhere
+    rng = np.random.default_rng(935)
+    for density in (0.2, 0.5, 0.8):
+        _assert_every_pixel_exact(thin((rng.random((40, 40)) < density).astype(np.uint8)))
+    assert orientations(np.zeros((3, 3), np.uint8), [], [], []).tolist() == []
+
+
+def test_orientations_on_the_image_edge():
+    sk = np.zeros((12, 20), np.uint8)
+    sk[0, 3:16] = 1  # along the top edge
+    sk[1:6, 9] = 1  # a branch down from (9, 0): a bifurcation on the edge
+    sk[4:12, 0] = 1  # along the left edge to the bottom-left corner
+    sk[11, 5:19] = 1  # along the bottom edge
+    sk[6:11, 19] = 1  # up the right edge from a bottom-right corner turn
+    _assert_every_pixel_exact(sk)
+    d = detect_minutiae(sk)
+    assert (9.0, 0.0, MinutiaKind.BIFURCATION) in _rows(d)
+    assert (0.0, 11.0, MinutiaKind.ENDING) in _rows(d)
+    _assert_orientations_exact(sk, d.x.astype(int).tolist(), d.y.astype(int).tolist(), d.bif.tolist())
+
+
+def test_orientations_short_spurs_and_trace_lengths():
+    sk = np.zeros((30, 40), np.uint8)
+    for row, length in enumerate((2, 3, 5, 9, 10, 11, 12), start=1):
+        sk[row * 4, 2:2 + length] = 1
+    sk[2:4, 30] = 1  # a spur of 2 off the ridge below
+    sk[4, 25:38] = 1
+    _assert_every_pixel_exact(sk)
+    # a 12-pixel line: the left end traces 10 steps right, both ways
+    assert _assert_orientations_exact(sk, [2, 13], [28, 28], [False, False]) == [0.0, 180.0]
+
+
+def test_orientations_branch_that_returns_to_its_bifurcation():
+    # a bifurcation at (5, 5) with stems up-left and down-left and a loop
+    # of 8 pixels on its right, whose two traces both end back on it at
+    # their ninth and last step: only the stems are branches
+    sk = np.zeros((14, 14), np.uint8)
+    stems = [(5 - k, 5 - k) for k in range(1, 5)] + [(5 - k, 5 + k) for k in range(1, 5)]
+    loop = [(6, 4), (7, 3), (8, 3), (9, 4), (9, 5), (9, 6), (8, 7), (7, 7), (6, 6)]
+    for x, y in [(5, 5)] + stems + loop:
+        sk[y, x] = 1
+    assert _assert_orientations_exact(sk, [5], [5], [True]) == [180.0]
+    _assert_every_pixel_exact(sk)
+    # with one stem left there is one branch, so the direction is 0
+    for x, y in stems[4:]:
+        sk[y, x] = 0
+    assert _assert_orientations_exact(sk, [5], [5], [True]) == [0.0]
+    _assert_every_pixel_exact(sk)
+
+
+def test_clean_minutiae_traces_each_representative_as_its_own_kind():
+    # an ending and a bifurcation merge into a bifurcation whose
+    # representative, by the (y, x) tie rule, is the ending
+    sk = np.zeros((40, 40), np.uint8)
+    sk[10:31, 10] = 1
+    detected = Detections(np.array([10.0, 12.0]), np.array([10.0, 10.0]), np.array([False, True]))
+    out = clean_minutiae(detected, sk, MatchConfig(rm=5.0, border_margin=0.0))
+    assert [(m.x, m.y, m.theta, m.kind) for m in out] == [(11.0, 10.0, 270.0, MinutiaKind.BIFURCATION)]
+
+
+def test_orientations_four_or_more_branches_and_tied_gaps():
+    c = 15
+    plus = np.zeros((31, 31), np.uint8)
+    plus[c, 2:29] = 1
+    plus[2:29, c] = 1
+    cross = np.zeros((31, 31), np.uint8)
+    for k in range(-13, 14):
+        cross[c + k, c + k] = cross[c + k, c - k] = 1
+    star = plus | cross
+    tee = plus.copy()
+    tee[c + 1:, c] = 0
+    fork = np.zeros((31, 31), np.uint8)  # 0, 45 and 90 degrees: two tied gaps
+    fork[c, c:29] = 1
+    fork[2:c, c] = 1
+    for k in range(1, 13):
+        fork[c - k, c + k] = 1
+    for sk, want in ((plus, 135.0), (cross, 180.0), (star, None), (tee, 135.0), (fork, None)):
+        got = _assert_orientations_exact(sk, [c], [c], [True])
+        if want is not None:
+            assert got == [want]
+        _assert_every_pixel_exact(sk)
 
 
 # ---------------------------------------------------------------------------
@@ -244,34 +445,33 @@ def test_bifurcation_direction_examples():
 
 
 def test_merge_two_close_endings_to_midpoint():
-    out = merge_close([_E(0.0, 0.0, 10.0), _E(3.0, 0.0, 50.0)], 5.0)
+    out = _merge([_E(0.0, 0.0, 10.0), _E(3.0, 0.0, 50.0)], 5.0)
     assert len(out) == 1
-    assert (out[0].x, out[0].y) == (1.5, 0.0)
-    assert out[0].kind is MinutiaKind.ENDING
+    assert out[0][:3] == (1.5, 0.0, MinutiaKind.ENDING)
 
 
 def test_merge_far_pair_retained():
-    out = merge_close([_E(0.0, 0.0), _E(10.0, 0.0)], 5.0)
+    out = _merge([_E(0.0, 0.0), _E(10.0, 0.0)], 5.0)
     assert len(out) == 2
 
 
 def test_merge_chain_is_transitive():
     chain = [_E(0.0, 0.0), _E(4.0, 0.0), _B(8.0, 0.0)]
-    out = merge_close(chain, 5.0)
+    out = _merge(chain, 5.0)
     assert len(out) == 1
-    assert out[0].kind is MinutiaKind.BIFURCATION
-    assert out[0].x == 4.0
+    assert out[0][2] is MinutiaKind.BIFURCATION
+    assert out[0][0] == 4.0
 
 
 def test_merge_orientation_from_member_nearest_centroid():
-    out = merge_close([_E(0.0, 0.0, 11.0), _E(2.0, 0.0, 22.0), _E(2.5, 0.0, 33.0)], 5.0)
+    out = _merge([_E(0.0, 0.0, 11.0), _E(2.0, 0.0, 22.0), _E(2.5, 0.0, 33.0)], 5.0)
     assert len(out) == 1
-    assert out[0].rep.theta == 22.0  # centroid 1.5, nearest member is x=2
+    assert out[0][3] == 22.0  # centroid 1.5, nearest member is x=2
 
 
 def test_merge_rejects_negative_radius():
     with pytest.raises(InvalidInputError):
-        merge_close([_E(0.0, 0.0)], -1.0)
+        merge_close(_detections([_E(0.0, 0.0)]), -1.0)
 
 
 def _iterated_unionfind_positions(minutiae, rm):
@@ -304,8 +504,8 @@ def test_merge_matches_unionfind_oracle():
             for _ in range(n)
         ]
         rm = float(rng.uniform(1.0, 12.0))
-        out = merge_close(ms, rm)
-        got = sorted((m.x, m.y) for m in out)
+        out = _merge(ms, rm)
+        got = sorted((x, y) for x, y, _, _ in out)
         want = _iterated_unionfind_positions(ms, rm)
         assert len(got) == len(want)
         for (gx, gy), (wx, wy) in zip(got, want):
@@ -314,7 +514,7 @@ def test_merge_matches_unionfind_oracle():
         # all surviving pairs are strictly farther apart than rm
         for i in range(len(out)):
             for j in range(i + 1, len(out)):
-                assert math.dist((out[i].x, out[i].y), (out[j].x, out[j].y)) > rm
+                assert math.dist(out[i][:2], out[j][:2]) > rm
 
 
 def _labelled(points, bif_every=0):
@@ -332,7 +532,7 @@ def _labelled(points, bif_every=0):
 
 def _assert_merge_exact(ms, rm):
     """merge_close equals the dense n^2 merge bit for bit, representative included."""
-    got = [(m.x, m.y, m.kind, m.rep.theta) for m in merge_close(ms, rm)]
+    got = _merge(ms, rm)
     with np.errstate(over="ignore"):
         want = [(m.x, m.y, m.kind, m.theta) for m in merge_close_dense(ms, rm)]
     assert got == want
@@ -428,7 +628,7 @@ def test_merge_rm_inf_is_one_group():
 
 def test_merge_rejects_nan_radius():
     with pytest.raises(InvalidInputError):
-        merge_close([_E(0.0, 0.0), _E(1.0, 0.0)], math.nan)
+        merge_close(_detections([_E(0.0, 0.0), _E(1.0, 0.0)]), math.nan)
 
 
 def test_merge_extreme_finite_coordinates():
@@ -445,7 +645,7 @@ def test_merge_extreme_finite_coordinates():
     # past about 1.3e154, rm * rm is infinite and everything is one
     # group, whose centroid overflows: an input error for both
     for rm in (1e155, 1e300, big):
-        for merge in (merge_close, merge_close_dense):
+        for merge in (_merge, merge_close_dense):
             with pytest.raises(InvalidInputError), np.errstate(over="ignore"):
                 merge(_labelled(pts), rm)
 
@@ -466,23 +666,12 @@ def test_merge_lattice_representative_ties():
     assert len(_assert_merge_exact(_labelled(squares), 1.0)) == 100
 
 
-def _diagonal_ridges(rng, width, height, noise, period=10.0):
-    """Noisy cosine ridges at 45 degrees with a few spiral minutiae."""
-    yy, xx = np.mgrid[0:height, 0:width].astype(float)
-    phase = (2.0 * math.pi / period) * (xx + yy) / math.sqrt(2.0)
-    for k in range(4):
-        cx, cy = rng.uniform(20, width - 20), rng.uniform(20, height - 20)
-        phase += (-1) ** k * np.arctan2(yy - cy, xx - cx)
-    img = 128.0 + 100.0 * np.cos(phase) + rng.normal(0.0, noise, size=phase.shape)
-    return np.clip(np.rint(img), 0, 255).astype(np.uint8)
-
-
 def test_extract_matches_eager_oracle_on_noisy_diagonal_ridges():
     rng = np.random.default_rng(919)
     for width, height, noise, cfg in ((120, 96, 15.0, MatchConfig()),
                                       (96, 120, 40.0, MatchConfig(rm=8.0, border_margin=4.0)),
                                       (80, 80, 5.0, MatchConfig(rm=0.0, border_margin=0.0))):
-        img = _diagonal_ridges(rng, width, height, noise)
+        img = _ridges(rng, width, height, noise)
         got = extract(img, cfg, source="img")
         assert len(got) > 0
         assert got == extract_eager(img, cfg, source="img")
@@ -495,9 +684,9 @@ def test_extract_matches_eager_oracle_on_noisy_diagonal_ridges():
 
 
 def test_remove_border_minutiae():
-    ms = [_E(5.0, 30.0), _E(30.0, 30.0), _E(30.0, 58.0)]
-    kept = remove_border_minutiae(ms, (60, 60), 12.0)
-    assert [(m.x, m.y) for m in kept] == [(30.0, 30.0)]
+    ms = [_E(5.0, 30.0), _B(30.0, 30.0), _E(30.0, 58.0), _E(12.0, 47.0), _E(47.5, 12.0)]
+    kept = remove_border_minutiae(_detections(ms), (60, 60), 12.0)
+    assert _rows(kept) == [(30.0, 30.0, MinutiaKind.BIFURCATION), (12.0, 47.0, MinutiaKind.ENDING)]
 
 
 def test_extract_all_background_is_empty():

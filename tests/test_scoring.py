@@ -1,11 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from onionprint import alignment, scoring
 from onionprint.alignment import Transform, apply_transform
 from onionprint.config import MatchConfig
-from onionprint.errors import InvalidInputError
+from onionprint.errors import InvalidInputError, InvariantError
 from onionprint.geometry import convex_layers
 from onionprint.minutiae import Minutia, MinutiaKind, MinutiaSet
 from onionprint.scoring import (
@@ -143,6 +145,24 @@ def test_match_pair_self_is_one():
     assert out.final == 1.0
     assert not out.gated
     assert all(d <= 1e-9 for d in out.layer_dists)
+
+
+def test_match_pair_checks_its_postconditions(monkeypatch):
+    ms = _random_set(np.random.default_rng(302), 15)
+    for final in (1.0 + 1e-12, -0.5, math.nan):
+        monkeypatch.setattr(scoring, "final_score", lambda score, avg, final=final: (1.0, final))
+        with pytest.raises(InvariantError, match="out of range"):
+            match_pair(ms, ms, ida="a", idb="b")
+    monkeypatch.undo()
+    real = alignment.match_minutiae
+    # a matched count past min(m, n), on a gated and on a scored pair
+    for score in (0.0, 1.0):
+        monkeypatch.setattr(alignment, "match_minutiae",
+                            lambda *args, score=score: dataclasses.replace(real(*args), k=16, score=score))
+        with pytest.raises(InvariantError, match="k 16 of m 15, n 15"):
+            match_pair(ms, ms)
+    monkeypatch.undo()
+    assert match_pair(ms, ms).final == 1.0
 
 
 def test_match_pair_rigid_motion_scores_one():

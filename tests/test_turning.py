@@ -14,6 +14,7 @@ from onionprint.turning import (
 )
 from oracles import (
     grid_min_distance,
+    min_turning_distance_scan,
     overlap_shift_distance,
     random_convex_polygon,
     riemann_shift_distance,
@@ -183,14 +184,14 @@ def test_turning_distance_never_exceeds_any_shift():
         assert best <= distance_at_shift(f, g, float(t)).distance + 1e-12
 
 
-def test_kernel_variants_agree():
+def test_min_turning_distance_matches_scalar_scan():
     rng = np.random.default_rng(37)
     for _ in range(10):
         f = turning_function(random_convex_polygon(rng, int(rng.integers(3, 20))))
         g = turning_function(random_convex_polygon(rng, int(rng.integers(3, 20))))
         args = (f.breaks, f.angles, g.breaks, g.angles)
-        d1, t1, r1 = kernels.min_turning_distance_numba(*args)
-        d2, t2, r2 = kernels.min_turning_distance_numpy(*args)
+        d1, t1, r1 = min_turning_distance_scan(*args)
+        d2, t2, r2 = kernels.min_turning_distance(*args)
         assert d1 == pytest.approx(d2, abs=1e-12)
         assert t1 == pytest.approx(t2, abs=1e-12)
         assert r1 == pytest.approx(r2, abs=1e-12)
