@@ -68,17 +68,6 @@ def apply_transform(tr: Transform, mu: Minutia) -> Minutia:
     )
 
 
-def invert_transform(tr: Transform) -> Transform:
-    cosv, sinv = _rotation(-tr.dtheta)
-    inv_s = 1.0 / tr.s
-    return Transform(
-        s=inv_s,
-        dtheta=(-tr.dtheta) % 360.0,
-        dx=-inv_s * (cosv * tr.dx - sinv * tr.dy),
-        dy=-inv_s * (sinv * tr.dx + cosv * tr.dy),
-    )
-
-
 def spatial_distance(a: Minutia, b: Minutia) -> float:
     return math.hypot(a.x - b.x, a.y - b.y)
 
@@ -87,11 +76,6 @@ def angular_difference(a: Minutia, b: Minutia) -> float:
     """Circular distance between orientations, in [0, 180]."""
     d = abs(a.theta - b.theta)
     return min(d, 360.0 - d)
-
-
-def within_tolerance(a: Minutia, b: Minutia, r0=DEFAULT_R0, theta0=DEFAULT_THETA0) -> bool:
-    """Both bounds inclusive; minutia kind is not compared."""
-    return spatial_distance(a, b) <= r0 and angular_difference(a, b) <= theta0
 
 
 def _hypothesis(mi: Minutia, mj: Minutia) -> Transform:
@@ -105,11 +89,6 @@ def _hypothesis(mi: Minutia, mj: Minutia) -> Transform:
         dx=mj.x - (cosv * mi.x - sinv * mi.y),
         dy=mj.y - (sinv * mi.x + cosv * mi.y),
     )
-
-
-def candidate_transforms(inp: MinutiaSet, tpl: MinutiaSet):
-    """One transform per cross-set minutia pair, first-set index major."""
-    return [_hypothesis(mi, mj) for mi in inp for mj in tpl]
 
 
 def minutiae_score(k: int, m: int, n: int) -> float:

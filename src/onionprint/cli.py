@@ -40,7 +40,8 @@ def _add_eval_flags(parser):
     parser.add_argument("--exclude-gated", action="store_true",
                         help="drop gated pairs from rate computations")
     parser.add_argument("--threads", type=int, default=1, metavar="N",
-                        help="worker threads for pair scoring")
+                        help="worker processes (fork) for loading and pair scoring, "
+                             "capped at the usable CPUs; results stay in input order")
     parser.add_argument("--out", required=True, metavar="DIR",
                         help="directory for the report files")
 
@@ -53,6 +54,12 @@ def _config_from(args):
 
 def _mode_from(args):
     return args.mode.replace("-", "_")
+
+
+def _threads_from(args):
+    if args.threads < 1:
+        raise InvalidInputError(f"--threads must be at least 1, got {args.threads}")
+    return args.threads
 
 
 def cmd_extract(args) -> int:
@@ -112,9 +119,10 @@ def cmd_match(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = _config_from(args)
+    threads = _threads_from(args)
     ds = evaluation.load_dataset(args.dataset)
     table, report = evaluation.evaluate(
-        ds, cfg=cfg, mode=_mode_from(args), threads=args.threads,
+        ds, cfg=cfg, mode=_mode_from(args), threads=threads,
         exclude_gated=args.exclude_gated)
     evaluation.write_report_files(args.out, table, report)
     for line in evaluation.summary_lines(table, report):
@@ -138,6 +146,7 @@ def _axis_values(flag, raw) -> list:
 
 
 def cmd_sweep(args) -> int:
+    threads = _threads_from(args)
     file_values = load_config_file(args.config) if args.config else None
     base_cfg = build_config(file_values)
     axes = [(key, _axis_values(key, getattr(args, key)))
@@ -151,7 +160,7 @@ def cmd_sweep(args) -> int:
     ds = evaluation.load_dataset(args.dataset)
     results = evaluation.sweep(
         ds, grid, base_cfg=base_cfg, mode=_mode_from(args),
-        threads=args.threads, exclude_gated=args.exclude_gated, out_dir=args.out)
+        threads=threads, exclude_gated=args.exclude_gated, out_dir=args.out)
     for idx, (overrides, _, report) in enumerate(results):
         desc = " ".join(f"{k}={v!r}" for k, v in overrides.items())
         print(f"[{idx:03d}] {desc} eer={report.eer!r} "

@@ -4,20 +4,29 @@ A dataset is a directory of `FFF_I.pgm` files (finger, impression) or a
 manifest CSV listing `finger_id,impression_id,path`. Entries may be PGM
 images or pre-extracted minutiae files; the two are told apart by
 content. All pair orderings and reductions are deterministic, so a run
-produces byte-identical outputs at any thread count.
+produces byte-identical outputs at any worker count.
+
+With `threads` above 1, loading and pair scoring run in worker
+processes made by fork, so they inherit the loaded sets and the scoring
+closures instead of receiving them pickled. The items are cut into
+contiguous chunks of near-equal estimated cost, one per process; the
+calling process scores the first chunk and forked children the rest.
+The processes are capped at the usable CPUs, and results come back in
+input order, so the first error in input order is the one raised, as
+with one worker.
 """
 
 import csv
 import itertools
-import math
-from concurrent.futures import ThreadPoolExecutor
+import os
+import pickle  # numpy has already loaded it
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .config import MatchConfig
-from .errors import InvalidInputError
+from .errors import InvalidInputError, InvariantError
 from .imgproc import clean_minutiae, extract, raw_minutiae
 from .minutiae import MinutiaSet, parse_minutiae
 from .pgm import looks_like_pgm, parse_pgm
@@ -233,11 +242,99 @@ def pair_protocol(ds: Dataset, mode=MODE_FVC):
     return out
 
 
-def _ordered_map(fn, items, threads):
-    if threads <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+def usable_cpus():
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has affinity masks
+        return os.cpu_count() or 1
+
+
+def chunk_bounds(costs, threads, cpus):
+    """Contiguous `(lo, hi)` index ranges of near-equal summed cost, one per process.
+
+    There are at most min(threads, len(costs), cpus) ranges, none empty,
+    covering the items in order. Each cut falls after the item whose
+    running cost first reaches the next equal share of the total.
+    """
+    n = len(costs)
+    workers = min(threads, n, cpus)
+    if workers <= 1:
+        return [(0, n)]
+    cum = np.cumsum(costs, dtype=float)
+    cuts = np.searchsorted(cum, cum[-1] * np.arange(1, workers) / workers) + 1
+    edges = [0, *np.unique(np.clip(cuts, 1, n - 1)).tolist(), n]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def _ordered_map(fn, items, threads, cost=None):
+    """[fn(item) for item in items], spread over up to `threads` processes.
+
+    `cost(item)` estimates an item's share of the work; by default all
+    items cost the same.
+    """
+    if threads > 1:
+        costs = [1] * len(items) if cost is None else [cost(item) for item in items]
+        bounds = chunk_bounds(costs, threads, usable_cpus())
+        if len(bounds) > 1:
+            return _forked_map(fn, items, bounds)
+    return [fn(item) for item in items]
+
+
+def _forked_map(fn, items, bounds):
+    """fn over the first chunk here and over each other chunk in a forked child, in order."""
+    pending = []  # (pid, reader) of children not yet reaped, in chunk order
+    try:
+        for lo, hi in bounds[1:]:
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(r)
+                _run_chunk(fn, items[lo:hi], w)
+            os.close(w)
+            pending.append((pid, os.fdopen(r, "rb")))
+        lo, hi = bounds[0]
+        results = [fn(item) for item in items[lo:hi]]
+        while pending:
+            pid, reader = pending[0]
+            data = reader.read()
+            reader.close()
+            _, status = os.waitpid(pid, 0)
+            pending.pop(0)
+            try:
+                ok, value = pickle.loads(data)
+            except Exception as exc:
+                code = os.waitstatus_to_exitcode(status)
+                how = f"was killed by signal {-code}" if code < 0 else f"exited with {code}"
+                raise InvariantError(
+                    f"worker process {how} without a readable result ({type(exc).__name__})"
+                ) from None
+            if not ok:
+                raise value
+            results.extend(value)
+        return results
+    finally:
+        if pending:  # an error cut the run short; signal takes a millisecond to import
+            import signal
+        for pid, reader in pending:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            reader.close()
+
+
+def _run_chunk(fn, chunk, w):
+    """Child side of `_forked_map`: send (True, results) or (False, error) down w, then exit."""
+    code = 1
+    try:
+        try:
+            data = pickle.dumps((True, [fn(item) for item in chunk]), pickle.HIGHEST_PROTOCOL)
+        except BaseException as exc:  # re-raised by the parent, as with one worker
+            data = pickle.dumps((False, exc), pickle.HIGHEST_PROTOCOL)
+        with open(w, "wb") as fh:
+            fh.write(data)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _unique_entries(pairs):
@@ -268,7 +365,10 @@ def score_pairs(pairs, cfg=None, threads=1, sets=None) -> ScoreTable:
         bd = match_pair(sets[a.path], sets[b.path], cfg, ida=a.label, idb=b.label)
         return ScoreRow(label, bd)
 
-    return ScoreTable(tuple(_ordered_map(one, pairs, threads)))
+    def cost(pair):  # alignment, most of a pair's time, bounds all m * n hypotheses
+        return len(sets[pair[0].path]) * len(sets[pair[1].path])
+
+    return ScoreTable(tuple(_ordered_map(one, pairs, threads, cost)))
 
 
 # ---------------------------------------------------------------------------

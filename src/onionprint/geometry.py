@@ -13,14 +13,6 @@ import numpy as np
 
 from .errors import InvalidInputError
 
-# Tolerance on orientation predicates, in squared coordinate units.
-EPS_GEOM = 1e-9
-
-INSIDE = "inside"
-BOUNDARY = "boundary"
-OUTSIDE = "outside"
-
-
 @dataclass(frozen=True)
 class Layer:
     """One ring of the onion: peeling depth plus its vertices."""
@@ -122,39 +114,6 @@ def convex_layers(points) -> ConvexLayers:
         remaining = remaining[keep]
         depth += 1
     return ConvexLayers(layers=tuple(layers))
-
-
-def point_in_convex(poly, q) -> str:
-    """Classify q against a convex CCW polygon: inside, boundary or outside.
-
-    Uses orientation predicates with tolerance EPS_GEOM on the cross
-    product values.
-    """
-    verts = _as_points(poly)
-    if len(verts) < 3:
-        raise InvalidInputError("point_in_convex requires a polygon with >= 3 vertices")
-    if polygon_signed_area(verts) <= EPS_GEOM:
-        raise InvalidInputError("degenerate polygon: vanishing or negative area")
-    qx, qy = float(q[0]), float(q[1])
-    min_cross = np.inf
-    for i in range(len(verts)):
-        a = verts[i]
-        b = verts[(i + 1) % len(verts)]
-        c = (b[0] - a[0]) * (qy - a[1]) - (b[1] - a[1]) * (qx - a[0])
-        if c < min_cross:
-            min_cross = c
-    if min_cross < -EPS_GEOM:
-        return OUTSIDE
-    if min_cross <= EPS_GEOM:
-        return BOUNDARY
-    return INSIDE
-
-
-def polygon_signed_area(verts) -> float:
-    """Shoelace area; positive for counterclockwise rings."""
-    v = _as_points(verts)
-    x, y = v[:, 0], v[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
 def layers_to_csv_rows(layers: ConvexLayers) -> list[str]:

@@ -17,8 +17,6 @@ import numpy as np
 from . import kernels
 from .errors import InvalidInputError
 
-TWO_PI = 2.0 * math.pi
-
 
 @dataclass(frozen=True)
 class TurningFunction:
@@ -36,26 +34,6 @@ class TurningFunction:
 
     def __len__(self):
         return self.breaks.shape[0]
-
-    def value(self, s):
-        """Function value at arc position s, cyclically extended."""
-        s = float(s)
-        wraps = math.floor(s)
-        frac = s - wraps
-        idx = int(np.searchsorted(self.breaks, frac, side="right")) - 1
-        if idx < 0:
-            # frac sits before the first break only through negative
-            # rounding noise; clamp to the wrapped last segment
-            return float(self.angles[-1]) - TWO_PI + wraps * TWO_PI
-        return float(self.angles[idx]) + wraps * TWO_PI
-
-
-@dataclass(frozen=True)
-class ShiftDistance:
-    """L2 distance at a fixed shift, with the minimizing rotation."""
-
-    distance: float
-    rotation: float
 
 
 @dataclass(frozen=True)
@@ -99,35 +77,6 @@ def turning_function(poly):
     )
     angles = math.atan2(edges[0, 1], edges[0, 0]) + np.concatenate(([0.0], np.cumsum(turn[1:])))
     return TurningFunction(breaks=breaks, angles=angles, perimeter=perimeter)
-
-
-def distance_at_shift(f, g, t, p=2):
-    """Distance between f shifted by t and g, minimized over rotation only."""
-    if p != 2:
-        raise InvalidInputError("only the p=2 norm is supported")
-    t = float(t) % 1.0
-    fs, fa = f.breaks, f.angles
-    gs, ga = g.breaks, g.angles
-    wrapped = fs < t
-    pos = np.where(wrapped, fs - t + 1.0, fs - t)
-    val = np.where(wrapped, fa + TWO_PI, fa)
-    order = np.argsort(pos, kind="stable")
-    pos = pos[order]
-    val = val[order]
-
-    edges = np.unique(np.concatenate([pos, gs]))
-    fi = np.searchsorted(pos, edges, side="right") - 1
-    gi = np.searchsorted(gs, edges, side="right") - 1
-    fv = np.where(fi >= 0, val[np.maximum(fi, 0)], val[-1] - TWO_PI)
-    gv = np.where(gi >= 0, ga[np.maximum(gi, 0)], ga[-1] - TWO_PI)
-    widths = np.diff(np.concatenate([edges, [1.0]]))
-    # same rounding-sliver suppression and two-pass variance as the
-    # scan kernels
-    widths = np.where(widths > kernels.SNAP_EPS, widths, 0.0)
-    h = fv - gv
-    i1 = float(np.sum(h * widths))
-    d2 = float(np.sum((h - i1) ** 2 * widths))
-    return ShiftDistance(distance=math.sqrt(max(d2, 0.0)), rotation=-i1)
 
 
 def turning_distance(f, g, p=2):

@@ -4,16 +4,22 @@ Everything here is deliberately naive: hull membership by exhaustive
 triangle tests, peeling by repeated application of that test, step
 function integrals by rectangle overlaps or dense Riemann sums, merging
 over all n^2 pairs, thinning and ridge tracing pixel by pixel, the
-turning-distance scan shift by shift. Only the data types of
-`onionprint.minutiae` are imported at module level; `extract_eager`
-reuses the extraction stages it does not check.
+turning-distance scan shift by shift. It also holds the helpers that
+only tests call: point classification against a convex ring, the
+turning function's value and its distance at one shift, and the
+candidate, inverse and tolerance helpers of alignment.
+Only the data types of `onionprint.minutiae` and the error types are
+imported at module level; `extract_eager` and the alignment helpers
+reuse the library code they do not check.
 """
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
+from onionprint.errors import InvalidInputError
 from onionprint.minutiae import Minutia, MinutiaKind, MinutiaSet
 
 TWO_PI = 2.0 * math.pi
@@ -100,6 +106,47 @@ def ring_set(ring):
     return {(float(x), float(y)) for x, y in ring}
 
 
+# Tolerance on orientation predicates, in squared coordinate units.
+EPS_GEOM = 1e-9
+
+INSIDE = "inside"
+BOUNDARY = "boundary"
+OUTSIDE = "outside"
+
+
+def polygon_signed_area(verts):
+    """Shoelace area; positive for counterclockwise rings."""
+    v = np.asarray(verts, dtype=float)
+    x, y = v[:, 0], v[:, 1]
+    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+
+
+def point_in_convex(poly, q):
+    """Classify q against a convex CCW polygon: inside, boundary or outside.
+
+    Uses orientation predicates with tolerance EPS_GEOM on the cross
+    product values.
+    """
+    verts = np.asarray(poly, dtype=float)
+    if len(verts) < 3:
+        raise InvalidInputError("point_in_convex requires a polygon with >= 3 vertices")
+    if polygon_signed_area(verts) <= EPS_GEOM:
+        raise InvalidInputError("degenerate polygon: vanishing or negative area")
+    qx, qy = float(q[0]), float(q[1])
+    min_cross = np.inf
+    for i in range(len(verts)):
+        a = verts[i]
+        b = verts[(i + 1) % len(verts)]
+        c = (b[0] - a[0]) * (qy - a[1]) - (b[1] - a[1]) * (qx - a[0])
+        if c < min_cross:
+            min_cross = c
+    if min_cross < -EPS_GEOM:
+        return OUTSIDE
+    if min_cross <= EPS_GEOM:
+        return BOUNDARY
+    return INSIDE
+
+
 # ---------------------------------------------------------------------------
 # Turning-function references
 # ---------------------------------------------------------------------------
@@ -132,6 +179,58 @@ def turning_values_reference(profile, svals):
     frac = svals - wraps
     idx = np.minimum(np.searchsorted(bounds, frac, side="right"), len(angles) - 1)
     return angles[idx] + wraps * TWO_PI
+
+
+def turning_value(f, s):
+    """Value of turning function f at arc position s, cyclically extended."""
+    s = float(s)
+    wraps = math.floor(s)
+    frac = s - wraps
+    idx = int(np.searchsorted(f.breaks, frac, side="right")) - 1
+    if idx < 0:
+        # frac sits before the first break only through negative
+        # rounding noise; clamp to the wrapped last segment
+        return float(f.angles[-1]) - TWO_PI + wraps * TWO_PI
+    return float(f.angles[idx]) + wraps * TWO_PI
+
+
+@dataclass(frozen=True)
+class ShiftDistance:
+    """L2 distance at a fixed shift, with the minimizing rotation."""
+
+    distance: float
+    rotation: float
+
+
+def distance_at_shift(f, g, t, p=2):
+    """Distance between f shifted by t and g, minimized over rotation only."""
+    from onionprint.kernels import SNAP_EPS
+
+    if p != 2:
+        raise InvalidInputError("only the p=2 norm is supported")
+    t = float(t) % 1.0
+    fs, fa = f.breaks, f.angles
+    gs, ga = g.breaks, g.angles
+    wrapped = fs < t
+    pos = np.where(wrapped, fs - t + 1.0, fs - t)
+    val = np.where(wrapped, fa + TWO_PI, fa)
+    order = np.argsort(pos, kind="stable")
+    pos = pos[order]
+    val = val[order]
+
+    edges = np.unique(np.concatenate([pos, gs]))
+    fi = np.searchsorted(pos, edges, side="right") - 1
+    gi = np.searchsorted(gs, edges, side="right") - 1
+    fv = np.where(fi >= 0, val[np.maximum(fi, 0)], val[-1] - TWO_PI)
+    gv = np.where(gi >= 0, ga[np.maximum(gi, 0)], ga[-1] - TWO_PI)
+    widths = np.diff(np.concatenate([edges, [1.0]]))
+    # same rounding-sliver suppression and two-pass variance as the
+    # scan kernels
+    widths = np.where(widths > SNAP_EPS, widths, 0.0)
+    h = fv - gv
+    i1 = float(np.sum(h * widths))
+    d2 = float(np.sum((h - i1) ** 2 * widths))
+    return ShiftDistance(distance=math.sqrt(max(d2, 0.0)), rotation=-i1)
 
 
 def riemann_shift_distance(poly_f, poly_g, t, samples):
@@ -424,6 +523,35 @@ def orientation_scalar(sk, p, bif):
     if len(branch_angles) < 2:
         return 0.0
     return bifurcation_direction_scalar(branch_angles)
+
+
+def invert_transform(tr):
+    """The transform undoing tr."""
+    from onionprint.alignment import Transform
+
+    rad = -tr.dtheta * math.pi / 180.0
+    cosv, sinv = math.cos(rad), math.sin(rad)
+    inv_s = 1.0 / tr.s
+    return Transform(
+        s=inv_s,
+        dtheta=(-tr.dtheta) % 360.0,
+        dx=-inv_s * (cosv * tr.dx - sinv * tr.dy),
+        dy=-inv_s * (sinv * tr.dx + cosv * tr.dy),
+    )
+
+
+def within_tolerance(a, b, r0=15.0, theta0=10.0):
+    """Both bounds inclusive; minutia kind is not compared."""
+    from onionprint.alignment import angular_difference, spatial_distance
+
+    return spatial_distance(a, b) <= r0 and angular_difference(a, b) <= theta0
+
+
+def candidate_transforms(inp, tpl):
+    """One transform per cross-set minutia pair, first-set index major."""
+    from onionprint.alignment import _hypothesis
+
+    return [_hypothesis(mi, mj) for mi in inp for mj in tpl]
 
 
 def optimal_alignment_cardinality(a_set, b_set, r0, theta0):

@@ -212,7 +212,7 @@ def test_criterion_8_determinism(tmp_path):
         write_report_files(out, table, report)
         outs.append(out)
     same = {name: (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
-            for name in ("scores.csv", "curves.csv")}
+            for name in ("scores.csv", "curves.csv", "summary.txt")}
     ok = all(same.values())
     _verdict(8, ok, "threads 1 vs 4 byte-identical: "
              + ", ".join(f"{k} {'yes' if v else 'NO'}" for k, v in same.items()))

@@ -9,18 +9,21 @@ from onionprint.alignment import (
     MatchResult,
     Transform,
     apply_transform,
-    candidate_transforms,
-    invert_transform,
     match_minutiae,
     match_to_csv_rows,
     matched_subsets,
     minutiae_score,
-    within_tolerance,
 )
 from onionprint.errors import InvalidInputError
 from onionprint.minutiae import Minutia, MinutiaKind, MinutiaSet
 from onionprint.synth import synthetic_corpus
-from oracles import best_alignment_exhaustive, optimal_alignment_cardinality
+from oracles import (
+    best_alignment_exhaustive,
+    candidate_transforms,
+    invert_transform,
+    optimal_alignment_cardinality,
+    within_tolerance,
+)
 
 
 def _mu(x, y, theta=0.0, kind=MinutiaKind.ENDING):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import onionprint
-from onionprint import scoring, synth
+from onionprint import evaluation, scoring, synth
 from onionprint.cli import main
 from onionprint.imgproc import raw_minutiae
 from onionprint.minutiae import FILE_HEADER, read_minutiae, write_minutiae
@@ -212,6 +212,54 @@ def test_evaluate_threads_do_not_change_output(tmp_path, capsys):
         assert (serial / name).read_bytes() == (pooled / name).read_bytes()
 
 
+def test_evaluate_bad_entry_in_a_worker_exits_2_as_with_one(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(evaluation, "usable_cpus", lambda: 2)
+    root = _corpus_dir(tmp_path, fingers=3, impressions=2)
+    # the last of six entries: loaded by the forked worker at --threads 2
+    (root / "3_2.txt").write_text("not a minutiae file\n")
+    errs = []
+    for threads in ("1", "2"):
+        assert main(["evaluate", str(root), "--out", str(tmp_path / "rep"),
+                     "--threads", threads]) == 2
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1]
+    assert errs[1].startswith("error:") and "3_2.txt" in errs[1]
+    assert len(errs[1].splitlines()) == 1
+
+
+def test_evaluate_fault_in_a_worker_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(evaluation, "usable_cpus", lambda: 2)
+    parent = os.getpid()
+    real = scoring.final_score
+    monkeypatch.setattr(scoring, "final_score",
+                        lambda score, avg: real(score, avg) if os.getpid() == parent
+                        else (1.0, 1.5))
+    root = _corpus_dir(tmp_path, fingers=3, impressions=2)
+    assert main(["evaluate", str(root), "--out", str(tmp_path / "rep"),
+                 "--mode", "all-pairs", "--threads", "2"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error:") and "final 1.5" in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["evaluate", "sweep"])
+def test_threads_below_one_exits_2(tmp_path, capsys, command):
+    root = _corpus_dir(tmp_path)
+    assert main([command, str(root), "--out", str(tmp_path / "rep"), "--r0", "10",
+                 "--threads", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: --threads must be at least 1, got 0\n"
+
+
+def test_import_loads_no_pool_module():
+    code = ("import sys, onionprint; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_env_with_src(), check=True, timeout=60)
+    assert done.stdout.strip() == "[]"
+
+
 def test_evaluate_manifest_missing_file_exits_2(tmp_path, capsys):
     root = _corpus_dir(tmp_path)
     manifest = tmp_path / "m.csv"
@@ -277,10 +325,15 @@ def test_mutually_exclusive_output_formats(tmp_path, capsys):
     capsys.readouterr()
 
 
-def _run_cli_with_memory_limit(*args):
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+def _env_with_src(**extra):
+    env = dict(os.environ, **extra)
     src = str(Path(onionprint.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def _run_cli_with_memory_limit(*args):
+    env = _env_with_src(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     code = _LIMITED_CLI.format(limit=MEMORY_LIMIT)
     return subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
                           capture_output=True, text=True, timeout=300)

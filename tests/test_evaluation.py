@@ -1,11 +1,13 @@
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from onionprint import evaluation
 from onionprint.config import MatchConfig
-from onionprint.errors import InvalidInputError
+from onionprint.errors import InvalidInputError, InvariantError
 from onionprint.evaluation import (
     GENUINE,
     IMPOSTOR,
@@ -14,6 +16,7 @@ from onionprint.evaluation import (
     EvalReport,
     ScoreRow,
     ScoreTable,
+    chunk_bounds,
     confusion_at,
     curves_csv_lines,
     evaluate,
@@ -357,3 +360,107 @@ def test_sweep_rejects_unknown_keys(tmp_path):
         sweep(ds, [{"volume": 11}])
     with pytest.raises(InvalidInputError):
         sweep(ds, [])
+
+
+# ---------------------------------------------------------------------------
+# worker processes
+# ---------------------------------------------------------------------------
+
+
+def test_chunk_bounds_caps_the_process_count():
+    # the count is min(threads, items, cpus); no process is started here
+    assert chunk_bounds([1] * 10, 100000, 2) == [(0, 5), (5, 10)]
+    assert chunk_bounds([1] * 3, 8, 64) == [(0, 1), (1, 2), (2, 3)]
+    assert chunk_bounds([1] * 5, 1, 64) == [(0, 5)]
+    assert chunk_bounds([1] * 5, 4, 1) == [(0, 5)]
+    assert chunk_bounds([7], 4, 4) == [(0, 1)]
+    assert chunk_bounds([], 4, 4) == [(0, 0)]
+
+
+def test_chunk_bounds_balances_cost_and_covers_in_order():
+    assert chunk_bounds([9, 1, 1, 1, 1, 1, 1, 1, 1, 1], 2, 2) == [(0, 1), (1, 10)]
+    assert chunk_bounds([1, 1, 1, 1, 1, 1, 1, 1, 1, 9], 2, 2) == [(0, 9), (9, 10)]
+    assert chunk_bounds([0, 0, 0, 0], 3, 3) == [(0, 1), (1, 4)]
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        costs = rng.integers(0, 100, size=int(rng.integers(1, 40))).tolist()
+        threads = int(rng.integers(1, 9))
+        bounds = chunk_bounds(costs, threads, 6)
+        assert 1 <= len(bounds) <= min(threads, len(costs), 6)
+        assert bounds[0][0] == 0 and bounds[-1][1] == len(costs)
+        assert all(lo < hi for lo, hi in bounds)
+        assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+
+
+@pytest.fixture
+def many_cpus(monkeypatch):
+    """Each worker count below is the number of processes run, on any machine."""
+    monkeypatch.setattr(evaluation, "usable_cpus", lambda: 64)
+
+
+def test_worker_error_reaches_the_caller_first_in_input_order(many_cpus):
+    def fail_late_odd(v):
+        if v % 2 and v > 2:
+            raise InvalidInputError(f"item {v}")
+        return v
+
+    # the calling process takes items 0-2 at two processes; items 3 and
+    # 5 fail in different workers at three, and each in its own at six
+    for threads in (1, 2, 3, 6):
+        with pytest.raises(InvalidInputError, match=r"^item 3$"):
+            evaluation._ordered_map(fail_late_odd, list(range(6)), threads)
+
+
+class _Unreadable:
+    def __reduce__(self):
+        return (_refuse, ())
+
+
+def _refuse():
+    raise ValueError("cannot rebuild")
+
+
+@pytest.mark.parametrize(
+    "child_does, expected",
+    [
+        (lambda: os._exit(7), r"worker process exited with 7 without a readable result"),
+        (lambda: os.kill(os.getpid(), 9), r"worker process was killed by signal 9"),
+        (lambda: _Unreadable(), r"exited with 0 without a readable result \(ValueError\)"),
+    ],
+    ids=["exits", "killed", "unreadable"],
+)
+def test_dead_or_unreadable_worker_is_an_invariant_error(many_cpus, child_does, expected):
+    parent = os.getpid()
+
+    def fn(v):
+        return v if os.getpid() == parent else child_does()
+
+    with pytest.raises(InvariantError, match=expected):
+        evaluation._ordered_map(fn, [0, 1, 2, 3], 2)
+
+
+def _report_bytes(out):
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("kind", ["minutiae", "images"])
+def test_outputs_byte_identical_at_every_worker_count(tmp_path, many_cpus, kind):
+    if kind == "minutiae":
+        ds = load_dataset(_corpus_dir(tmp_path))
+        cfg = MatchConfig()
+        grid = [{"r0": 10.0}, {"r0": 15.0, "sim": 0.1}]
+    else:
+        ds = load_dataset(_image_dataset_dir(tmp_path, fingers=2, impressions=2))
+        cfg = MatchConfig(border_margin=8.0)
+        grid = [{"rm": 2.0}, {"rm": 6.0}]  # rm reruns clean-up on staged detections
+    n_pairs = len(pair_protocol(ds, "all_pairs"))
+    outputs = {}
+    for threads in (1, 2, 3, n_pairs + 1):
+        out = tmp_path / f"threads_{threads}"
+        table, report = evaluate(ds, cfg, mode="all_pairs", threads=threads)
+        write_report_files(out / "evaluate", table, report)
+        sweep(ds, grid, cfg, mode="all_pairs", threads=threads, out_dir=out / "sweep")
+        outputs[threads] = (_report_bytes(out / "evaluate"), _report_bytes(out / "sweep"))
+    assert sorted(outputs[1][0]) == ["curves.csv", "scores.csv", "summary.txt"]
+    assert sorted(outputs[1][1]) == ["curves_000.csv", "curves_001.csv", "grid.csv"]
+    assert all(got == outputs[1] for got in outputs.values())

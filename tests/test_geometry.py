@@ -2,17 +2,18 @@ import numpy as np
 import pytest
 
 from onionprint.errors import InvalidInputError
-from onionprint.geometry import (
+from onionprint.geometry import convex_hull, convex_layers, layers_to_csv_rows
+from oracles import (
     BOUNDARY,
     INSIDE,
     OUTSIDE,
-    convex_hull,
-    convex_layers,
-    layers_to_csv_rows,
+    dedup_points,
+    hull_vertex_indices,
+    peel_layers_oracle,
     point_in_convex,
     polygon_signed_area,
+    ring_set,
 )
-from oracles import dedup_points, hull_vertex_indices, peel_layers_oracle, ring_set
 
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 

@@ -7,17 +7,18 @@ from onionprint import kernels
 from onionprint.errors import InvalidInputError
 from onionprint.turning import (
     TurningFunction,
-    distance_at_shift,
     turning_distance,
     turning_function,
     turning_to_csv_rows,
 )
 from oracles import (
+    distance_at_shift,
     grid_min_distance,
     min_turning_distance_scan,
     overlap_shift_distance,
     random_convex_polygon,
     riemann_shift_distance,
+    turning_value,
 )
 
 SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
@@ -68,7 +69,8 @@ def test_total_turn_of_random_convex_polygons():
 def test_cyclic_extension():
     f = turning_function(SQUARE)
     for s in (0.0, 0.1, 0.25, 0.6, 0.99):
-        assert f.value(s + 1.0) == pytest.approx(f.value(s) + 2 * math.pi, abs=1e-12)
+        assert turning_value(f, s + 1.0) == pytest.approx(turning_value(f, s) + 2 * math.pi,
+                                                          abs=1e-12)
 
 
 def test_rejects_bad_polygons():
