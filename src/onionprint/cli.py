@@ -40,8 +40,9 @@ def _add_eval_flags(parser):
     parser.add_argument("--exclude-gated", action="store_true",
                         help="drop gated pairs from rate computations")
     parser.add_argument("--threads", type=int, default=1, metavar="N",
-                        help="worker processes (fork) for loading and pair scoring, "
-                             "capped at the usable CPUs; results stay in input order")
+                        help="worker processes (fork) for image loading and pair "
+                             "scoring, capped at the usable CPUs; results stay in "
+                             "input order")
     parser.add_argument("--out", required=True, metavar="DIR",
                         help="directory for the report files")
 

@@ -6,14 +6,15 @@ images or pre-extracted minutiae files; the two are told apart by
 content. All pair orderings and reductions are deterministic, so a run
 produces byte-identical outputs at any worker count.
 
-With `threads` above 1, loading and pair scoring run in worker
+With `threads` above 1, image loading and pair scoring run in worker
 processes made by fork, so they inherit the loaded sets and the scoring
 closures instead of receiving them pickled. The items are cut into
 contiguous chunks of near-equal estimated cost, one per process; the
-calling process scores the first chunk and forked children the rest.
-The processes are capped at the usable CPUs, and results come back in
-input order, so the first error in input order is the one raised, as
-with one worker.
+calling process takes the first chunk and forked children the rest.
+Minutiae files are read in the calling process: parsing one takes less
+than starting a process. The processes are capped at the usable CPUs,
+and results come back in input order, so the first error in input
+order is the one raised, as with one worker.
 """
 
 import csv
@@ -255,27 +256,26 @@ def chunk_bounds(costs, threads, cpus):
 
     There are at most min(threads, len(costs), cpus) ranges, none empty,
     covering the items in order. Each cut falls after the item whose
-    running cost first reaches the next equal share of the total.
+    running cost first reaches the next equal share of the total. Work
+    of zero estimated cost is not worth a process, so it is one range.
     """
     n = len(costs)
     workers = min(threads, n, cpus)
-    if workers <= 1:
-        return [(0, n)]
     cum = np.cumsum(costs, dtype=float)
+    if workers <= 1 or cum[-1] <= 0:
+        return [(0, n)]
     cuts = np.searchsorted(cum, cum[-1] * np.arange(1, workers) / workers) + 1
     edges = [0, *np.unique(np.clip(cuts, 1, n - 1)).tolist(), n]
     return list(zip(edges[:-1], edges[1:]))
 
 
-def _ordered_map(fn, items, threads, cost=None):
+def _ordered_map(fn, items, threads, cost):
     """[fn(item) for item in items], spread over up to `threads` processes.
 
-    `cost(item)` estimates an item's share of the work; by default all
-    items cost the same.
+    `cost(item)` estimates an item's share of the work.
     """
     if threads > 1:
-        costs = [1] * len(items) if cost is None else [cost(item) for item in items]
-        bounds = chunk_bounds(costs, threads, usable_cpus())
+        bounds = chunk_bounds([cost(item) for item in items], threads, usable_cpus())
         if len(bounds) > 1:
             return _forked_map(fn, items, bounds)
     return [fn(item) for item in items]
@@ -286,8 +286,15 @@ def _forked_map(fn, items, bounds):
     pending = []  # (pid, reader) of children not yet reaped, in chunk order
     try:
         for lo, hi in bounds[1:]:
-            r, w = os.pipe()
-            pid = os.fork()
+            fds = ()
+            try:
+                fds = os.pipe()
+                pid = os.fork()
+            except OSError as exc:  # e.g. a process or file limit
+                for fd in fds:
+                    os.close(fd)
+                raise InvariantError(f"cannot start a worker process: {exc}") from None
+            r, w = fds
             if pid == 0:
                 os.close(r)
                 _run_chunk(fn, items[lo:hi], w)
@@ -313,11 +320,9 @@ def _forked_map(fn, items, bounds):
                 raise value
             results.extend(value)
         return results
-    finally:
-        if pending:  # an error cut the run short; signal takes a millisecond to import
-            import signal
+    finally:  # an error cut the run short: stop the children still running
         for pid, reader in pending:
-            os.kill(pid, signal.SIGKILL)
+            os.kill(pid, 9)  # SIGKILL
             os.waitpid(pid, 0)
             reader.close()
 
@@ -346,6 +351,15 @@ def _unique_entries(pairs):
     return list(unique.values())
 
 
+def _load_cost(entry):
+    """Extracting an image is worth a process, reading a minutiae file is not.
+
+    The estimate goes by the file name; the content still decides how an
+    entry is read.
+    """
+    return float(entry.path.lower().endswith(".pgm"))
+
+
 def score_pairs(pairs, cfg=None, threads=1, sets=None) -> ScoreTable:
     """Score labeled entry pairs; each entry is loaded and extracted once.
 
@@ -356,7 +370,7 @@ def score_pairs(pairs, cfg=None, threads=1, sets=None) -> ScoreTable:
     if sets is None:
         unique = _unique_entries(pairs)
         loaded = _ordered_map(
-            lambda e: load_fingerprint(e.path, cfg, source=e.label), unique, threads
+            lambda e: load_fingerprint(e.path, cfg, source=e.label), unique, threads, _load_cost
         )
         sets = {e.path: ms for e, ms in zip(unique, loaded)}
 
@@ -365,8 +379,13 @@ def score_pairs(pairs, cfg=None, threads=1, sets=None) -> ScoreTable:
         bd = match_pair(sets[a.path], sets[b.path], cfg, ida=a.label, idb=b.label)
         return ScoreRow(label, bd)
 
-    def cost(pair):  # alignment, most of a pair's time, bounds all m * n hypotheses
-        return len(sets[pair[0].path]) * len(sets[pair[1].path])
+    def cost(pair):
+        # alignment, most of a pair's time, bounds all m * n hypotheses; the
+        # time grows about as m * n for sets of tens of minutiae but as
+        # (m * n) ** 1.7 for hundreds, so m * n alone would leave one
+        # process with the few large pairs
+        m, n = len(sets[pair[0].path]), len(sets[pair[1].path])
+        return m * n * (m + n)
 
     return ScoreTable(tuple(_ordered_map(one, pairs, threads, cost)))
 
@@ -545,9 +564,10 @@ def sweep(ds: Dataset, grid, base_cfg=None, mode=MODE_FVC, threads=1,
         return load_fingerprint(entry.path, base_cfg, source=entry.label)
 
     try:
-        staged = dict(zip((e.path for e in unique), _ordered_map(stage, unique, threads)))
+        staged = _ordered_map(stage, unique, threads, _load_cost)
     except OSError as exc:
         raise InvalidInputError(str(exc)) from None
+    staged = dict(zip((e.path for e in unique), staged))
 
     results = []
     for idx, overrides in enumerate(grid):

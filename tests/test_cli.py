@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line front end."""
 
+import errno
 import json
 import os
 import subprocess
@@ -215,15 +216,17 @@ def test_evaluate_threads_do_not_change_output(tmp_path, capsys):
 def test_evaluate_bad_entry_in_a_worker_exits_2_as_with_one(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(evaluation, "usable_cpus", lambda: 2)
     root = _corpus_dir(tmp_path, fingers=3, impressions=2)
-    # the last of six entries: loaded by the forked worker at --threads 2
-    (root / "3_2.txt").write_text("not a minutiae file\n")
+    # the last of six entries and the only one named as an image, so the
+    # only one worth a process: the forked worker loads it at --threads 2
+    (root / "3_2.txt").unlink()
+    (root / "3_2.pgm").write_text("not a minutiae file\n")
     errs = []
     for threads in ("1", "2"):
         assert main(["evaluate", str(root), "--out", str(tmp_path / "rep"),
                      "--threads", threads]) == 2
         errs.append(capsys.readouterr().err)
     assert errs[0] == errs[1]
-    assert errs[1].startswith("error:") and "3_2.txt" in errs[1]
+    assert errs[1].startswith("error:") and "3_2.pgm" in errs[1]
     assert len(errs[1].splitlines()) == 1
 
 
@@ -240,6 +243,20 @@ def test_evaluate_fault_in_a_worker_exits_3(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("internal error:") and "final 1.5" in err
     assert len(err.splitlines()) == 1
+
+
+def test_evaluate_worker_that_cannot_start_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(evaluation, "usable_cpus", lambda: 2)
+
+    def fork():
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", fork)
+    root = _corpus_dir(tmp_path, fingers=3, impressions=2)
+    assert main(["evaluate", str(root), "--out", str(tmp_path / "rep"),
+                 "--mode", "all-pairs", "--threads", "2"]) == 3
+    assert capsys.readouterr().err == ("internal error: cannot start a worker process: "
+                                       "[Errno 11] Resource temporarily unavailable\n")
 
 
 @pytest.mark.parametrize("command", ["evaluate", "sweep"])

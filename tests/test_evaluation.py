@@ -1,3 +1,4 @@
+import errno
 import math
 import os
 from dataclasses import replace
@@ -380,7 +381,8 @@ def test_chunk_bounds_caps_the_process_count():
 def test_chunk_bounds_balances_cost_and_covers_in_order():
     assert chunk_bounds([9, 1, 1, 1, 1, 1, 1, 1, 1, 1], 2, 2) == [(0, 1), (1, 10)]
     assert chunk_bounds([1, 1, 1, 1, 1, 1, 1, 1, 1, 9], 2, 2) == [(0, 9), (9, 10)]
-    assert chunk_bounds([0, 0, 0, 0], 3, 3) == [(0, 1), (1, 4)]
+    assert chunk_bounds([0, 0, 0, 1], 2, 2) == [(0, 3), (3, 4)]
+    assert chunk_bounds([0, 0, 0, 0], 3, 3) == [(0, 4)]  # no work worth a process
     rng = np.random.default_rng(5)
     for _ in range(50):
         costs = rng.integers(0, 100, size=int(rng.integers(1, 40))).tolist()
@@ -390,6 +392,10 @@ def test_chunk_bounds_balances_cost_and_covers_in_order():
         assert bounds[0][0] == 0 and bounds[-1][1] == len(costs)
         assert all(lo < hi for lo, hi in bounds)
         assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+
+
+def _equal(item):
+    return 1
 
 
 @pytest.fixture
@@ -408,7 +414,7 @@ def test_worker_error_reaches_the_caller_first_in_input_order(many_cpus):
     # 5 fail in different workers at three, and each in its own at six
     for threads in (1, 2, 3, 6):
         with pytest.raises(InvalidInputError, match=r"^item 3$"):
-            evaluation._ordered_map(fail_late_odd, list(range(6)), threads)
+            evaluation._ordered_map(fail_late_odd, list(range(6)), threads, _equal)
 
 
 class _Unreadable:
@@ -436,7 +442,52 @@ def test_dead_or_unreadable_worker_is_an_invariant_error(many_cpus, child_does, 
         return v if os.getpid() == parent else child_does()
 
     with pytest.raises(InvariantError, match=expected):
-        evaluation._ordered_map(fn, [0, 1, 2, 3], 2)
+        evaluation._ordered_map(fn, [0, 1, 2, 3], 2, _equal)
+
+
+def test_worker_that_cannot_start_is_an_invariant_error(many_cpus, monkeypatch):
+    real_fork, real_pipe = os.fork, os.pipe
+    children, fds = [], []
+
+    def pipe():
+        fds.extend(real_pipe())
+        return fds[-2], fds[-1]
+
+    def fork():  # the first child starts, the second cannot
+        if children:
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+        children.append(real_fork())
+        return children[-1]
+
+    monkeypatch.setattr(os, "pipe", pipe)
+    monkeypatch.setattr(os, "fork", fork)
+    with pytest.raises(InvariantError,
+                       match=r"^cannot start a worker process: \[Errno 11\] Resource"):
+        evaluation._ordered_map(lambda v: v, list(range(6)), 3, _equal)
+    assert len(fds) == 4
+    for fd in fds:  # both pipes are closed
+        with pytest.raises(OSError):
+            os.fstat(fd)
+    with pytest.raises(ChildProcessError):  # and the child that started is reaped
+        os.waitpid(children[0], os.WNOHANG)
+
+
+@pytest.mark.parametrize("kind, forked", [("minutiae", ["pairs"]),
+                                           ("images", ["entries", "pairs"])],
+                         ids=["minutiae", "images"])
+def test_only_images_are_loaded_in_worker_processes(tmp_path, monkeypatch, many_cpus,
+                                                    kind, forked):
+    # parsing a minutiae file takes less time than starting a process
+    root = _corpus_dir(tmp_path) if kind == "minutiae" else _image_dataset_dir(tmp_path)
+    real, seen = evaluation._forked_map, []
+
+    def spy(fn, items, bounds):
+        seen.append("entries" if isinstance(items[0], DatasetEntry) else "pairs")
+        return real(fn, items, bounds)
+
+    monkeypatch.setattr(evaluation, "_forked_map", spy)
+    evaluate(load_dataset(root), MatchConfig(border_margin=8.0), mode="all_pairs", threads=2)
+    assert seen == forked
 
 
 def _report_bytes(out):
