@@ -75,14 +75,9 @@ def merge_workload(detected, sk):
 def alignment_workload(seed=3):
     rng = np.random.default_rng(seed)
     finger = synth.synthetic_finger(rng, n_min=50, n_max=50)
-    other = synth.jittered_impression(rng, finger)
-    cols = []
-    for ms in (MinutiaSet.from_iterable(finger), other):
-        pos = ms.positions()
-        cols.append((pos[:, 0].copy(), pos[:, 1].copy(), ms.thetas(),
-                     ms.kind_codes()))
-    (xi, yi, ti, ki), (xj, yj, tj, kj) = cols
-    return (xi, yi, ti, xj, yj, tj, ki, kj, False, 15.0, 10.0)
+    a = MinutiaSet.from_iterable(finger)
+    b = synth.jittered_impression(rng, finger)
+    return (a.x, a.y, a.theta, b.x, b.y, b.theta, 15.0, 10.0)
 
 
 def turning_workload(seed=4, nv=25):

@@ -28,16 +28,11 @@ DEFAULT_THETA0 = 10.0
 
 @dataclass(frozen=True)
 class Transform:
-    """Similarity map: scale, rotate counterclockwise, then translate."""
+    """Rigid map: rotate counterclockwise by dtheta degrees, then translate."""
 
-    s: float = 1.0
     dtheta: float = 0.0
     dx: float = 0.0
     dy: float = 0.0
-
-    def __post_init__(self):
-        if not (self.s > 0):
-            raise InvalidInputError(f"scale must be positive, got {self.s}")
 
 
 IDENTITY = Transform()
@@ -58,33 +53,12 @@ def _rotation(dtheta):
     return math.cos(rad), math.sin(rad)
 
 
-def apply_transform(tr: Transform, mu: Minutia) -> Minutia:
-    cosv, sinv = _rotation(tr.dtheta)
-    return Minutia(
-        x=tr.s * (cosv * mu.x - sinv * mu.y) + tr.dx,
-        y=tr.s * (sinv * mu.x + cosv * mu.y) + tr.dy,
-        theta=(mu.theta + tr.dtheta) % 360.0,
-        kind=mu.kind,
-    )
-
-
-def spatial_distance(a: Minutia, b: Minutia) -> float:
-    return math.hypot(a.x - b.x, a.y - b.y)
-
-
-def angular_difference(a: Minutia, b: Minutia) -> float:
-    """Circular distance between orientations, in [0, 180]."""
-    d = abs(a.theta - b.theta)
-    return min(d, 360.0 - d)
-
-
 def _hypothesis(mi: Minutia, mj: Minutia) -> Transform:
     # identical float expressions to the search kernels, so the rebuilt
     # winner is bit-for-bit the transform the search evaluated
     dth = (mj.theta - mi.theta) % 360.0
     cosv, sinv = _rotation(dth)
     return Transform(
-        s=1.0,
         dtheta=dth,
         dx=mj.x - (cosv * mi.x - sinv * mi.y),
         dy=mj.y - (sinv * mi.x + cosv * mi.y),
@@ -102,7 +76,6 @@ def match_minutiae(
     tpl: MinutiaSet,
     r0=DEFAULT_R0,
     theta0=DEFAULT_THETA0,
-    strict_kind=False,
 ) -> MatchResult:
     """Best alignment over all pairwise hypotheses, greedily verified.
 
@@ -118,20 +91,8 @@ def match_minutiae(
     m, n = len(inp), len(tpl)
     if m == 0 or n == 0:
         return MatchResult(IDENTITY, (), 0, m, n, 0.0)
-    pi = inp.positions()
-    pt = tpl.positions()
     a, b, out_i, out_j, _ = kernels.best_alignment(
-        pi[:, 0].copy(),
-        pi[:, 1].copy(),
-        inp.thetas(),
-        pt[:, 0].copy(),
-        pt[:, 1].copy(),
-        tpl.thetas(),
-        inp.kind_codes(),
-        tpl.kind_codes(),
-        strict_kind,
-        float(r0),
-        float(theta0),
+        inp.x, inp.y, inp.theta, tpl.x, tpl.y, tpl.theta, float(r0), float(theta0)
     )
     tr = _hypothesis(inp[a], tpl[b])
     pairs = tuple((int(i), int(j)) for i, j in zip(out_i, out_j))
@@ -143,21 +104,3 @@ def matched_subsets(result: MatchResult, inp: MinutiaSet, tpl: MinutiaSet):
     left = inp.positions()[[i for i, _ in result.pairs]]
     right = tpl.positions()[[j for _, j in result.pairs]]
     return left, right
-
-
-def match_to_csv_rows(result: MatchResult, inp: MinutiaSet, tpl: MinutiaSet):
-    """One `i,j,xi,yi,xj,yj,sd,dd` row per matched pair.
-
-    Coordinates are the untransformed originals; sd and dd are measured
-    under the selected transform, the quantities the pairing used.
-    """
-    rows = ["i,j,xi,yi,xj,yj,sd,dd"]
-    for i, j in result.pairs:
-        a = inp[i]
-        b = tpl[j]
-        ta = apply_transform(result.transform, a)
-        rows.append(
-            f"{i},{j},{float(a.x)!r},{float(a.y)!r},{float(b.x)!r},{float(b.y)!r},"
-            f"{float(spatial_distance(ta, b))!r},{float(angular_difference(ta, b))!r}"
-        )
-    return rows

@@ -19,7 +19,6 @@ class MatchConfig:
     theta0: float = 10.0
     sim: float = 0.15
     diff: float = 2.0
-    p: int = 2
     border_margin: float = 12.0
     binarize: str = "otsu"
     fixed_threshold: int = 128
@@ -34,8 +33,6 @@ class MatchConfig:
             raise InvalidInputError(f"config: sim must lie in [0, 1], got {self.sim}")
         if self.theta0 > 180:
             raise InvalidInputError(f"config: theta0 must lie in [0, 180], got {self.theta0}")
-        if self.p != 2:
-            raise InvalidInputError("config: only the p = 2 norm is supported")
         if self.binarize not in ("otsu", "fixed"):
             raise InvalidInputError(f"config: unknown binarize method {self.binarize!r}")
         if not 0 <= self.fixed_threshold <= 256:
@@ -64,7 +61,6 @@ _PARSERS = {
     "theta0": _parse_float,
     "sim": _parse_float,
     "diff": _parse_float,
-    "p": int,
     "border_margin": _parse_float,
     "binarize": str,
     "fixed_threshold": int,
@@ -78,7 +74,7 @@ def load_config_file(path) -> dict:
     """Parse `key = value` lines; '#' starts a comment."""
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidInputError(f"cannot read config {path}: {exc}") from exc
     values = {}
     for ln, raw in enumerate(text.splitlines(), start=1):

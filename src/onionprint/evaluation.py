@@ -110,10 +110,6 @@ class EvalReport:
     best_f_threshold: float
 
     @property
-    def thresholds(self):
-        return tuple(r.threshold for r in self.rows)
-
-    @property
     def fmr(self):
         return tuple(r.fmr for r in self.rows)
 
@@ -152,24 +148,28 @@ def _dataset_from_dir(root: Path) -> Dataset:
 def _dataset_from_manifest(manifest: Path) -> Dataset:
     entries = []
     base = manifest.parent
-    with open(manifest, newline="") as fh:
-        for lineno, rec in enumerate(csv.reader(fh), start=1):
-            if not rec or (lineno == 1 and rec[0].strip() == "finger_id"):
-                continue
-            if len(rec) != 3:
-                raise InvalidInputError(
-                    f"{manifest}:{lineno}: expected finger_id,impression_id,path"
-                )
-            try:
-                finger, impression = int(rec[0]), int(rec[1])
-            except ValueError:
-                raise InvalidInputError(f"{manifest}:{lineno}: non-numeric ids") from None
-            path = Path(rec[2].strip())
-            if not path.is_absolute():
-                path = base / path
-            if not path.is_file():
-                raise InvalidInputError(f"{manifest}:{lineno}: no such file {path}")
-            entries.append(DatasetEntry(finger, impression, str(path)))
+    try:
+        with open(manifest, newline="") as fh:
+            records = list(csv.reader(fh))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise InvalidInputError(f"cannot read manifest {manifest}: {exc}") from None
+    for lineno, rec in enumerate(records, start=1):
+        if not rec or (lineno == 1 and rec[0].strip() == "finger_id"):
+            continue
+        if len(rec) != 3:
+            raise InvalidInputError(
+                f"{manifest}:{lineno}: expected finger_id,impression_id,path"
+            )
+        try:
+            finger, impression = int(rec[0]), int(rec[1])
+        except ValueError:
+            raise InvalidInputError(f"{manifest}:{lineno}: non-numeric ids") from None
+        path = Path(rec[2].strip())
+        if not path.is_absolute():
+            path = base / path
+        if not path.is_file():
+            raise InvalidInputError(f"{manifest}:{lineno}: no such file {path}")
+        entries.append(DatasetEntry(finger, impression, str(path)))
     return _validated(entries, str(manifest))
 
 

@@ -114,12 +114,3 @@ def convex_layers(points) -> ConvexLayers:
         remaining = remaining[keep]
         depth += 1
     return ConvexLayers(layers=tuple(layers))
-
-
-def layers_to_csv_rows(layers: ConvexLayers) -> list[str]:
-    """Debug dump: one 'depth,x,y' row per ring vertex."""
-    rows = []
-    for lay in layers:
-        for x, y in lay.ring:
-            rows.append(f"{lay.depth},{float(x)!r},{float(y)!r}")
-    return rows

@@ -112,7 +112,7 @@ BOUND_EPS = 1e-6
 PASS_BYTES = 1 << 18
 
 
-def _verify(xi, yi, ti, xj, yj, tj, ki, kj, strict, r2, theta0, a, b):
+def _verify(xi, yi, ti, xj, yj, tj, r2, theta0, a, b):
     """Greedy pairing under hypothesis (a, b): (k, ssum, pairs_i, pairs_j)."""
     m = xi.shape[0]
     n = xj.shape[0]
@@ -127,8 +127,6 @@ def _verify(xi, yi, ti, xj, yj, tj, ki, kj, strict, r2, theta0, a, b):
     diff = np.abs((ti[:, None] + dth) % 360.0 - tj[None, :])
     diff = np.minimum(diff, 360.0 - diff)
     ok = (d2 <= r2) & (diff <= theta0)
-    if strict:
-        ok &= ki[:, None] == kj[None, :]
     ii, jj = np.nonzero(ok)  # row-major: i-major, j-minor
     sd = np.sqrt(d2[ii, jj])
     order = np.argsort(sd, kind="stable")
@@ -244,12 +242,12 @@ def _alignment_bounds(xi, yi, ti, xj, yj, tj, r0, theta0):
     return bound
 
 
-def best_alignment(xi, yi, ti, xj, yj, tj, ki, kj, strict, r0, theta0):
+def best_alignment(xi, yi, ti, xj, yj, tj, r0, theta0):
     """Winning hypothesis and its pairing: (a, b, pairs_i, pairs_j, ssum).
 
     Same result as verifying all m * n hypotheses, from only those whose
-    bound can still reach the best count. `strict` only removes
-    candidates, so the bound ignores it. Empty sets give (0, 0, [], [], 0).
+    bound can still reach the best count. Minutia kind plays no part.
+    Empty sets give (0, 0, [], [], 0).
     """
     m = xi.shape[0]
     n = xj.shape[0]
@@ -263,7 +261,7 @@ def best_alignment(xi, yi, ti, xj, yj, tj, ki, kj, strict, r0, theta0):
     level = int(bound.max())
     while best is None or level >= best[0]:
         for h in np.flatnonzero(bound == level).tolist():
-            k, ssum, pi, pj = _verify(xi, yi, ti, xj, yj, tj, ki, kj, strict, r2, theta0, *divmod(h, n))
+            k, ssum, pi, pj = _verify(xi, yi, ti, xj, yj, tj, r2, theta0, *divmod(h, n))
             # a later level can hold an earlier (a, b), so that rule is explicit
             if best is None or k > best[0] or (k == best[0] and (ssum < best[1] or (ssum == best[1] and h < best[2]))):
                 best = (k, ssum, h, pi, pj)

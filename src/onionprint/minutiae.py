@@ -36,10 +36,6 @@ class Minutia:
         if not (0.0 <= self.theta < 360.0):
             raise InvalidInputError(f"minutia angle {self.theta} outside [0, 360)")
 
-    @property
-    def sort_key(self):
-        return (self.y, self.x, self.kind.value)
-
 
 def _read_only(arr):
     arr.flags.writeable = False
@@ -107,13 +103,6 @@ class MinutiaSet:
         """(n, 2) float array of x, y."""
         return np.column_stack((self.x, self.y))
 
-    def thetas(self):
-        return self.theta
-
-    def kind_codes(self):
-        """int8 codes for the kernels: 0 = ending, 1 = bifurcation."""
-        return self.bif.astype(np.int8)
-
 
 def format_minutiae(mset) -> str:
     lines = [FILE_HEADER]
@@ -153,6 +142,6 @@ def parse_minutiae(text, source=None) -> MinutiaSet:
 def read_minutiae(path) -> MinutiaSet:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidInputError(f"cannot read {path}: {exc}") from exc
     return parse_minutiae(text, source=str(path))

@@ -54,7 +54,7 @@ class ScoreBreakdown:
         return len(self.layer_dists)
 
 
-def layer_distances(layers_input, layers_template, p=2):
+def layer_distances(layers_input, layers_template):
     """Turning distances of peer rings of two peelings, innermost pair first.
 
     Rings with fewer than 3 vertices have no turning function and are
@@ -66,7 +66,7 @@ def layer_distances(layers_input, layers_template, p=2):
     for ra, rb in zip(reversed(rings_a), reversed(rings_b)):
         fa = turning.turning_function(ra)
         fb = turning.turning_function(rb)
-        out.append(turning.turning_distance(fa, fb, p).distance)
+        out.append(turning.turning_distance(fa, fb).distance)
     return out
 
 
@@ -121,7 +121,7 @@ def match_pair(a, b, cfg=None, ida=None, idb=None) -> ScoreBreakdown:
             ida, idb, res.k, res.m, res.n, res.score, la, lb, (), None, None, 0.0, gate
         ))
 
-    dists = tuple(layer_distances(layers_a, layers_b, cfg.p))
+    dists = tuple(layer_distances(layers_a, layers_b))
     avg = average_distance(dists)
     alpha, final = final_score(res.score, avg)
     return _checked(ScoreBreakdown(

@@ -79,14 +79,7 @@ def turning_function(poly):
     return TurningFunction(breaks=breaks, angles=angles, perimeter=perimeter)
 
 
-def turning_distance(f, g, p=2):
-    """Distance minimized over rotation and starting-point shift."""
-    if p != 2:
-        raise InvalidInputError("only the p=2 norm is supported")
+def turning_distance(f, g):
+    """L2 distance minimized over rotation and starting-point shift."""
     d, t, theta = kernels.min_turning_distance(f.breaks, f.angles, g.breaks, g.angles)
     return TurningDistanceResult(distance=float(d), best_shift=float(t), best_rotation=float(theta))
-
-
-def turning_to_csv_rows(f):
-    """Debug dump, one `s,angle_radians` row per breakpoint."""
-    return [f"{s:.9f},{a:.9f}" for s, a in zip(f.breaks, f.angles)]

@@ -7,7 +7,7 @@ over all n^2 pairs, thinning and ridge tracing pixel by pixel, the
 turning-distance scan shift by shift. It also holds the helpers that
 only tests call: point classification against a convex ring, the
 turning function's value and its distance at one shift, and the
-candidate, inverse and tolerance helpers of alignment.
+transform, candidate, inverse and tolerance helpers of alignment.
 Only the data types of `onionprint.minutiae` and the error types are
 imported at module level; `extract_eager` and the alignment helpers
 reuse the library code they do not check.
@@ -202,12 +202,10 @@ class ShiftDistance:
     rotation: float
 
 
-def distance_at_shift(f, g, t, p=2):
-    """Distance between f shifted by t and g, minimized over rotation only."""
+def distance_at_shift(f, g, t):
+    """L2 distance between f shifted by t and g, minimized over rotation only."""
     from onionprint.kernels import SNAP_EPS
 
-    if p != 2:
-        raise InvalidInputError("only the p=2 norm is supported")
     t = float(t) % 1.0
     fs, fa = f.breaks, f.angles
     gs, ga = g.breaks, g.angles
@@ -525,25 +523,43 @@ def orientation_scalar(sk, p, bif):
     return bifurcation_direction_scalar(branch_angles)
 
 
+def apply_transform(tr, mu):
+    """The minutia mu moved by tr: rotated about the origin, then translated."""
+    rad = tr.dtheta * math.pi / 180.0
+    cosv, sinv = math.cos(rad), math.sin(rad)
+    return Minutia(
+        x=cosv * mu.x - sinv * mu.y + tr.dx,
+        y=sinv * mu.x + cosv * mu.y + tr.dy,
+        theta=(mu.theta + tr.dtheta) % 360.0,
+        kind=mu.kind,
+    )
+
+
 def invert_transform(tr):
     """The transform undoing tr."""
     from onionprint.alignment import Transform
 
     rad = -tr.dtheta * math.pi / 180.0
     cosv, sinv = math.cos(rad), math.sin(rad)
-    inv_s = 1.0 / tr.s
     return Transform(
-        s=inv_s,
         dtheta=(-tr.dtheta) % 360.0,
-        dx=-inv_s * (cosv * tr.dx - sinv * tr.dy),
-        dy=-inv_s * (sinv * tr.dx + cosv * tr.dy),
+        dx=-(cosv * tr.dx - sinv * tr.dy),
+        dy=-(sinv * tr.dx + cosv * tr.dy),
     )
+
+
+def spatial_distance(a, b):
+    return math.hypot(a.x - b.x, a.y - b.y)
+
+
+def angular_difference(a, b):
+    """Circular distance between orientations, in [0, 180]."""
+    d = abs(a.theta - b.theta)
+    return min(d, 360.0 - d)
 
 
 def within_tolerance(a, b, r0=15.0, theta0=10.0):
     """Both bounds inclusive; minutia kind is not compared."""
-    from onionprint.alignment import angular_difference, spatial_distance
-
     return spatial_distance(a, b) <= r0 and angular_difference(a, b) <= theta0
 
 
@@ -606,7 +622,7 @@ def merge_groups_unionfind(points, rm):
     return frozenset(frozenset(g) for g in groups.values())
 
 
-def best_alignment_exhaustive(xi, yi, ti, xj, yj, tj, ki, kj, strict, r0, theta0):
+def best_alignment_exhaustive(xi, yi, ti, xj, yj, tj, r0, theta0):
     """Verify every (a, b) hypothesis in (a, b) order; the reference search.
 
     Same arguments and result as `kernels.best_alignment`: the winner
@@ -631,8 +647,6 @@ def best_alignment_exhaustive(xi, yi, ti, xj, yj, tj, ki, kj, strict, r0, theta0
         diff = np.abs((ti[:, None] + dth) % 360.0 - tj[None, :])
         diff = np.minimum(diff, 360.0 - diff)
         ok = (d2 <= r2) & (diff <= theta0)
-        if strict:
-            ok &= ki[:, None] == kj[None, :]
         ii, jj = np.nonzero(ok)  # row-major: i-major, j-minor
         sd = np.sqrt(d2[ii, jj])
         order = np.argsort(sd, kind="stable")
@@ -697,7 +711,7 @@ def merge_close_dense(ms, rm):
                 Minutia(x=float(centroid[0]), y=float(centroid[1]), theta=cur[rep_idx].theta, kind=kind)
             )
         cur = merged
-    return sorted(cur, key=lambda m: m.sort_key)
+    return sorted(cur, key=lambda m: (m.y, m.x, m.kind.value))
 
 
 def _components(adj):

@@ -8,9 +8,7 @@ from onionprint import kernels
 from onionprint.alignment import (
     MatchResult,
     Transform,
-    apply_transform,
     match_minutiae,
-    match_to_csv_rows,
     matched_subsets,
     minutiae_score,
 )
@@ -18,6 +16,7 @@ from onionprint.errors import InvalidInputError
 from onionprint.minutiae import Minutia, MinutiaKind, MinutiaSet
 from onionprint.synth import synthetic_corpus
 from oracles import (
+    apply_transform,
     best_alignment_exhaustive,
     candidate_transforms,
     invert_transform,
@@ -50,7 +49,7 @@ def test_identity_transform_is_noop():
 
 
 def test_quarter_turn():
-    out = apply_transform(Transform(1.0, 90.0, 0.0, 0.0), _mu(1.0, 0.0, 10.0))
+    out = apply_transform(Transform(90.0, 0.0, 0.0), _mu(1.0, 0.0, 10.0))
     assert abs(out.x - 0.0) < 1e-12
     assert abs(out.y - 1.0) < 1e-12
     assert out.theta == 100.0
@@ -60,7 +59,6 @@ def test_transform_then_inverse_round_trips():
     rng = np.random.default_rng(101)
     for _ in range(20):
         tr = Transform(
-            s=float(rng.uniform(0.5, 2.0)),
             dtheta=float(rng.uniform(0, 360)),
             dx=float(rng.uniform(-50, 50)),
             dy=float(rng.uniform(-50, 50)),
@@ -70,11 +68,6 @@ def test_transform_then_inverse_round_trips():
         assert abs(back.x - mu.x) < 1e-9
         assert abs(back.y - mu.y) < 1e-9
         assert min(abs(back.theta - mu.theta), 360 - abs(back.theta - mu.theta)) < 1e-9
-
-
-def test_transform_rejects_nonpositive_scale():
-    with pytest.raises(InvalidInputError):
-        Transform(s=0.0)
 
 
 def test_tolerance_wraparound_angle():
@@ -107,7 +100,7 @@ def test_candidates_include_identity_for_equal_sets():
 
 def test_candidates_include_pure_translation():
     ms = _random_set(np.random.default_rng(103), 5)
-    moved = _transform_set(Transform(1.0, 0.0, 10.0, 5.0), ms)
+    moved = _transform_set(Transform(0.0, 10.0, 5.0), ms)
     cands = candidate_transforms(ms, moved)
     assert any(
         c.dtheta == 0.0 and abs(c.dx - 10.0) < 1e-9 and abs(c.dy - 5.0) < 1e-9
@@ -117,7 +110,7 @@ def test_candidates_include_pure_translation():
 
 def test_candidates_rotation_maps_sets_exactly():
     ms = _random_set(np.random.default_rng(104), 7)
-    tr = Transform(1.0, 30.0, 0.0, 0.0)
+    tr = Transform(30.0, 0.0, 0.0)
     rotated = _transform_set(tr, ms)
     targets = {(round(m.x, 6), round(m.y, 6)) for m in rotated}
     hit = False
@@ -135,6 +128,10 @@ def test_self_match_is_perfect():
     assert res.k == 10
     assert res.score == 1.0
     assert sorted(res.pairs) == [(i, i) for i in range(10)]
+    # under the winning transform every matched pair coincides
+    assert all(within_tolerance(apply_transform(res.transform, ms[i]), ms[j], 1e-9, 1e-9) for i, j in res.pairs)
+    left, right = matched_subsets(res, ms, ms)
+    assert left.shape == (10, 2) and np.array_equal(left, right)
 
 
 def test_empty_sets():
@@ -157,7 +154,7 @@ def test_rotated_translated_with_deletions():
     # optimal-assignment count
     rng = np.random.default_rng(107)
     ms = _random_set(rng, 20)
-    tr = Transform(1.0, 25.0, 8.0, -12.0)
+    tr = Transform(25.0, 8.0, -12.0)
     kept = [m for idx, m in enumerate(ms) if idx not in {2, 5, 9, 13, 17}]
     tpl = MinutiaSet.from_iterable(apply_transform(tr, m) for m in kept)
     res = match_minutiae(ms, tpl)
@@ -206,7 +203,6 @@ def test_rigid_motion_preserves_matched_count():
     base = match_minutiae(a, b).k
     for _ in range(5):
         motion = Transform(
-            1.0,
             float(rng.uniform(0, 360)),
             float(rng.uniform(-40, 40)),
             float(rng.uniform(-40, 40)),
@@ -222,11 +218,10 @@ def test_tolerances_validated():
     assert match_minutiae(ms, ms, r0=math.inf, theta0=180.0).k == 3
 
 
-def test_strict_kind_flag():
+def test_kind_never_blocks_a_pair():
     a = MinutiaSet.from_iterable([_mu(10, 10, 0.0, MinutiaKind.ENDING)])
     b = MinutiaSet.from_iterable([_mu(10, 10, 0.0, MinutiaKind.BIFURCATION)])
     assert match_minutiae(a, b).k == 1
-    assert match_minutiae(a, b, strict_kind=True).k == 0
 
 
 def test_score_bounds_random():
@@ -239,13 +234,8 @@ def test_score_bounds_random():
         assert res.k <= min(res.m, res.n)
 
 
-def _kernel_args(a, b, strict=False, r0=15.0, theta0=10.0):
-    pa, pb = a.positions(), b.positions()
-    return (
-        pa[:, 0].copy(), pa[:, 1].copy(), a.thetas(),
-        pb[:, 0].copy(), pb[:, 1].copy(), b.thetas(),
-        a.kind_codes(), b.kind_codes(), strict, r0, theta0,
-    )
+def _kernel_args(a, b, r0=15.0, theta0=10.0):
+    return a.x, a.y, a.theta, b.x, b.y, b.theta, r0, theta0
 
 
 def _assert_matches_exhaustive(args):
@@ -266,7 +256,7 @@ def test_best_alignment_matches_exhaustive_random():
         a = _random_set(rng, int(rng.integers(1, 15)))
         b = _random_set(rng, int(rng.integers(1, 15)))
         r0, theta0 = tolerances[trial % len(tolerances)]
-        _assert_matches_exhaustive(_kernel_args(a, b, trial % 3 == 0, r0, theta0))
+        _assert_matches_exhaustive(_kernel_args(a, b, r0, theta0))
 
 
 def test_best_alignment_matches_exhaustive_corpus():
@@ -347,7 +337,7 @@ def test_best_alignment_ties_break_to_earliest_hypothesis():
     # still win on (a, b) order.
     xi, yi, ti = np.array([0.0, 10.0]), np.array([0.0, 0.0]), np.array([0.0, 8.0])
     xj, yj, tj = np.array([0.0, 100.0, 88.0]), np.zeros(3), np.array([0.0, 0.0, 8.0])
-    args = (xi, yi, ti, xj, yj, tj, np.zeros(2, np.int8), np.zeros(3, np.int8), False, 15.0, 10.0)
+    args = (xi, yi, ti, xj, yj, tj, 15.0, 10.0)
     got = _assert_matches_exhaustive(args)
     assert (got[0], got[1], len(got[2]), got[4]) == (0, 0, 1, 0.0)
     # lattices: every hypothesis with the same offset ties on k and ssum
@@ -360,18 +350,3 @@ def test_best_alignment_ties_break_to_earliest_hypothesis():
                                      (lattice[i] for i in rng.choice(16, size=9, replace=False)))
         _assert_matches_exhaustive(_kernel_args(a, b))
 
-
-def test_match_dump_rows():
-    ms = _random_set(np.random.default_rng(113), 5)
-    res = match_minutiae(ms, ms)
-    rows = match_to_csv_rows(res, ms, ms)
-    assert rows[0] == "i,j,xi,yi,xj,yj,sd,dd"
-    assert len(rows) == 6
-    for row in rows[1:]:
-        i, j, xi, yi, xj, yj, sd, dd = row.split(",")
-        assert i == j
-        assert (xi, yi) == (xj, yj)
-        assert float(sd) < 1e-9
-        assert float(dd) < 1e-9
-    left, right = matched_subsets(res, ms, ms)
-    assert left.shape == (5, 2) and np.array_equal(left, right)

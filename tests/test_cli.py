@@ -289,6 +289,29 @@ def test_evaluate_manifest_missing_file_exits_2(tmp_path, capsys):
     assert "m.csv:3" in err
 
 
+def _assert_one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_evaluate_non_utf8_config_exits_2(tmp_path, capsys):
+    root = _corpus_dir(tmp_path)
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_bytes(b"\xff\xfe r0 = 3\n")
+    assert main(["evaluate", str(root), "--config", str(cfg_path),
+                 "--out", str(tmp_path / "rep")]) == 2
+    _assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("row", [b"1,1,\xff.txt\n", b"1,1," + b"a" * 200_000 + b"\n"],
+                         ids=["not-utf8", "field-over-csv-limit"])
+def test_evaluate_unreadable_manifest_exits_2(tmp_path, capsys, row):
+    manifest = tmp_path / "m.csv"
+    manifest.write_bytes(b"finger_id,impression_id,path\n" + row)
+    assert main(["evaluate", str(manifest), "--out", str(tmp_path / "rep")]) == 2
+    _assert_one_error_line(capsys)
+
+
 def test_evaluate_empty_dataset_exits_2(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()

@@ -1,6 +1,9 @@
 import math
+from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from onionprint.config import MatchConfig, build_config, load_config_file
 from onionprint.errors import InvalidInputError
@@ -13,7 +16,6 @@ def test_defaults():
     assert cfg.theta0 == 10.0
     assert cfg.sim == 0.15
     assert cfg.diff == 2.0
-    assert cfg.p == 2
     assert cfg.border_margin == 12.0
     assert cfg.binarize == "otsu"
 
@@ -25,8 +27,6 @@ def test_validation():
         MatchConfig(sim=1.5)
     with pytest.raises(InvalidInputError):
         MatchConfig(theta0=200.0)
-    with pytest.raises(InvalidInputError):
-        MatchConfig(p=1)
     with pytest.raises(InvalidInputError):
         MatchConfig(binarize="magic")
     with pytest.raises(InvalidInputError):
@@ -71,6 +71,11 @@ def test_config_file_errors(tmp_path):
     bad_value.write_text("rm = soon\n")
     with pytest.raises(InvalidInputError):
         load_config_file(bad_value)
+    # the turning distance is always L2, so there is no norm to set
+    norm = tmp_path / "d"
+    norm.write_text("p = 2\n")
+    with pytest.raises(InvalidInputError, match="'p'"):
+        load_config_file(norm)
 
 
 def test_overrides_beat_file_values():
@@ -78,3 +83,19 @@ def test_overrides_beat_file_values():
     assert cfg.rm == 4.0
     assert cfg.sim == 0.3
     assert cfg.diff == 2.0
+
+
+_KEYS = [f.name for f in fields(MatchConfig)] + ["p", "bogus"]
+_LINES = st.lists(st.tuples(st.sampled_from(_KEYS), st.text(max_size=12)), max_size=6).map(
+    lambda kv: "".join(f"{k} = {v}\n" for k, v in kv).encode("utf-8", "surrogatepass"))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.one_of(st.binary(max_size=200), _LINES))
+def test_config_file_fuzz_parses_or_rejects(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("fuzz") / "cfg"
+    path.write_bytes(data)
+    try:
+        build_config(load_config_file(path))
+    except InvalidInputError:
+        pass

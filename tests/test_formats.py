@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from onionprint.errors import InvalidInputError
 from onionprint.minutiae import (
@@ -138,7 +140,7 @@ def test_minutiae_set_order_matches_sorted_records():
         recs = [Minutia(float(rng.choice([-0.0, 0.0, 1.0, 2.5, 3.0])), float(rng.integers(0, 4)),
                         float(rng.integers(0, 360)), MinutiaKind.BIFURCATION if rng.random() < 0.5 else MinutiaKind.ENDING)
                 for _ in range(int(rng.integers(0, 6)))]
-        want = sorted(recs, key=lambda m: m.sort_key)
+        want = sorted(recs, key=lambda m: (m.y, m.x, m.kind.value))
         if len({(m.x, m.y) for m in recs}) < len(recs):
             with pytest.raises(InvalidInputError, match="identical position"):
                 MinutiaSet.from_iterable(recs)
@@ -153,7 +155,6 @@ def test_minutiae_set_arrays_are_read_only_and_checked():
     ms = MinutiaSet.from_arrays([2.0, 1.0], [5.0, 5.0], [10.0, 20.0], [False, True], source="s")
     assert ms.x.tolist() == [1.0, 2.0] and ms.bif.tolist() == [True, False]
     assert ms.positions().tolist() == [[1.0, 5.0], [2.0, 5.0]]
-    assert ms.kind_codes().tolist() == [1, 0]
     for arr in (ms.x, ms.y, ms.theta, ms.bif):
         with pytest.raises(ValueError):
             arr[0] = 0
@@ -195,3 +196,20 @@ def test_minutiae_file_io(tmp_path):
     assert read_minutiae(p) == ms
     with pytest.raises(InvalidInputError):
         read_minutiae(tmp_path / "absent.txt")
+    p.write_bytes(FILE_HEADER.encode() + b"\n3 4 180 \xff\n")
+    with pytest.raises(InvalidInputError, match="m.txt"):
+        read_minutiae(p)
+
+
+_FIELD = st.one_of(st.floats().map(repr), st.text(max_size=6),
+                   st.sampled_from(["E", "B", "nan", "-0.0", "360", "1e400", "0x10"]))
+_BODY = st.lists(st.lists(_FIELD, min_size=3, max_size=5).map(" ".join), max_size=8).map("\n".join)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.one_of(st.text(max_size=200), _BODY.map(lambda body: f"{FILE_HEADER}\n{body}")))
+def test_parse_minutiae_fuzz_parses_or_rejects(text):
+    try:
+        parse_minutiae(text)
+    except InvalidInputError:
+        pass

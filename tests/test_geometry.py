@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from onionprint.errors import InvalidInputError
-from onionprint.geometry import convex_hull, convex_layers, layers_to_csv_rows
+from onionprint.geometry import convex_hull, convex_layers
 from oracles import (
     BOUNDARY,
     INSIDE,
@@ -94,11 +94,6 @@ def test_point_in_convex_rejects_degenerate():
         point_in_convex([(0.0, 0.0), (1.0, 1.0)], (0.5, 0.5))
     with pytest.raises(InvalidInputError):
         point_in_convex([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)], (0.5, 0.5))
-
-
-def test_layers_csv_dump():
-    rows = layers_to_csv_rows(convex_layers([(0.0, 0.0), (2.0, 0.0), (1.0, 2.0)]))
-    assert rows == ["0,0.0,0.0", "0,2.0,0.0", "0,1.0,2.0"]
 
 
 def _check_against_oracle(pts, allow_boundary=False):

@@ -9,7 +9,6 @@ from onionprint.turning import (
     TurningFunction,
     turning_distance,
     turning_function,
-    turning_to_csv_rows,
 )
 from oracles import (
     distance_at_shift,
@@ -124,10 +123,12 @@ def test_shift_distance_random_shifts_match_overlap_oracle():
 
 
 def test_shift_distance_rejects_other_norms():
+    # the norm is L2 throughout: neither the distance nor its reference
+    # takes an argument that could choose another
     f = turning_function(SQUARE)
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(TypeError):
         distance_at_shift(f, f, 0.0, p=1)
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(TypeError):
         turning_distance(f, f, p=3)
 
 
@@ -197,10 +198,3 @@ def test_min_turning_distance_matches_scalar_scan():
         assert d1 == pytest.approx(d2, abs=1e-12)
         assert t1 == pytest.approx(t2, abs=1e-12)
         assert r1 == pytest.approx(r2, abs=1e-12)
-
-
-def test_csv_dump_shape():
-    rows = turning_to_csv_rows(turning_function(SQUARE))
-    assert len(rows) == 4
-    assert rows[0] == "0.000000000,0.000000000"
-    assert all(len(r.split(",")) == 2 for r in rows)
