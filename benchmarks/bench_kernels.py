@@ -2,11 +2,13 @@
 
 Run as `python3 benchmarks/bench_kernels.py` from the repository root.
 Rows: thinning by the 9-bit lookup-table pass against the scalar
-Zhang-Suen loop, the batched ridge trace (`imgproc.orientations`)
-against the scalar trace, the turning scan against the shift-by-shift
-sweep, the branch-and-bound `best_alignment` against the exhaustive
-search, and the grid-bucketed `merge_close` against the dense n x n
-merge. Each row exits if the two results differ.
+Zhang-Suen loop, crossing-number detection by a second 512-entry table
+against the pixel-by-pixel rule, the batched ridge trace
+(`imgproc.orientations`) against the scalar trace, the turning scan
+against the shift-by-shift sweep, the branch-and-bound `best_alignment`
+against the exhaustive search, and the grid-bucketed `merge_close`
+against the dense n x n merge. Each row exits if the two results
+differ.
 """
 
 import argparse
@@ -24,6 +26,7 @@ from onionprint.turning import turning_function
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from oracles import (  # noqa: E402
     best_alignment_exhaustive,
+    detect_minutiae_scalar,
     merge_close_dense,
     min_turning_distance_scan,
     orientation_scalar,
@@ -55,12 +58,9 @@ def rendered_print(width=384, height=296, seed=5):
     rendered prints.
     """
     rng = np.random.default_rng(seed)
-    yy, xx = np.mgrid[0:height, 0:width].astype(np.float64)
-    phase = (2.0 * math.pi / 10.0) * (xx + yy) / math.sqrt(2.0)
-    for k, (x, y) in enumerate(rng.uniform(40, 256, size=(12, 2))):
-        phase += (-1) ** k * np.arctan2(yy - y, xx - x)
-    img = 128.0 + 100.0 * np.cos(phase) + rng.normal(0.0, 15.0, size=phase.shape)
-    detected, sk = imgproc.raw_minutiae(np.clip(np.rint(img), 0, 255).astype(np.uint8))
+    spirals = [(x, y, (-1) ** k) for k, (x, y) in enumerate(rng.uniform(40, 256, size=(12, 2)))]
+    img, _ = synth.render_impression(rng, width, height, spirals, 45.0, 10.0, 15.0)
+    detected, sk = imgproc.raw_minutiae(img)
     return detected, sk
 
 
@@ -123,6 +123,10 @@ def main():
     turn_args = turning_workload()
     kept, minutiae = merge_workload(detected, sk)
 
+    def detected_rows():
+        d = imgproc.detect_minutiae(sk)
+        return list(zip(d.x.tolist(), d.y.tolist(), d.bif.tolist()))
+
     def merged_rows():
         out = imgproc.merge_close(kept, 5.0)
         return [(x, y, b, minutiae[r].theta)
@@ -135,6 +139,8 @@ def main():
     rows = [
         ("thin 384x384, 9-bit table", lambda: imgproc.thin(binary), lambda: thin_scalar(binary),
          np.array_equal, 3),
+        (f"detect_minutiae {sk.shape[1]}x{sk.shape[0]}, CN table", detected_rows,
+         lambda: detect_minutiae_scalar(sk), lambda a, b: a == b, 3),
         (f"orientations {len(points)} points", lambda: imgproc.orientations(sk, xs, ys, bif).tolist(),
          lambda: [orientation_scalar(sk, (x, y), b) for x, y, b in points], lambda a, b: a == b, 3),
         ("min_turning_distance 25-gon", lambda: kernels.min_turning_distance(*turn_args),

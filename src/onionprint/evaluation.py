@@ -109,14 +109,6 @@ class EvalReport:
     eer_grid_threshold: float  # grid point nearest the crossing
     best_f_threshold: float
 
-    @property
-    def fmr(self):
-        return tuple(r.fmr for r in self.rows)
-
-    @property
-    def fnmr(self):
-        return tuple(r.fnmr for r in self.rows)
-
 
 # ---------------------------------------------------------------------------
 # Dataset loading

@@ -2,17 +2,17 @@
 
 Pipeline: binarize (ridges are dark, so foreground means intensity
 below threshold), optional despeckle, Zhang-Suen thinning by a 9-bit
-neighbourhood lookup table, neighbor count classification on the
-skeleton, spurious-minutia cleanup (border removal, then merging of
-detections within rm, found by grid-bucketed near-neighbor search),
-and orientation by a short ridge trace. Everything after binarization
-works on arrays: detections are a `Detections` record of x, y and
-bifurcation-flag arrays, merging names each group's representative by
-index, and `orientations` traces all the survivors at once, every
-walker stepping together on the padded skeleton. Merging places each
-cleaned minutia by position alone and gives it the orientation of one
-raw detection, so only those representatives are traced, not the
-~90 % of detections the cleanup drops.
+neighbourhood lookup table, crossing-number classification on the
+skeleton (1 an ending, 3 or more a bifurcation), spurious-minutia
+cleanup (border removal, then merging of detections within rm, found
+by grid-bucketed near-neighbor search), and orientation by a short
+ridge trace. Everything after binarization works on arrays: detections
+are a `Detections` record of x, y and bifurcation-flag arrays, merging
+names each group's representative by index, and `orientations` traces
+all the survivors at once, every walker stepping together on the
+padded skeleton. Merging places each cleaned minutia by position alone
+and gives it the orientation of one raw detection, so only those
+representatives are traced, not every detection.
 Coordinates are screen pixels (origin top-left, y down); angles are
 degrees counterclockwise from +x in image space, so "up" is 270.
 """
@@ -157,12 +157,6 @@ def thin(binary):
     return padded[1:-1, 1:-1].copy()
 
 
-def is_thin(skeleton) -> bool:
-    """True when one more thinning iteration would delete nothing."""
-    padded = _padded(skeleton)
-    return kernels.zhang_suen_pass(padded, 0) + kernels.zhang_suen_pass(padded, 1) == 0
-
-
 def bifurcation_direction(branch_angles):
     """Bisector of the two most alike branch directions, per row, in [0, 360).
 
@@ -254,20 +248,25 @@ def orientations(sk, x, y, bif):
 
 
 def detect_minutiae(sk) -> Detections:
-    """Classify skeleton pixels by foreground neighbor count.
+    """Classify skeleton pixels by crossing number.
 
-    1 neighbor is an ending, more than 2 a bifurcation, exactly 2 an
-    ordinary ridge pixel, 0 an ignored speck. Output is in raster
-    order, which already matches the canonical (y, x) sort. No
+    The crossing number is half the sum of |p(i) - p(i+1)| around a
+    pixel's 8 neighbours (Rutovitz 1966): 1 is an ending, 3 or more a
+    bifurcation, 2 an ordinary ridge pixel, 0 an ignored speck. Unlike
+    a neighbour count, it reads the corner pixels of a Zhang-Suen
+    staircase as ridge pixels. The skeleton must be thin: one more
+    thinning iteration, read from the same neighbourhood codes, would
+    delete nothing. Output is in
+    raster order, which already matches the canonical (y, x) sort. No
     orientation is traced here: most detections are cut at the border
     or merged away, so `clean_minutiae` traces only the survivors.
     """
-    sk = _as_binary(sk)
-    if not is_thin(sk):
+    code = kernels.neighbourhood_codes(_padded(sk))
+    if not kernels.deletes_nothing(code):
         raise PreconditionError("detect_minutiae requires a fully thinned skeleton")
-    counts = _neighbor_counts(sk)
-    ys, xs = np.nonzero((sk == 1) & ((counts == 1) | (counts > 2)))
-    return Detections(xs.astype(float), ys.astype(float), counts[ys, xs] > 2)
+    cn = kernels.crossing_numbers(code)
+    ys, xs = np.nonzero((cn == 1) | (cn >= 3))
+    return Detections(xs.astype(float), ys.astype(float), cn[ys, xs] >= 3)
 
 
 def merge_close(d, rm) -> Merged:

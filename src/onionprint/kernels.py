@@ -11,7 +11,8 @@ a 512-entry table: three horizontal shifts pack each row triple into 3
 bits, three vertical shifts stack three such rows into a 9-bit code,
 and one ``take`` per subiteration gives the deletion mask. The table is
 built once, on first use, from Zhang and Suen's rule evaluated over all
-512 codes.
+512 codes. Minutia detection looks the same codes up in a second table,
+of crossing numbers.
 
 The alignment search, ``best_alignment``, is an exact branch and bound:
 an upper bound on every hypothesis's matched count, computed from
@@ -37,32 +38,46 @@ SNAP_EPS = 1e-12
 
 
 # ---------------------------------------------------------------------------
-# Zhang-Suen thinning subiteration
+# 3 x 3 neighbourhood tables: Zhang-Suen thinning and crossing numbers
 #
-# Operates on a zero-padded uint8 0/1 image in place and returns the
-# number of deleted pixels. `step` selects the subiteration (0 or 1).
-# Deletion is simultaneous: every code is read before any pixel clears.
+# Both look a pixel's 9-bit neighbourhood code up in a 512-entry table.
+# Thinning operates on a zero-padded uint8 0/1 image in place and
+# returns the number of deleted pixels; `step` selects the subiteration
+# (0 or 1). Deletion is simultaneous: every code is read before any
+# pixel clears. Detection computes the codes of a skeleton once, checks
+# with them that it is thin, then reads its crossing numbers.
 # ---------------------------------------------------------------------------
+
+
+def _ring_bits():
+    """Centre and clockwise 8-neighbour ring bits of every 9-bit code.
+
+    Bit 8 is the top-left pixel and bit 0 the bottom-right, in raster
+    order, so the centre is bit 4. The ring is named as in Zhang and
+    Suen (CACM 27(3), 1984): p2 above, then clockwise to p9 top-left.
+    """
+    code = np.arange(512)
+    p9, p2, p3, p8, c, p4, p7, p6, p5 = ((code >> k) & 1 for k in range(8, -1, -1))
+    return c, (p2, p3, p4, p5, p6, p7, p8, p9)
+
+
+def _crossings(ring):
+    """0-to-1 transitions around the closed ring: the crossing number."""
+    return sum((cur == 0) & (nxt == 1) for cur, nxt in zip(ring, ring[1:] + ring[:1]))
 
 
 @functools.cache
 def _zhang_suen_tables():
     """Deletion flag of every 3 x 3 neighbourhood code, one row per step.
 
-    Bit 8 is the top-left pixel and bit 0 the bottom-right, in raster
-    order, so the centre is bit 4. Neighbours are named as in Zhang and
-    Suen (CACM 27(3), 1984): p2 above, then clockwise to p9 top-left.
-
     Built on first use rather than at import: its integer array
     operations page in numpy code (about 0.5 MB resident) that a process
     which never thins would not otherwise load.
     """
-    code = np.arange(512)
-    p9, p2, p3, p8, c, p4, p7, p6, p5 = ((code >> k) & 1 for k in range(8, -1, -1))
-    ring = (p2, p3, p4, p5, p6, p7, p8, p9)
+    c, ring = _ring_bits()
+    p2, p3, p4, p5, p6, p7, p8, p9 = ring
     b = sum(ring)
-    a = sum((cur == 0) & (nxt == 1) for cur, nxt in zip(ring, ring[1:] + ring[:1]))
-    core = (c == 1) & (b >= 2) & (b <= 6) & (a == 1)
+    core = (c == 1) & (b >= 2) & (b <= 6) & (_crossings(ring) == 1)
     table = np.stack([
         core & (p2 * p4 * p6 == 0) & (p4 * p6 * p8 == 0),
         core & (p2 * p4 * p8 == 0) & (p2 * p6 * p8 == 0),
@@ -71,13 +86,46 @@ def _zhang_suen_tables():
     return table
 
 
+@functools.cache
+def _crossing_number_table():
+    """Crossing number of every code's centre pixel, 0 where it is background.
+
+    Around a ring of 0/1 pixels the 0-to-1 transitions number half the
+    sum of |p(i) - p(i+1)|, Rutovitz's crossing number.
+    """
+    c, ring = _ring_bits()
+    table = (c * _crossings(ring)).astype(np.uint8)
+    table.flags.writeable = False  # shared by every call
+    return table
+
+
+def neighbourhood_codes(img):
+    """9-bit 3 x 3 neighbourhood code of every interior pixel of a padded
+    uint8 0/1 image: three horizontal shifts pack each row triple into
+    3 bits, and three vertical shifts stack three such rows."""
+    rows = (img[:, :-2] << 2) | (img[:, 1:-1] << 1) | img[:, 2:]
+    return (rows[:-2].astype(np.uint16) << 6) | (rows[1:-1] << 3) | rows[2:]
+
+
 def zhang_suen_pass(img, step):
     """One subiteration on a padded uint8 0/1 image, in place; pixels deleted."""
-    rows = (img[:, :-2] << 2) | (img[:, 1:-1] << 1) | img[:, 2:]
-    code = (rows[:-2].astype(np.uint16) << 6) | (rows[1:-1] << 3) | rows[2:]
-    kill = _zhang_suen_tables()[step].take(code)
+    kill = _zhang_suen_tables()[step].take(neighbourhood_codes(img))
     img[1:-1, 1:-1][kill] = 0
     return int(np.count_nonzero(kill))
+
+
+def deletes_nothing(code):
+    """True when no pixel of these codes is deletable by either subiteration.
+
+    A first subiteration that deletes nothing leaves the second the same
+    codes, so this is a whole thinning iteration that changes nothing.
+    """
+    return not _zhang_suen_tables().any(axis=0).take(code).any()
+
+
+def crossing_numbers(code):
+    """Crossing number of the centre pixel of each code, 0 at background."""
+    return _crossing_number_table().take(code)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,11 @@ are rigid motions of it with Gaussian position and orientation jitter,
 a fraction of minutiae deleted, and a fraction of spurious ones
 inserted. Everything derives from one seed, so a corpus is reproducible
 byte for byte.
+
+Images are the cosine of a ridge phase field (Larkin and Fletcher,
+Optics Express 15(14), 2007): a plane wave sets the ridge direction and
+period, and each +-atan2 spiral added to the phase is one ridge ending
+or bifurcation, so a rendered print carries its own ground truth.
 """
 
 import math
@@ -92,3 +97,26 @@ def synthetic_corpus(seed, fingers=20, impressions=4, n_min=30, n_max=60):
         for i in range(1, impressions + 1):
             out.append((f, i, jittered_impression(rng, latent)))
     return out
+
+
+def render_impression(rng, width, height, spirals, angle, period, noise, shift=(0.0, 0.0)):
+    """(uint8 image, planted minutia positions) of one phase-field print.
+
+    Ridges run across direction `angle` (degrees from +x) with `period`
+    pixels. Each row (x, y, sign) of `spirals` adds sign * atan2 around
+    (x, y) to the phase, which plants a minutia there. The field is
+    sampled at pixel coordinates minus `shift`, so the planted positions,
+    an (n, 2) array of x and y, are the spiral centres plus `shift`.
+    Gaussian noise of standard deviation `noise` gray levels comes from
+    `rng`; the image is 128 + 100 cos(phase), rounded and clipped.
+    """
+    spirals = np.asarray(spirals, dtype=float).reshape(-1, 3)
+    yy, xx = np.mgrid[0:height, 0:width].astype(float)
+    u, v = xx - shift[0], yy - shift[1]
+    t = math.radians(angle)
+    phase = (2.0 * math.pi / period) * (u * math.cos(t) + v * math.sin(t))
+    for cx, cy, sign in spirals.tolist():
+        phase += sign * np.arctan2(v - cy, u - cx)
+    img = 128.0 + 100.0 * np.cos(phase)
+    img += rng.normal(0.0, noise, size=img.shape)
+    return np.clip(np.rint(img), 0, 255).astype(np.uint8), spirals[:, :2] + shift

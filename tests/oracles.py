@@ -3,11 +3,11 @@
 Everything here is deliberately naive: hull membership by exhaustive
 triangle tests, peeling by repeated application of that test, step
 function integrals by rectangle overlaps or dense Riemann sums, merging
-over all n^2 pairs, thinning and ridge tracing pixel by pixel, the
-turning-distance scan shift by shift. It also holds the helpers that
-only tests call: point classification against a convex ring, the
-turning function's value and its distance at one shift, and the
-transform, candidate, inverse and tolerance helpers of alignment.
+over all n^2 pairs, thinning, crossing numbers and ridge tracing pixel
+by pixel, the turning-distance scan shift by shift. It also holds the
+helpers that only tests call: point classification against a convex
+ring, the turning function's value and its distance at one shift, and
+the transform, candidate, inverse and tolerance helpers of alignment.
 Only the data types of `onionprint.minutiae` and the error types are
 imported at module level; `extract_eager` and the alignment helpers
 reuse the library code they do not check.
@@ -445,6 +445,12 @@ def zhang_suen_pass_scalar(img, step):
     return len(marked)
 
 
+def is_thin_scalar(binary):
+    """True when one scalar Zhang-Suen iteration would delete nothing."""
+    padded = np.pad((np.asarray(binary) != 0).astype(np.uint8), 1)
+    return zhang_suen_pass_scalar(padded, 0) + zhang_suen_pass_scalar(padded, 1) == 0
+
+
 def thin_scalar(binary):
     """`imgproc.thin` with the pixel-by-pixel subiteration."""
     b = (np.asarray(binary) != 0).astype(np.uint8)
@@ -462,6 +468,28 @@ def _fg_neighbors(sk, x, y):
     h, w = sk.shape
     return [(x + dx, y + dy) for dx, dy in _OFFSETS
             if 0 <= x + dx < w and 0 <= y + dy < h and sk[y + dy, x + dx]]
+
+
+# the 8-neighbourhood clockwise from the pixel above, as (dx, dy)
+_RING = ((0, -1), (1, -1), (1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1))
+
+
+def crossing_number_scalar(sk, x, y):
+    """Half the sum of |p(i) - p(i+1)| around pixel (x, y), outside the image 0."""
+    h, w = sk.shape
+    ring = [int(sk[y + dy, x + dx]) if 0 <= x + dx < w and 0 <= y + dy < h else 0 for dx, dy in _RING]
+    return sum(abs(ring[k] - ring[(k + 1) % 8]) for k in range(8)) // 2
+
+
+def detect_minutiae_scalar(sk):
+    """(x, y, bifurcation) of every skeleton pixel whose crossing number
+    is 1 or at least 3, in raster order, pixel by pixel."""
+    out = []
+    for y, x in zip(*np.nonzero(sk)):
+        cn = crossing_number_scalar(sk, x, y)
+        if cn == 1 or cn >= 3:
+            out.append((float(x), float(y), cn >= 3))
+    return out
 
 
 def _trace_ridge(sk, start, prev, steps):
@@ -738,8 +766,8 @@ def _components(adj):
 def extract_eager(img, cfg, source=None):
     """`imgproc.extract` tracing an orientation for every raw detection.
 
-    Detection classifies each skeleton pixel by a per-pixel neighbor
-    count and traces its orientation at once with the scalar trace;
+    Detection is `detect_minutiae_scalar`, and each detection's
+    orientation is traced at once with the scalar trace;
     border removal, dense merging and quantization follow.
     """
     from onionprint.imgproc import binarize, despeckle, thin
@@ -751,16 +779,9 @@ def extract_eager(img, cfg, source=None):
     h, w = sk.shape
     margin = cfg.border_margin
     detected = []
-    for y, x in zip(*np.nonzero(sk)):
-        c = int(sk[max(y - 1, 0):y + 2, max(x - 1, 0):x + 2].sum()) - 1
-        if c == 1:
-            kind = MinutiaKind.ENDING
-        elif c > 2:
-            kind = MinutiaKind.BIFURCATION
-        else:
-            continue
-        theta = orientation_scalar(sk, (x, y), kind is MinutiaKind.BIFURCATION)
-        detected.append(Minutia(x=float(x), y=float(y), theta=theta, kind=kind))
+    for x, y, bif in detect_minutiae_scalar(sk):
+        kind = MinutiaKind.BIFURCATION if bif else MinutiaKind.ENDING
+        detected.append(Minutia(x=x, y=y, theta=orientation_scalar(sk, (x, y), bif), kind=kind))
     kept = [m for m in detected
             if margin <= m.x <= (w - 1) - margin and margin <= m.y <= (h - 1) - margin]
     ms = merge_close_dense(kept, cfg.rm)

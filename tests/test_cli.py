@@ -389,8 +389,9 @@ def test_extract_p2_dimension_bomb_exits_2_in_bounded_memory(tmp_path):
 
 
 def test_extract_uniform_noise_image_in_bounded_memory(tmp_path):
-    # FVC2002 DB2 size; every other pixel is a raw detection
-    img = np.random.default_rng(920).integers(0, 256, size=(296, 560)).astype(np.uint8)
+    # twice FVC2002 DB2's height and 1.25 times its width: about one
+    # pixel in seven is a raw detection, some 59,000 in all
+    img = np.random.default_rng(920).integers(0, 256, size=(592, 700)).astype(np.uint8)
     assert len(raw_minutiae(img)[0]) > 50_000
     path = tmp_path / "noise.pgm"
     write_pgm(path, img)

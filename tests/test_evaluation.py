@@ -33,7 +33,7 @@ from onionprint.evaluation import (
 from onionprint.minutiae import write_minutiae
 from onionprint.pgm import write_pgm
 from onionprint.scoring import ScoreBreakdown
-from onionprint.synth import synthetic_corpus
+from onionprint.synth import render_impression, synthetic_corpus
 
 
 def _entries(fingers, impressions):
@@ -215,8 +215,8 @@ def test_rates_monotone_curves():
         np.clip(rng.normal(0.3, 0.2, 300), 0, 1).tolist(),
     )
     rep = rates_and_metrics(table)
-    fmr = list(rep.fmr)
-    fnmr = list(rep.fnmr)
+    fmr = [r.fmr for r in rep.rows]
+    fnmr = [r.fnmr for r in rep.rows]
     assert fmr == sorted(fmr, reverse=True)
     assert fnmr == sorted(fnmr)
     assert 0.0 < rep.eer < 0.5
@@ -275,7 +275,7 @@ def test_evaluate_exclude_gated_changes_rates_not_rows(tmp_path):
     gated = sum(1 for r in t_all.rows if r.breakdown.gated)
     assert gated > 0
     # gated impostor pairs leave the denominator, so FMR can only grow
-    assert all(a <= b + 1e-12 for a, b in zip(rep_all.fmr, rep_excl.fmr))
+    assert all(a.fmr <= b.fmr + 1e-12 for a, b in zip(rep_all.rows, rep_excl.rows))
 
 
 def test_synthetic_corpus_separates(tmp_path):
@@ -306,7 +306,7 @@ def test_sweep_gating_reduces_fmr(tmp_path):
                     mode="all_pairs")
     open_rep = results[0][2]
     gated_rep = results[1][2]
-    assert all(g <= o + 1e-12 for g, o in zip(gated_rep.fmr, open_rep.fmr))
+    assert all(g.fmr <= o.fmr + 1e-12 for g, o in zip(gated_rep.rows, open_rep.rows))
 
 
 def test_sweep_writes_curve_files(tmp_path):
@@ -326,18 +326,13 @@ def _image_dataset_dir(tmp_path, seed=81, fingers=2, impressions=2, side=112):
     d = tmp_path / "imgs"
     d.mkdir()
     rng = np.random.default_rng(seed)
-    yy, xx = np.mgrid[0:side, 0:side].astype(float)
     for f in range(1, fingers + 1):
-        angle = math.radians(rng.uniform(0.0, 90.0))
-        spirals = rng.uniform(25.0, side - 25.0, size=(4, 2))
+        angle = rng.uniform(0.0, 90.0)
+        spirals = [(cx, cy, (-1) ** k) for k, (cx, cy) in enumerate(rng.uniform(25.0, side - 25.0, size=(4, 2)))]
         for i in range(1, impressions + 1):
-            sx, sy = rng.uniform(-3.0, 3.0, size=2)
-            u, v = xx - sx, yy - sy
-            phase = (2.0 * math.pi / 9.0) * (u * math.cos(angle) + v * math.sin(angle))
-            for k, (cx, cy) in enumerate(spirals):
-                phase += (-1) ** k * np.arctan2(v - cy, u - cx)
-            img = 128.0 + 100.0 * np.cos(phase) + rng.normal(0.0, 10.0, size=phase.shape)
-            write_pgm(d / f"{f:03d}_{i}.pgm", np.clip(np.rint(img), 0, 255).astype(np.uint8))
+            shift = rng.uniform(-3.0, 3.0, size=2)
+            img, _ = render_impression(rng, side, side, spirals, angle, 9.0, 10.0, shift)
+            write_pgm(d / f"{f:03d}_{i}.pgm", img)
     return d
 
 
@@ -346,7 +341,7 @@ def test_sweep_over_images_equals_direct_runs(tmp_path):
     # the cleanup, orientation tracing included, for each merge radius
     ds = load_dataset(_image_dataset_dir(tmp_path))
     cfg = MatchConfig(border_margin=8.0)
-    grid = [{"rm": rm} for rm in (2.0, 4.0, 6.0)]
+    grid = [{"rm": rm} for rm in (2.0, 8.0, 24.0)]  # planted minutiae here are 7 to 52 px apart
     results = sweep(ds, grid, cfg, mode="all_pairs", out_dir=tmp_path / "sweep")
     assert len(results) == len(grid)
     for (overrides, table, report), g in zip(results, grid):
