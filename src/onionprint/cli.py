@@ -3,7 +3,6 @@
 import argparse
 import itertools
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -13,8 +12,6 @@ from .errors import InvalidInputError, OnionprintError
 from .imgproc import extract
 from .minutiae import write_minutiae
 from .pgm import read_pgm
-
-CONFIG_FLAGS = ("rm", "r0", "theta0", "sim", "diff")
 
 
 def _add_config_flags(parser, as_lists=False):
@@ -49,7 +46,7 @@ def _add_eval_flags(parser):
 
 def _config_from(args):
     file_values = load_config_file(args.config) if args.config else None
-    overrides = {name: getattr(args, name) for name in CONFIG_FLAGS}
+    overrides = {name: getattr(args, name) for name in evaluation.SWEEP_KEYS}
     return build_config(file_values, overrides)
 
 
@@ -72,35 +69,6 @@ def cmd_extract(args) -> int:
     return 0
 
 
-def _breakdown_dict(sb: scoring.ScoreBreakdown) -> dict:
-    alpha = sb.alpha
-    if alpha is not None and math.isinf(alpha):
-        alpha = "inf"  # JSON has no Infinity literal
-    return {
-        "idA": sb.ida,
-        "idB": sb.idb,
-        "k": sb.k,
-        "m": sb.m,
-        "n": sb.n,
-        "minutiae_score": sb.minutiae_score,
-        "layersA": sb.layers_input,
-        "layersB": sb.layers_template,
-        "l": sb.l,
-        "average": sb.average,
-        "alpha": alpha,
-        "final": sb.final,
-        "gate_reason": sb.gate_reason,
-    }
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def cmd_match(args) -> int:
     cfg = _config_from(args)
     sa = evaluation.load_fingerprint(args.a, cfg, source=Path(args.a).stem)
@@ -108,13 +76,16 @@ def cmd_match(args) -> int:
     breakdown = scoring.match_pair(sa, sb, cfg,
                                    ida=Path(args.a).stem, idb=Path(args.b).stem)
     if args.json:
-        print(json.dumps(_breakdown_dict(breakdown)))
+        values = dict(zip(scoring.COLUMNS, scoring.breakdown_values(breakdown)))
+        if values["alpha"] == float("inf"):
+            values["alpha"] = "inf"  # JSON has no Infinity literal
+        print(json.dumps(values))
     elif args.csv:
         print(scoring.CSV_HEADER)
         print(scoring.breakdown_to_csv_row(breakdown))
     else:
-        for key, value in _breakdown_dict(breakdown).items():
-            print(f"{key} = {_fmt(value)}")
+        for key, cell in zip(scoring.COLUMNS, scoring.breakdown_cells(breakdown)):
+            print(f"{key} = {cell}")
     return 0
 
 

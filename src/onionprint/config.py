@@ -9,7 +9,7 @@ from .errors import InvalidInputError
 
 @dataclass(frozen=True)
 class MatchConfig:
-    """Knobs of the whole pipeline with their stock defaults.
+    """Extraction cleanup and matching parameters with their stock defaults.
 
     diff may be infinite to disable the layer-count gate entirely.
     """
@@ -20,32 +20,16 @@ class MatchConfig:
     sim: float = 0.15
     diff: float = 2.0
     border_margin: float = 12.0
-    binarize: str = "otsu"
-    fixed_threshold: int = 128
-    despeckle: bool = True
 
     def __post_init__(self):
-        for name in ("rm", "r0", "theta0", "sim", "diff", "border_margin"):
-            v = getattr(self, name)
+        for f in fields(self):
+            v = getattr(self, f.name)
             if not (v >= 0):
-                raise InvalidInputError(f"config: {name} must be nonnegative, got {v}")
+                raise InvalidInputError(f"config: {f.name} must be nonnegative, got {v}")
         if self.sim > 1:
             raise InvalidInputError(f"config: sim must lie in [0, 1], got {self.sim}")
         if self.theta0 > 180:
             raise InvalidInputError(f"config: theta0 must lie in [0, 180], got {self.theta0}")
-        if self.binarize not in ("otsu", "fixed"):
-            raise InvalidInputError(f"config: unknown binarize method {self.binarize!r}")
-        if not 0 <= self.fixed_threshold <= 256:
-            raise InvalidInputError("config: fixed_threshold must lie in [0, 256]")
-
-
-def _parse_bool(text):
-    low = text.lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
 
 
 def _parse_float(text):
@@ -55,19 +39,7 @@ def _parse_float(text):
     return v
 
 
-_PARSERS = {
-    "rm": _parse_float,
-    "r0": _parse_float,
-    "theta0": _parse_float,
-    "sim": _parse_float,
-    "diff": _parse_float,
-    "border_margin": _parse_float,
-    "binarize": str,
-    "fixed_threshold": int,
-    "despeckle": _parse_bool,
-}
-
-assert set(_PARSERS) == {f.name for f in fields(MatchConfig)}
+_KEYS = frozenset(f.name for f in fields(MatchConfig))
 
 
 def load_config_file(path) -> dict:
@@ -86,10 +58,10 @@ def load_config_file(path) -> dict:
         val = val.strip()
         if not eq or not key or not val:
             raise InvalidInputError(f"{path}:{ln}: expected 'key = value'")
-        if key not in _PARSERS:
+        if key not in _KEYS:
             raise InvalidInputError(f"{path}:{ln}: unknown key {key!r}")
         try:
-            values[key] = _PARSERS[key](val)
+            values[key] = _parse_float(val)
         except ValueError as exc:
             raise InvalidInputError(f"{path}:{ln}: {exc}") from exc
     return values

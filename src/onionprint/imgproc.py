@@ -1,7 +1,7 @@
 """Grayscale fingerprint image to cleaned minutia set.
 
-Pipeline: binarize (ridges are dark, so foreground means intensity
-below threshold), optional despeckle, Zhang-Suen thinning by a 9-bit
+Pipeline: Otsu binarization (ridges are dark, so foreground means
+intensity below threshold), despeckle, Zhang-Suen thinning by a 9-bit
 neighbourhood lookup table, crossing-number classification on the
 skeleton (1 an ending, 3 or more a bifurcation), spurious-minutia
 cleanup (border removal, then merging of detections within rm, found
@@ -102,16 +102,10 @@ def otsu_threshold(img) -> int:
     return int(np.argmax(var_between))
 
 
-def binarize(img, method="otsu", threshold=128):
-    """Foreground mask: pixels strictly below the threshold are ridges."""
+def binarize(img):
+    """Foreground mask: pixels strictly below the Otsu threshold are ridges."""
     gray = _as_gray(img)
-    if method == "otsu":
-        t = otsu_threshold(gray)
-    elif method == "fixed":
-        t = int(threshold)
-    else:
-        raise InvalidInputError(f"unknown binarization method {method!r}")
-    return (gray < t).astype(np.uint8)
+    return (gray < otsu_threshold(gray)).astype(np.uint8)
 
 
 def _neighbor_counts(binary):
@@ -391,17 +385,13 @@ def remove_border_minutiae(d, shape, margin) -> Detections:
     return Detections(d.x[keep], d.y[keep], d.bif[keep])
 
 
-def raw_minutiae(img, cfg=None):
+def raw_minutiae(img):
     """Image through detection, before any cleanup: (detections, skeleton).
 
-    Split out from extract so parameter sweeps can cache this expensive
-    stage per image and rerun only the cleanup below it.
+    No config parameter reaches this stage, so parameter sweeps compute
+    it once per image and rerun only the cleanup below it.
     """
-    cfg = cfg if cfg is not None else MatchConfig()
-    binary = binarize(img, cfg.binarize, cfg.fixed_threshold)
-    if cfg.despeckle:
-        binary = despeckle(binary)
-    sk = thin(binary)
+    sk = thin(despeckle(binarize(img)))
     return detect_minutiae(sk), sk
 
 
@@ -428,6 +418,4 @@ def clean_minutiae(detected, sk, cfg=None, source=None) -> MinutiaSet:
 
 def extract(img, cfg=None, source=None) -> MinutiaSet:
     """Full image-to-minutiae pipeline, deterministic for equal inputs."""
-    cfg = cfg if cfg is not None else MatchConfig()
-    detected, sk = raw_minutiae(img, cfg)
-    return clean_minutiae(detected, sk, cfg, source)
+    return clean_minutiae(*raw_minutiae(img), cfg, source)

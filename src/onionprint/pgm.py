@@ -1,4 +1,4 @@
-"""Minimal PGM reader/writer, ASCII (P2) and binary (P5), maxval <= 255.
+"""Minimal PGM reader, ASCII (P2) and binary (P5), and P5 writer; maxval <= 255.
 
 Comment lines starting '#' are accepted anywhere whitespace is legal,
 including inside P2 sample data.
@@ -91,7 +91,7 @@ def read_pgm(path) -> np.ndarray:
     return parse_pgm(data, name=str(path))
 
 
-def write_pgm(path, img, binary=True):
+def write_pgm(path, img):
     img = np.asarray(img)
     if img.ndim != 2 or img.size == 0:
         raise InvalidInputError("write_pgm needs a nonempty 2-D array")
@@ -100,13 +100,7 @@ def write_pgm(path, img, binary=True):
             raise InvalidInputError("samples out of range for 8-bit PGM")
         img = img.astype(np.uint8)
     h, w = img.shape
-    header = f"{'P5' if binary else 'P2'}\n{w} {h}\n255\n"
-    path = Path(path)
-    if binary:
-        path.write_bytes(header.encode("ascii") + img.tobytes())
-    else:
-        body = "\n".join(" ".join(str(v) for v in row) for row in img)
-        path.write_text(header + body + "\n")
+    Path(path).write_bytes(f"P5\n{w} {h}\n255\n".encode("ascii") + img.tobytes())
 
 
 def looks_like_pgm(data: bytes) -> bool:

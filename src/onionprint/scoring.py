@@ -26,7 +26,10 @@ GATE_LAYER_DIFF = "layer_diff"
 # dissimilarity rather than a free perfect score
 EMPTY_AVERAGE = math.pi
 
-CSV_HEADER = "idA,idB,k,m,n,minutiae_score,layersA,layersB,l,average,alpha,final,gate_reason"
+# a breakdown's columns, in the order of `breakdown_values`
+COLUMNS = ("idA", "idB", "k", "m", "n", "minutiae_score", "layersA", "layersB", "l",
+           "average", "alpha", "final", "gate_reason")
+CSV_HEADER = ",".join(COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -138,11 +141,17 @@ def _checked(bd: ScoreBreakdown) -> ScoreBreakdown:
     return bd
 
 
+def breakdown_values(sb: ScoreBreakdown) -> tuple:
+    """The value of each of COLUMNS; average and alpha are None when gated."""
+    return (sb.ida, sb.idb, sb.k, sb.m, sb.n, sb.minutiae_score, sb.layers_input,
+            sb.layers_template, sb.l, sb.average, sb.alpha, sb.final, sb.gate_reason)
+
+
+def breakdown_cells(sb: ScoreBreakdown) -> list:
+    """Each column's value as text: floats by repr, None as empty."""
+    return ["" if v is None else repr(float(v)) if isinstance(v, float) else str(v)
+            for v in breakdown_values(sb)]
+
+
 def breakdown_to_csv_row(sb: ScoreBreakdown) -> str:
-    avg = "" if sb.average is None else repr(float(sb.average))
-    alpha = "" if sb.alpha is None else repr(float(sb.alpha))
-    return (
-        f"{sb.ida},{sb.idb},{sb.k},{sb.m},{sb.n},{float(sb.minutiae_score)!r},"
-        f"{sb.layers_input},{sb.layers_template},{sb.l},{avg},{alpha},"
-        f"{float(sb.final)!r},{sb.gate_reason}"
-    )
+    return ",".join(breakdown_cells(sb))

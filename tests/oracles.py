@@ -772,10 +772,7 @@ def extract_eager(img, cfg, source=None):
     """
     from onionprint.imgproc import binarize, despeckle, thin
 
-    binary = binarize(img, cfg.binarize, cfg.fixed_threshold)
-    if cfg.despeckle:
-        binary = despeckle(binary)
-    sk = thin(binary)
+    sk = thin(despeckle(binarize(img)))
     h, w = sk.shape
     margin = cfg.border_margin
     detected = []

@@ -143,6 +143,29 @@ def test_match_csv_output(tmp_path, capsys):
     assert cells[11] == "1.0"
 
 
+@pytest.mark.parametrize("same", [True, False], ids=["self-match", "two-prints"])
+def test_match_text_json_and_csv_agree(tmp_path, capsys, same):
+    root = _corpus_dir(tmp_path)
+    a, b = str(root / "1_1.txt"), str(root / ("1_1.txt" if same else "1_2.txt"))
+    assert main(["match", a, b]) == 0
+    text = _stdout_dict(capsys)
+    assert main(["match", a, b, "--json"]) == 0
+    as_json = json.loads(capsys.readouterr().out)
+    assert main(["match", a, b, "--csv"]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert list(text) == list(as_json) == header.split(",") == list(scoring.COLUMNS)
+    assert list(text.values()) == row.split(",")
+    for key, cell in text.items():
+        value = as_json[key]
+        if value is None:
+            assert cell == ""
+        elif isinstance(value, float):
+            assert float(cell) == value
+        else:
+            assert cell == str(value)
+    assert (as_json["alpha"] == "inf") == same
+
+
 def test_match_json_renders_infinite_alpha_as_string(tmp_path, capsys):
     img_path = tmp_path / "a.pgm"
     write_pgm(img_path, _two_ridge_image())
@@ -301,6 +324,19 @@ def test_evaluate_non_utf8_config_exits_2(tmp_path, capsys):
     assert main(["evaluate", str(root), "--config", str(cfg_path),
                  "--out", str(tmp_path / "rep")]) == 2
     _assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("line", ["binarize = fixed", "fixed_threshold = 100",
+                                  "despeckle = false"])
+def test_config_key_of_removed_option_exits_2(tmp_path, capsys, line):
+    root = _corpus_dir(tmp_path)
+    cfg_path = tmp_path / "old.cfg"
+    cfg_path.write_text(line + "\n")
+    assert main(["match", str(root / "1_1.txt"), str(root / "1_2.txt"),
+                 "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert repr(line.split(" = ")[0]) in err
 
 
 @pytest.mark.parametrize("row", [b"1,1,\xff.txt\n", b"1,1," + b"a" * 200_000 + b"\n"],

@@ -17,7 +17,6 @@ def test_defaults():
     assert cfg.sim == 0.15
     assert cfg.diff == 2.0
     assert cfg.border_margin == 12.0
-    assert cfg.binarize == "otsu"
 
 
 def test_validation():
@@ -27,8 +26,6 @@ def test_validation():
         MatchConfig(sim=1.5)
     with pytest.raises(InvalidInputError):
         MatchConfig(theta0=200.0)
-    with pytest.raises(InvalidInputError):
-        MatchConfig(binarize="magic")
     with pytest.raises(InvalidInputError):
         MatchConfig(rm=float("nan"))
     # an unbounded layer-count gate is a valid way to switch it off
@@ -43,9 +40,6 @@ def test_load_config_file(tmp_path):
 rm = 4
 r0 = 20   # wider pairing radius
 sim = 0.1
-despeckle = false
-binarize = fixed
-fixed_threshold = 100
 """
     )
     vals = load_config_file(p)
@@ -53,9 +47,6 @@ fixed_threshold = 100
     assert cfg.rm == 4.0
     assert cfg.r0 == 20.0
     assert cfg.sim == 0.1
-    assert cfg.despeckle is False
-    assert cfg.binarize == "fixed"
-    assert cfg.fixed_threshold == 100
 
 
 def test_config_file_errors(tmp_path):
@@ -76,6 +67,12 @@ def test_config_file_errors(tmp_path):
     norm.write_text("p = 2\n")
     with pytest.raises(InvalidInputError, match="'p'"):
         load_config_file(norm)
+    # binarization is always Otsu and despeckling always on
+    for key, value in (("binarize", "fixed"), ("fixed_threshold", "100"), ("despeckle", "false")):
+        removed = tmp_path / key
+        removed.write_text(f"{key} = {value}\n")
+        with pytest.raises(InvalidInputError, match=f"'{key}'"):
+            load_config_file(removed)
 
 
 def test_overrides_beat_file_values():
@@ -85,7 +82,8 @@ def test_overrides_beat_file_values():
     assert cfg.diff == 2.0
 
 
-_KEYS = [f.name for f in fields(MatchConfig)] + ["p", "bogus"]
+_KEYS = [f.name for f in fields(MatchConfig)] + ["p", "binarize", "fixed_threshold",
+                                                   "despeckle", "bogus"]
 _LINES = st.lists(st.tuples(st.sampled_from(_KEYS), st.text(max_size=12)), max_size=6).map(
     lambda kv: "".join(f"{k} = {v}\n" for k, v in kv).encode("utf-8", "surrogatepass"))
 

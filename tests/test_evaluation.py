@@ -240,8 +240,6 @@ def test_rates_require_both_labels():
         rates_and_metrics(_table([0.5], []))
     with pytest.raises(InvalidInputError):
         rates_and_metrics(_table([], [0.5]))
-    with pytest.raises(InvalidInputError):
-        rates_and_metrics(_table([0.5], [0.4]), thresholds=(0.5, 0.1))
 
 
 # ---------------------------------------------------------------------------

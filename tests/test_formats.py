@@ -26,14 +26,15 @@ def _img(seed=1, shape=(11, 7)):
 def test_pgm_binary_round_trip(tmp_path):
     img = _img()
     p = tmp_path / "a.pgm"
-    write_pgm(p, img, binary=True)
+    write_pgm(p, img)
     assert np.array_equal(read_pgm(p), img)
 
 
 def test_pgm_ascii_round_trip(tmp_path):
     img = _img(2)
     p = tmp_path / "a.pgm"
-    write_pgm(p, img, binary=False)
+    rows = "\n".join(" ".join(str(v) for v in row) for row in img)
+    p.write_text(f"P2\n{img.shape[1]} {img.shape[0]}\n255\n{rows}\n")
     assert np.array_equal(read_pgm(p), img)
 
 

@@ -93,20 +93,18 @@ def _ridges(rng, width, height, noise, angle=45.0, period=10.0):
 
 def test_binarize_uniform_above_threshold_is_background():
     img = np.full((5, 7), 200, np.uint8)
-    assert binarize(img, "fixed", 128).sum() == 0
+    assert binarize(img).sum() == 0
 
 
 def test_binarize_checkerboard():
     img = (np.indices((6, 6)).sum(axis=0) % 2) * 255
-    out = binarize(img, "fixed", 128)
+    out = binarize(img)
     assert np.array_equal(out, (img == 0).astype(np.uint8))
 
 
-def test_binarize_rejects_empty_and_unknown_method():
+def test_binarize_rejects_empty():
     with pytest.raises(InvalidInputError):
         binarize(np.zeros((0, 4), np.uint8))
-    with pytest.raises(InvalidInputError):
-        binarize(np.zeros((4, 4), np.uint8), "adaptive")
 
 
 def test_otsu_matches_exhaustive_search():
@@ -121,7 +119,7 @@ def test_otsu_matches_exhaustive_search():
     for img in cases:
         t = otsu_threshold(img)
         assert t == otsu_threshold_bruteforce(img)
-        assert np.array_equal(binarize(img, "otsu"), (img < t).astype(np.uint8))
+        assert np.array_equal(binarize(img), (img < t).astype(np.uint8))
 
 
 def test_otsu_tie_breaks_toward_smaller_threshold():
