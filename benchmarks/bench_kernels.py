@@ -1,9 +1,10 @@
 """Times each hot kernel against its slow reference in tests/oracles.py.
 
 Run as `python3 benchmarks/bench_kernels.py` from the repository root.
-Rows: thinning by the 9-bit lookup-table pass against the scalar
-Zhang-Suen loop, crossing-number detection by a second 512-entry table
-against the pixel-by-pixel rule, the batched ridge trace
+Rows: `imgproc.raw_minutiae`, which thins by 9-bit lookup-table passes
+and detects by crossing number from the codes of its last pass, against
+the scalar Zhang-Suen loop and the pixel-by-pixel crossing-number rule
+(binarization and despeckling run on both sides), the batched ridge trace
 (`imgproc.orientations`) against the scalar trace, the turning scan
 against the shift-by-shift sweep, the branch-and-bound `best_alignment`
 against the exhaustive search, and the grid-bucketed `merge_close`
@@ -19,11 +20,12 @@ from pathlib import Path
 
 import numpy as np
 
-from onionprint import imgproc, kernels, synth
-from onionprint.minutiae import Minutia, MinutiaKind, MinutiaSet
-from onionprint.turning import turning_function
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from onionprint import imgproc, kernels, synth  # noqa: E402
+from onionprint.minutiae import Minutia, MinutiaKind, MinutiaSet  # noqa: E402
+from onionprint.turning import turning_function  # noqa: E402
 from oracles import (  # noqa: E402
     best_alignment_exhaustive,
     detect_minutiae_scalar,
@@ -45,14 +47,14 @@ def best_of(fn, repeat, inner):
 
 
 def ridge_image(side=384, period=9):
-    """Parallel wavy ridges, a stand-in for a real print's foreground."""
+    """Parallel wavy dark ridges on white, a stand-in for a real print."""
     yy, xx = np.mgrid[0:side, 0:side]
     phase = yy + 6.0 * np.sin(xx / 23.0)
-    return ((phase % period) < period / 2.5).astype(np.uint8)
+    return np.where((phase % period) < period / 2.5, 0, 255).astype(np.uint8)
 
 
 def rendered_print(width=384, height=296, seed=5):
-    """Skeleton and raw detections of a noisy print with diagonal ridges.
+    """A noisy print with diagonal ridges.
 
     The size and ridge angle are the largest and most staircased of the
     rendered prints.
@@ -60,8 +62,22 @@ def rendered_print(width=384, height=296, seed=5):
     rng = np.random.default_rng(seed)
     spirals = [(x, y, (-1) ** k) for k, (x, y) in enumerate(rng.uniform(40, 256, size=(12, 2)))]
     img, _ = synth.render_impression(rng, width, height, spirals, 45.0, 10.0, 15.0)
-    detected, sk = imgproc.raw_minutiae(img)
-    return detected, sk
+    return img
+
+
+def raw_rows(img):
+    """(x, y, bifurcation) rows and skeleton of `imgproc.raw_minutiae`."""
+    d, sk = imgproc.raw_minutiae(img)
+    return list(zip(d.x.tolist(), d.y.tolist(), d.bif.tolist())), sk
+
+
+def raw_rows_scalar(img):
+    sk = thin_scalar(imgproc.despeckle(imgproc.binarize(img)))
+    return detect_minutiae_scalar(sk), sk
+
+
+def same_raw(a, b):
+    return a[0] == b[0] and np.array_equal(a[1], b[1])
 
 
 def merge_workload(detected, sk):
@@ -115,17 +131,14 @@ def main():
                         help="timing repetitions, best is reported")
     args = parser.parse_args()
 
-    binary = ridge_image()
-    detected, sk = rendered_print()
+    ridges = ridge_image()
+    img = rendered_print()
+    detected, sk = imgproc.raw_minutiae(img)
     xs, ys, bif = detected.x, detected.y, detected.bif
     points = list(zip(xs.astype(int).tolist(), ys.astype(int).tolist(), bif.tolist()))
     align_args = alignment_workload()
     turn_args = turning_workload()
     kept, minutiae = merge_workload(detected, sk)
-
-    def detected_rows():
-        d = imgproc.detect_minutiae(sk)
-        return list(zip(d.x.tolist(), d.y.tolist(), d.bif.tolist()))
 
     def merged_rows():
         out = imgproc.merge_close(kept, 5.0)
@@ -137,10 +150,9 @@ def main():
 
     # (name, fast, reference, same results, calls per timing)
     rows = [
-        ("thin 384x384, 9-bit table", lambda: imgproc.thin(binary), lambda: thin_scalar(binary),
-         np.array_equal, 3),
-        (f"detect_minutiae {sk.shape[1]}x{sk.shape[0]}, CN table", detected_rows,
-         lambda: detect_minutiae_scalar(sk), lambda a, b: a == b, 3),
+        ("raw_minutiae 384x384 ridges", lambda: raw_rows(ridges), lambda: raw_rows_scalar(ridges), same_raw, 3),
+        (f"raw_minutiae {sk.shape[1]}x{sk.shape[0]} print", lambda: raw_rows(img), lambda: raw_rows_scalar(img),
+         same_raw, 3),
         (f"orientations {len(points)} points", lambda: imgproc.orientations(sk, xs, ys, bif).tolist(),
          lambda: [orientation_scalar(sk, (x, y), b) for x, y, b in points], lambda a, b: a == b, 3),
         ("min_turning_distance 25-gon", lambda: kernels.min_turning_distance(*turn_args),

@@ -65,6 +65,35 @@ def _cross(o, a, b) -> float:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
+def _monotone_chain(pts: list) -> list:
+    """Strict hull of distinct (x, y) float tuples sorted by (x, y).
+
+    Tuples, not numpy rows: the cross products are the same IEEE double
+    operations either way, and plain floats do them several times faster.
+    """
+    if len(pts) <= 2:
+        return pts
+    lower: list = []
+    for p in pts:
+        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    upper: list = []
+    for p in reversed(pts):
+        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
+    hull = lower[:-1] + upper[:-1]
+    if len(hull) < 3:
+        # all points collinear: strict hull degenerates to the two extremes
+        return [pts[0], pts[-1]]
+    return hull
+
+
+def _ring(hull: list) -> np.ndarray:
+    return np.array(hull, dtype=np.float64).reshape(len(hull), 2)
+
+
 def convex_hull(points) -> np.ndarray:
     """Strict convex hull by Andrew's monotone chain.
 
@@ -74,26 +103,7 @@ def convex_hull(points) -> np.ndarray:
     are returned in lexicographic order.
     """
     pts = _dedup_lexsorted(_as_points(points))
-    n = len(pts)
-    if n <= 2:
-        return pts
-
-    lower: list[np.ndarray] = []
-    for p in pts:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[np.ndarray] = []
-    for p in pts[::-1]:
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) < 3:
-        # all points collinear: strict hull degenerates to the two extremes
-        return np.array([pts[0], pts[-1]])
-    return np.array(hull)
+    return _ring(_monotone_chain(list(map(tuple, pts.tolist()))))
 
 
 def convex_layers(points) -> ConvexLayers:
@@ -102,15 +112,14 @@ def convex_layers(points) -> ConvexLayers:
     Duplicate input points are removed first. Each layer is the strict
     hull of the remaining points, so collinear boundary points fall
     through to deeper layers. The innermost layer may hold 1 or 2 points.
+    Removing a ring keeps the rest distinct and sorted, so the points are
+    sorted once.
     """
-    remaining = _dedup_lexsorted(_as_points(points))
+    remaining = list(map(tuple, _dedup_lexsorted(_as_points(points)).tolist()))
     layers: list[Layer] = []
-    depth = 0
-    while len(remaining) > 0:
-        ring = convex_hull(remaining)
-        layers.append(Layer(depth=depth, ring=ring))
-        ring_set = {(x, y) for x, y in ring}
-        keep = np.array([(x, y) not in ring_set for x, y in remaining], dtype=bool)
-        remaining = remaining[keep]
-        depth += 1
+    while remaining:
+        hull = _monotone_chain(remaining)
+        layers.append(Layer(depth=len(layers), ring=_ring(hull)))
+        on_ring = set(hull)
+        remaining = [p for p in remaining if p not in on_ring]
     return ConvexLayers(layers=tuple(layers))

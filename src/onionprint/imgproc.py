@@ -13,6 +13,11 @@ all the survivors at once, every walker stepping together on the
 padded skeleton. Merging places each cleaned minutia by position alone
 and gives it the orientation of one raw detection, so only those
 representatives are traced, not every detection.
+Each thinning subiteration computes the image's neighbourhood codes
+once; they give the deletion mask, the stop test (when a subiteration
+deletes nothing, the other step's table on the same codes) and, after
+the last one, the crossing numbers, so `raw_minutiae` never computes
+the codes of an unchanged image twice.
 Coordinates are screen pixels (origin top-left, y down); angles are
 degrees counterclockwise from +x in image space, so "up" is 270.
 """
@@ -136,18 +141,30 @@ def _padded(binary):
     return padded
 
 
-def thin(binary):
-    """Zhang-Suen thinning to a one-pixel-wide skeleton.
+def _thin_in_place(padded):
+    """Zhang-Suen thinning of a zero-padded image, in place; returns the
+    neighbourhood codes of the skeleton.
 
-    Each subiteration is one `kernels.zhang_suen_pass`, a lookup of every
-    pixel's 9-bit neighbourhood code in the deletion table.
+    Each subiteration computes the codes once and deletes by one lookup
+    in its step's table. A subiteration that deletes nothing leaves the
+    image, and so the codes, as they were: the other step's table is
+    then applied to the same codes, and when it deletes nothing too, no
+    later subiteration would, and the codes are the skeleton's.
     """
-    padded = _padded(binary)
+    step = 0
     while True:
-        changed = kernels.zhang_suen_pass(padded, 0)
-        changed += kernels.zhang_suen_pass(padded, 1)
-        if changed == 0:
-            break
+        code = kernels.neighbourhood_codes(padded)
+        if not kernels.zhang_suen_pass(padded, code, step):
+            step ^= 1
+            if not kernels.zhang_suen_pass(padded, code, step):
+                return code
+        step ^= 1
+
+
+def thin(binary):
+    """Zhang-Suen thinning to a one-pixel-wide skeleton (see `_thin_in_place`)."""
+    padded = _padded(binary)
+    _thin_in_place(padded)
     return padded[1:-1, 1:-1].copy()
 
 
@@ -241,6 +258,15 @@ def orientations(sk, x, y, bif):
     return theta
 
 
+def _detections(code):
+    """Crossing-number detections of a skeleton, from its neighbourhood codes."""
+    cn = kernels.crossing_numbers(code).ravel()
+    # flat indices: np.nonzero of a 2-D mask takes about ten times longer
+    at = np.flatnonzero((cn == 1) | (cn >= 3))
+    ys, xs = np.divmod(at, code.shape[1])
+    return Detections(xs.astype(float), ys.astype(float), cn[at] >= 3)
+
+
 def detect_minutiae(sk) -> Detections:
     """Classify skeleton pixels by crossing number.
 
@@ -248,19 +274,18 @@ def detect_minutiae(sk) -> Detections:
     pixel's 8 neighbours (Rutovitz 1966): 1 is an ending, 3 or more a
     bifurcation, 2 an ordinary ridge pixel, 0 an ignored speck. Unlike
     a neighbour count, it reads the corner pixels of a Zhang-Suen
-    staircase as ridge pixels. The skeleton must be thin: one more
-    thinning iteration, read from the same neighbourhood codes, would
-    delete nothing. Output is in
+    staircase as ridge pixels. The skeleton must be thin: neither
+    thinning subiteration, applied to the same neighbourhood codes,
+    may delete a pixel. Output is in
     raster order, which already matches the canonical (y, x) sort. No
     orientation is traced here: most detections are cut at the border
     or merged away, so `clean_minutiae` traces only the survivors.
     """
-    code = kernels.neighbourhood_codes(_padded(sk))
-    if not kernels.deletes_nothing(code):
+    padded = _padded(sk)
+    code = kernels.neighbourhood_codes(padded)
+    if kernels.zhang_suen_pass(padded, code, 0) or kernels.zhang_suen_pass(padded, code, 1):
         raise PreconditionError("detect_minutiae requires a fully thinned skeleton")
-    cn = kernels.crossing_numbers(code)
-    ys, xs = np.nonzero((cn == 1) | (cn >= 3))
-    return Detections(xs.astype(float), ys.astype(float), cn[ys, xs] >= 3)
+    return _detections(code)
 
 
 def merge_close(d, rm) -> Merged:
@@ -388,11 +413,15 @@ def remove_border_minutiae(d, shape, margin) -> Detections:
 def raw_minutiae(img):
     """Image through detection, before any cleanup: (detections, skeleton).
 
-    No config parameter reaches this stage, so parameter sweeps compute
-    it once per image and rerun only the cleanup below it.
+    `thin` then `detect_minutiae`, except that detection reads the
+    neighbourhood codes of thinning's last subiteration instead of
+    computing them again; they are dropped before this returns. No
+    config parameter reaches this stage, so parameter sweeps compute it
+    once per image and rerun only the cleanup below it.
     """
-    sk = thin(despeckle(binarize(img)))
-    return detect_minutiae(sk), sk
+    padded = _padded(despeckle(binarize(img)))
+    detected = _detections(_thin_in_place(padded))
+    return detected, padded[1:-1, 1:-1].copy()
 
 
 def clean_minutiae(detected, sk, cfg=None, source=None) -> MinutiaSet:

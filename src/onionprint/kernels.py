@@ -11,8 +11,10 @@ a 512-entry table: three horizontal shifts pack each row triple into 3
 bits, three vertical shifts stack three such rows into a 9-bit code,
 and one ``take`` per subiteration gives the deletion mask. The table is
 built once, on first use, from Zhang and Suen's rule evaluated over all
-512 codes. Minutia detection looks the same codes up in a second table,
-of crossing numbers.
+512 codes. The caller computes the codes and passes them in, so one set
+serves a subiteration, the other step's table when that subiteration
+deletes nothing (the stop test), and minutia detection, which looks them
+up in a second table, of crossing numbers.
 
 The alignment search, ``best_alignment``, is an exact branch and bound:
 an upper bound on every hypothesis's matched count, computed from
@@ -41,11 +43,12 @@ SNAP_EPS = 1e-12
 # 3 x 3 neighbourhood tables: Zhang-Suen thinning and crossing numbers
 #
 # Both look a pixel's 9-bit neighbourhood code up in a 512-entry table.
-# Thinning operates on a zero-padded uint8 0/1 image in place and
-# returns the number of deleted pixels; `step` selects the subiteration
-# (0 or 1). Deletion is simultaneous: every code is read before any
-# pixel clears. Detection computes the codes of a skeleton once, checks
-# with them that it is thin, then reads its crossing numbers.
+# Thinning operates on a zero-padded uint8 0/1 image in place, from
+# codes computed before the pass, and returns the number of deleted
+# pixels; `step` selects the subiteration (0 or 1). Deletion is
+# simultaneous: every code is read before any pixel clears. The same
+# codes, once neither step's table deletes anything, give the
+# skeleton's crossing numbers.
 # ---------------------------------------------------------------------------
 
 
@@ -102,25 +105,39 @@ def _crossing_number_table():
 def neighbourhood_codes(img):
     """9-bit 3 x 3 neighbourhood code of every interior pixel of a padded
     uint8 0/1 image: three horizontal shifts pack each row triple into
-    3 bits, and three vertical shifts stack three such rows."""
-    rows = (img[:, :-2] << 2) | (img[:, 1:-1] << 1) | img[:, 2:]
-    return (rows[:-2].astype(np.uint16) << 6) | (rows[1:-1] << 3) | rows[2:]
+    3 bits, and three vertical shifts stack three such rows.
 
-
-def zhang_suen_pass(img, step):
-    """One subiteration on a padded uint8 0/1 image, in place; pixels deleted."""
-    kill = _zhang_suen_tables()[step].take(neighbourhood_codes(img))
-    img[1:-1, 1:-1][kill] = 0
-    return int(np.count_nonzero(kill))
-
-
-def deletes_nothing(code):
-    """True when no pixel of these codes is deletable by either subiteration.
-
-    A first subiteration that deletes nothing leaves the second the same
-    codes, so this is a whole thinning iteration that changes nothing.
+    The shifts run over the flattened image, where they are contiguous
+    and about a third faster than over 2-D slices; the triples and codes
+    that straddle a row end land in the last two columns of each row,
+    which the returned view leaves out.
     """
-    return not _zhang_suen_tables().any(axis=0).take(code).any()
+    h, w = img.shape
+    flat = img.ravel()
+    rows = flat[:-2] << 2
+    rows |= flat[1:-1] << 1
+    rows |= flat[2:]
+    # code[y * w + x] is that of padded pixel (y + 1, x + 1)
+    n = (h - 2) * w - 2
+    code = np.empty((h - 2) * w, np.uint16)
+    np.left_shift(rows[:n], 6, out=code[:n], dtype=np.uint16)
+    code[:n] |= rows[w:w + n] << 3
+    code[:n] |= rows[2 * w:]
+    return code.reshape(h - 2, w)[:, :w - 2]
+
+
+def zhang_suen_pass(img, code, step):
+    """One subiteration on a padded uint8 0/1 image whose interior has
+    the neighbourhood codes `code`, in place; returns the pixels deleted.
+
+    The table deletes only foreground centres, so an XOR with the mask
+    clears exactly them.
+    """
+    kill = _zhang_suen_tables()[step].take(code)
+    deleted = int(np.count_nonzero(kill))
+    if deleted:
+        img[1:-1, 1:-1] ^= kill.view(np.uint8)
+    return deleted
 
 
 def crossing_numbers(code):
