@@ -7,9 +7,11 @@ the scalar Zhang-Suen loop and the pixel-by-pixel crossing-number rule
 (binarization and despeckling run on both sides), the batched ridge trace
 (`imgproc.orientations`) against the scalar trace, the turning scan
 against the shift-by-shift sweep, the branch-and-bound `best_alignment`
-against the exhaustive search, and the grid-bucketed `merge_close`
-against the dense n x n merge. Each row exits if the two results
-differ.
+against the exhaustive search, its bound pass `_alignment_bounds`, which
+looks template points up by orientation slab and cell, against the
+brute-force bound over all m^2 n^2 quadruples, and the grid-bucketed
+`merge_close` against the dense n x n merge. Each row exits if the two
+results differ.
 """
 
 import argparse
@@ -27,6 +29,7 @@ from onionprint import imgproc, kernels, synth  # noqa: E402
 from onionprint.minutiae import Minutia, MinutiaKind, MinutiaSet  # noqa: E402
 from onionprint.turning import turning_function  # noqa: E402
 from oracles import (  # noqa: E402
+    alignment_bounds_bruteforce,
     best_alignment_exhaustive,
     detect_minutiae_scalar,
     merge_close_dense,
@@ -88,9 +91,9 @@ def merge_workload(detected, sk):
                   for i, (x, y, b) in enumerate(zip(kept.x.tolist(), kept.y.tolist(), kept.bif.tolist()))]
 
 
-def alignment_workload(seed=3):
+def alignment_workload(seed=3, size=50):
     rng = np.random.default_rng(seed)
-    finger = synth.synthetic_finger(rng, n_min=50, n_max=50)
+    finger = synth.synthetic_finger(rng, n_min=size, n_max=size)
     a = MinutiaSet.from_iterable(finger)
     b = synth.jittered_impression(rng, finger)
     return (a.x, a.y, a.theta, b.x, b.y, b.theta, 15.0, 10.0)
@@ -137,6 +140,7 @@ def main():
     xs, ys, bif = detected.x, detected.y, detected.bif
     points = list(zip(xs.astype(int).tolist(), ys.astype(int).tolist(), bif.tolist()))
     align_args = alignment_workload()
+    bound_args = alignment_workload(5, 60)
     turn_args = turning_workload()
     kept, minutiae = merge_workload(detected, sk)
 
@@ -159,6 +163,9 @@ def main():
          lambda: min_turning_distance_scan(*turn_args), agree, 20),
         ("best_alignment 50 vs ~50", lambda: kernels.best_alignment(*align_args),
          lambda: best_alignment_exhaustive(*align_args), same_alignment, 3),
+        (f"_alignment_bounds {len(bound_args[0])} vs {len(bound_args[3])}",
+         lambda: kernels._alignment_bounds(*bound_args), lambda: alignment_bounds_bruteforce(*bound_args),
+         np.array_equal, 10),
         (f"merge_close {len(kept)} points", merged_rows, dense_rows, lambda a, b: a == b, 3),
     ]
 

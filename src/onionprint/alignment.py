@@ -10,9 +10,10 @@ impressions from one sensor share resolution.
 The search (`kernels.best_alignment`) is an exact branch and bound. The
 tolerance test of a pair under a hypothesis only depends on where each
 minutia sits relative to its own anchor, so one vectorized pass bounds
-the matched count of every hypothesis, and only the hypotheses whose
-bound can still reach the best count are paired out. The winner is the
-one exhaustive verification picks.
+the matched count of every hypothesis: it looks partners up in a table
+of anchor-relative points keyed by relative orientation and position.
+Only the hypotheses whose bound can still reach the best count are
+paired out. The winner is the one exhaustive verification picks.
 """
 
 import math

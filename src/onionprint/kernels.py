@@ -20,8 +20,10 @@ The alignment search, ``best_alignment``, is an exact branch and bound:
 an upper bound on every hypothesis's matched count, computed from
 anchor-relative invariants padded by ``BOUND_EPS``, decides which
 hypotheses are verified, and the result is the one the exhaustive
-search gives. ``benchmarks/bench_kernels.py`` times the kernels against
-their references.
+search gives. The bound finds partners by fixed-radius cell bucketing
+(Bentley, Stanat and Williams, IPL 6(6), 1977) in three dimensions:
+relative orientation, then position. ``benchmarks/bench_kernels.py``
+times the kernels against their references.
 """
 
 import functools
@@ -165,6 +167,13 @@ def crossing_numbers(code):
 # such a partner. Hypotheses are verified in order of descending bound
 # until the bound drops below the best k found, so the winner is the
 # one the exhaustive search finds.
+#
+# The partners are found over all hypotheses at once. The template's
+# n^2 anchor-relative points are bucketed by orientation slab, cell row
+# and cell column, with slabs at least 2 theta0 and cells at least 2 r0
+# wide, so an input point's partners lie in 2 x 2 x 2 buckets around it.
+# Only the points in those buckets get the exact tests, and each
+# hypothesis counts the distinct i and j among its few survivors.
 # ---------------------------------------------------------------------------
 
 # Pad on both tolerances inside the bound (times the coordinate scale
@@ -173,7 +182,9 @@ def crossing_numbers(code):
 BOUND_EPS = 1e-6
 
 # Working memory of one pass of the bound computation, in bytes: at
-# most this plus one anchor's worth, whatever the set sizes.
+# most this plus one anchor's worth, whatever the set sizes. The
+# candidates from an anchor's buckets dominate it; the tables of
+# anchor-relative points, n^2 and m^2 entries, are outside the passes.
 PASS_BYTES = 1 << 18
 
 
@@ -215,24 +226,39 @@ def _local_frames(x, y, t):
     """Every point of a set seen from every point: (anchor, point) arrays.
 
     Position is rotated into the anchor's frame, orientation is taken
-    relative to the anchor's, in [0, 360).
+    relative to the anchor's, in [0, 360]: for angles in [0, 360) a
+    negative difference plus 360 is what `% 360.0` gives, rounding to
+    360.0 included, at a fraction of its cost.
     """
     rad = t * (math.pi / 180.0)
     c = np.cos(rad)[:, None]
     s = np.sin(rad)[:, None]
     dx = x[None, :] - x[:, None]
     dy = y[None, :] - y[:, None]
-    return c * dx + s * dy, c * dy - s * dx, (t[None, :] - t[:, None]) % 360.0
+    dt = t[None, :] - t[:, None]
+    return c * dx + s * dy, c * dy - s * dx, np.where(dt < 0.0, dt + 360.0, dt)
+
+
+def _distinct_counts(hyp, idx, k, size):
+    """Number of distinct idx (each below k) per hypothesis in [0, size)."""
+    key = hyp * k + idx
+    key.sort()
+    new = np.empty(key.shape[0], bool)
+    new[:1] = True
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    return np.bincount(key[new] // k, minlength=size)
 
 
 def _alignment_bounds(xi, yi, ti, xj, yj, tj, r0, theta0):
     """Upper bound on the greedy count of every hypothesis, (a, b) order.
 
-    The template's n^2 local points go into a dense grid of cells at
-    least r0 wide, so every partner of an input local point lies in the
-    3 x 3 cells around it: three runs of consecutive cells, one per row.
-    Candidates from those runs get the exact tests; each survivor marks
-    its i and its j as pairable under its (a, b).
+    The template's n^2 local points go into a table keyed by
+    (orientation slab, cell row, cell column). Slabs are at least
+    2 theta0 and cells at least 2 r0 wide, each plus the pads, so every
+    partner of an input local point lies in 2 slabs x 2 rows x 2
+    columns: up to four runs of two consecutive cells. Candidates from
+    those runs get the exact tests, and the bound of (a, b) counts the
+    distinct i and the distinct j among its survivors.
     """
     m = xi.shape[0]
     n = xj.shape[0]
@@ -246,40 +272,63 @@ def _alignment_bounds(xi, yi, ti, xj, yj, tj, r0, theta0):
         # bound, every hypothesis gets verified
         return np.full(m * n, min(m, n))
 
-    # cells wider than r_pad by one more pad, so no rounding in the cell
-    # index can put two partners two cells apart; wider still when the
-    # points spread far, so the table has at most 153 x 153 cells and
-    # its keys fit int16, which numpy sorts by radix
+    # a partner lies within reach of its query, half a pad more than the
+    # tests allow, so no rounding in a cell or slab index can put it
+    # outside the query's two. Cells are wider still when the points
+    # spread far, and slabs when cells are many, so the table has at
+    # most 2^15 keys, which fit int16 and numpy sorts by radix. Cells
+    # are at least BOUND_EPS times the largest coordinate magnitude
+    # wide, so no index exceeds a few million before clamping.
+    reach_r = r_pad + BOUND_EPS * scale / 2
+    reach_t = t_pad + BOUND_EPS / 2
+    keys = np.iinfo(np.int16).max + 1
+    side = math.isqrt(keys) - 2  # (side + 2)^2 cells fit the keys
     x0, y0 = float(jx.min()), float(jy.min())
     span = max(float(jx.max()) - x0, float(jy.max()) - y0)
-    cell = max(r_pad + BOUND_EPS * scale, span / 150)
-    # one empty cell of margin on every side: clamping a query's cell to
-    # the inside then only ever widens its 3 x 3 neighbourhood
-    gx = (np.floor((jx - x0) / cell) + 1).astype(np.intp)
-    gy = (np.floor((jy - y0) / cell) + 1).astype(np.intp)
+    cell = max(2 * reach_r, span / side)
+    # a query's reach in cells; an infinite cell (infinite r0, or a
+    # spread that overflows) holds every point, in cell 0
+    lead = reach_r / cell if cell < math.inf else 0.0
+    jx, jy, jt = jx.ravel(), jy.ravel(), jt.ravel()
+    gx = np.floor(jx / cell - x0 / cell).astype(np.intp)
+    gy = np.floor(jy / cell - y0 / cell).astype(np.intp)
+    # one empty column and row past the last, so a query's two never wrap
     nx = int(gx.max()) + 2
     ny = int(gy.max()) + 2
-    key = (gy * nx + gx).ravel().astype(np.int16)
+    slabs = max(1, min(int(360.0 / (2 * reach_t)), keys // (nx * ny)))
+    width = 360.0 / slabs
+    gt = np.floor(jt / width).astype(np.intp) % slabs  # 360 is 0
+    key = ((gt * ny + gy) * nx + gx).astype(np.int16)
     order = np.argsort(key, kind="stable")
-    start = np.zeros(nx * ny + 1, np.intp)
-    np.cumsum(np.bincount(key, minlength=nx * ny), out=start[1:])
-    sx = jx.ravel().take(order)
-    sy = jy.ravel().take(order)
-    st = jt.ravel().take(order)
+    start = np.zeros(slabs * nx * ny + 1, np.intp)
+    np.cumsum(np.bincount(key, minlength=slabs * nx * ny), out=start[1:])
+    two = start[2:] - start[:-2]  # points in the two cells from each key on
+    sx = jx.take(order)
+    sy = jy.take(order)
+    st = jt.take(order)
     sb, sj = np.divmod(order, n)
 
-    # every input local point queries three runs of three cells, one
-    # run per row of its 3 x 3 neighbourhood
+    # every input local point queries its first slab, row and column;
+    # clamping them to the table only ever adds empty cells. Its runs
+    # are (slab, row) = (s, r), (s, r + 1), (s + 1, r), (s + 1, r + 1),
+    # slabs wrapping around, and one slab when there is only one.
     qx, qy, qt = ix.ravel(), iy.ravel(), it.ravel()
-    cx = np.clip(np.floor((qx - x0) / cell) + 1, 1, nx - 2).astype(np.intp)
-    cy = np.clip(np.floor((qy - y0) / cell) + 1, 1, ny - 2).astype(np.intp)
-    first = (cy * nx + cx - 1)[None, :] + np.arange(-nx, nx + 1, nx)[:, None]
-    lo = start[first]
-    cnt = start[first + 3] - lo
+    cx = np.clip(np.floor(qx / cell - (x0 / cell + lead)), 0, nx - 2).astype(np.intp)
+    cy = np.clip(np.floor(qy / cell - (y0 / cell + lead)), 0, ny - 2).astype(np.intp)
+    first = cy * nx + cx
+    if slabs > 1:
+        s0 = np.floor(qt / width - reach_t / width).astype(np.intp) % slabs
+        s1 = s0 + 1
+        s1[s1 == slabs] = 0
+        first = np.stack([s0, s1]) * (nx * ny) + first
+    first = (first.reshape(-1, 1, m * m) + np.array([0, nx])[:, None]).reshape(-1, m * m)
+    runs = first.shape[0]
+    lo = start.take(first)
+    cnt = two.take(first)
 
     # passes over runs of consecutive anchors; an anchor costs about 64
-    # bytes per candidate plus its n * (m + n) pairability marks
-    cost = 64 * cnt.reshape(3, m, m).sum(axis=(0, 2)) + n * (m + n)
+    # bytes per candidate and 40 per query run and per hypothesis
+    cost = 64 * cnt.reshape(runs, m, m).sum(axis=(0, 2)) + 40 * (runs * m + n)
     group = (np.cumsum(cost) - cost) // PASS_BYTES
     cuts = [0, *(np.flatnonzero(np.diff(group)) + 1).tolist(), m]
     bound = np.empty(m * n, np.intp)
@@ -290,7 +339,7 @@ def _alignment_bounds(xi, yi, ti, xj, yj, tj, r0, theta0):
         # times faster than with int32
         skip = lo_p - (np.cumsum(cnt_p) - cnt_p)
         pos = np.arange(int(cnt_p.sum())) + np.repeat(skip, cnt_p)
-        q = np.repeat(np.tile(np.arange(a0 * m, a1 * m), 3), cnt_p)
+        q = np.repeat(np.tile(np.arange(a0 * m, a1 * m), runs), cnt_p)
         ddx = qx.take(q) - sx.take(pos)
         ddy = qy.take(q) - sy.take(pos)
         dt = np.abs(qt.take(q) - st.take(pos))
@@ -299,11 +348,8 @@ def _alignment_bounds(xi, yi, ti, xj, yj, tj, r0, theta0):
         pos = pos[ok]
         hyp = (q // m - a0) * n + sb.take(pos)  # within the pass
         size = (a1 - a0) * n
-        has_i = np.zeros(size * m, bool)
-        has_j = np.zeros(size * n, bool)
-        has_i[hyp * m + q % m] = True
-        has_j[hyp * n + sj.take(pos)] = True
-        bound[a0 * n:a1 * n] = np.minimum(has_i.reshape(size, m).sum(axis=1), has_j.reshape(size, n).sum(axis=1))
+        bound[a0 * n:a1 * n] = np.minimum(_distinct_counts(hyp, q % m, m, size),
+                                          _distinct_counts(hyp, sj.take(pos), n, size))
     return bound
 
 

@@ -703,6 +703,46 @@ def best_alignment_exhaustive(xi, yi, ti, xj, yj, tj, r0, theta0):
     return best[2], best[3], np.asarray(pi, np.int64), np.asarray(pj, np.int64), ssum
 
 
+def alignment_bounds_bruteforce(xi, yi, ti, xj, yj, tj, r0, theta0):
+    """`kernels._alignment_bounds` by its definition, over all m^2 n^2 quadruples.
+
+    Under (a, b), in (a, b) order, i seen from a's frame and j seen from
+    b's frame are partners when their positions lie within r0 and their
+    orientations relative to the anchors within theta0, both padded by
+    `BOUND_EPS` as the kernel pads them. The bound is the smaller of the
+    numbers of distinct i and of distinct j that have a partner. When an
+    anchor-relative coordinate overflows, every bound is min(m, n).
+    """
+    from onionprint.kernels import BOUND_EPS
+
+    m, n = len(xi), len(xj)
+    scale = max(1.0, r0, *(float(np.abs(v).max()) for v in (xi, yi, xj, yj)))
+    r_pad = r0 + BOUND_EPS * scale
+    t_pad = theta0 + BOUND_EPS
+
+    def frames(x, y, t):
+        # the kernel's float expressions, so both round alike
+        rad = t * (math.pi / 180.0)
+        c, s = np.cos(rad), np.sin(rad)
+        return [(c[a] * (x - x[a]) + s[a] * (y - y[a]), c[a] * (y - y[a]) - s[a] * (x - x[a]),
+                 (t - t[a]) % 360.0) for a in range(len(x))]
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        fi = frames(xi, yi, ti)
+        fj = frames(xj, yj, tj)
+        if not all(np.isfinite(v).all() for f in fi + fj for v in f[:2]):
+            return np.full(m * n, min(m, n))
+        bound = []
+        for ix, iy, it in fi:
+            for jx, jy, jt in fj:
+                ddx = ix[:, None] - jx[None, :]
+                ddy = iy[:, None] - jy[None, :]
+                dt = np.abs(it[:, None] - jt[None, :])
+                ok = (ddx * ddx + ddy * ddy <= r_pad * r_pad) & (np.minimum(dt, 360.0 - dt) <= t_pad)
+                bound.append(min(int(ok.any(axis=1).sum()), int(ok.any(axis=0).sum())))
+    return np.asarray(bound)
+
+
 def merge_close_dense(ms, rm):
     """`imgproc.merge_close` over dense n x n distance arrays, on minutiae.
 

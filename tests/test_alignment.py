@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from onionprint.errors import InvalidInputError
 from onionprint.minutiae import Minutia, MinutiaKind, MinutiaSet
 from onionprint.synth import synthetic_corpus
 from oracles import (
+    alignment_bounds_bruteforce,
     apply_transform,
     best_alignment_exhaustive,
     candidate_transforms,
@@ -350,3 +352,112 @@ def test_best_alignment_ties_break_to_earliest_hypothesis():
                                      (lattice[i] for i in rng.choice(16, size=9, replace=False)))
         _assert_matches_exhaustive(_kernel_args(a, b))
 
+
+def _assert_bounds_match_bruteforce(args):
+    """The bucketed bound is the brute-force bound, element for element."""
+    got = kernels._alignment_bounds(*args)
+    want = alignment_bounds_bruteforce(*args)
+    assert got.tolist() == want.tolist()
+    return got
+
+
+EXTREME_R0 = (0.0, 5e-324, 15.0, 1e300, math.inf)
+EXTREME_THETA0 = (0.0, 10.0, 180.0)
+
+
+def test_alignment_bounds_match_bruteforce_random():
+    rng = np.random.default_rng(118)
+    for r0, theta0 in itertools.product(EXTREME_R0, EXTREME_THETA0):
+        for _ in range(4):
+            a = _random_set(rng, int(rng.integers(1, 14)))
+            b = _random_set(rng, int(rng.integers(1, 14)))
+            _assert_bounds_match_bruteforce(_kernel_args(a, b, r0, theta0))
+
+
+def test_alignment_bounds_match_bruteforce_corpus():
+    corpus = synthetic_corpus(9, fingers=2, impressions=2, n_min=20, n_max=30)
+    for (_, _, a), (_, _, b) in itertools.combinations(corpus, 2):
+        _assert_bounds_match_bruteforce(_kernel_args(a, b))
+
+
+def test_alignment_bounds_match_bruteforce_on_slab_edges():
+    # orientations on multiples of the slab width the kernel picks for
+    # theta0 = 10 and their neighbours at exactly theta0, so relative
+    # orientations fall on slab edges; and angles a hair either side of
+    # 0, whose relative orientation % 360.0 rounds to 360.0
+    theta0 = 10.0
+    width = 360.0 / int(360.0 / (2 * (theta0 + 1.5 * kernels.BOUND_EPS)))
+    edges = [k * width for k in range(int(360.0 / width))]
+    near_zero = [0.0, 5e-15, 1e-14, 359.99999999999994]
+    rng = np.random.default_rng(119)
+    for thetas in (edges, near_zero + edges[:6]):
+        for _ in range(3):
+            pts = _spaced_points(rng, len(thetas))
+            turns = rng.choice([-theta0, 0.0, theta0], size=len(thetas))
+            a = MinutiaSet.from_iterable(_mu(x, y, t) for (x, y), t in zip(pts, thetas))
+            b = MinutiaSet.from_iterable(_mu(x + 5.0, y - 3.0, t + d) for (x, y), t, d in zip(pts, thetas, turns))
+            for args in (_kernel_args(a, b, 15.0, theta0), _kernel_args(b, a, 15.0, theta0)):
+                _assert_bounds_match_bruteforce(args)
+    rel = kernels._local_frames(*_kernel_args(a, a)[:3])[2]
+    assert (rel == 360.0).any()
+    on_edge = rel[(rel > 0.0) & (rel < 360.0)] / width
+    assert (on_edge == np.floor(on_edge)).any()
+
+
+def test_alignment_bounds_match_bruteforce_wide_spread():
+    # spreads so wide that cells grow past 2 r0 to keep the table within
+    # int16 keys, and with r0 = theta0 = 0 the slabs are capped too
+    rng = np.random.default_rng(120)
+    for box, r0, theta0 in [(2e5, 15.0, 10.0), (1e9, 15.0, 10.0), (2e5, 0.0, 0.0), (300.0, 0.0, 0.0)]:
+        for _ in range(3):
+            a = _random_set(rng, 12, box)
+            b = _random_set(rng, 12, box)
+            _assert_bounds_match_bruteforce(_kernel_args(a, b, r0, theta0))
+            _assert_bounds_match_bruteforce(_kernel_args(a, a, r0, theta0))
+
+
+def test_alignment_bounds_match_bruteforce_singletons():
+    one = MinutiaSet.from_iterable([_mu(3.0, 4.0, 50.0)])
+    other = MinutiaSet.from_iterable([_mu(90.0, -7.5, 300.0)])
+    many = _random_set(np.random.default_rng(121), 6)
+    for r0, theta0 in itertools.product(EXTREME_R0, EXTREME_THETA0):
+        for a, b in [(one, one), (one, other), (one, many), (many, one)]:
+            got = _assert_bounds_match_bruteforce(_kernel_args(a, b, r0, theta0))
+            assert got.shape == (len(a) * len(b),)
+
+
+def test_alignment_bounds_match_bruteforce_near_float_limit():
+    # differences of the first pair overflow (no bound: every hypothesis
+    # is verified); in the second they stay finite, but the spread of
+    # the anchor-relative points overflows
+    near = [_mu(-1e308, 0.0, 10.0), _mu(1e308, 5.0, 20.0), _mu(3.0, 4.0, 30.0)]
+    far = [_mu(1e308, 1e308, 15.0), _mu(-1e308, -9e307, 25.0), _mu(1.0, 1.0, 35.0)]
+    spread = [_mu(-6e307, 0.0, 10.0), _mu(6e307, 5.0, 20.0), _mu(3.0, 4.0, 30.0)]
+    other = [_mu(6e307, 6e307, 15.0), _mu(-6e307, -5e307, 25.0), _mu(1.0, 1.0, 35.0)]
+    with np.errstate(all="ignore"):
+        got = _assert_bounds_match_bruteforce(_kernel_args(*map(MinutiaSet.from_iterable, (near, far))))
+        assert got.tolist() == [3] * 9
+        for a, b in [(spread, other), (other, spread), (spread, spread)]:
+            args = _kernel_args(MinutiaSet.from_iterable(a), MinutiaSet.from_iterable(b))
+            for r0 in EXTREME_R0:
+                _assert_bounds_match_bruteforce(args[:6] + (r0, 10.0))
+            _assert_matches_exhaustive(args)
+
+
+def test_alignment_bounds_memory_does_not_grow_with_tight_tolerances():
+    # slabs and cells are capped by the int16 key space: an uncapped
+    # table at theta0 = 0 would hold 1.2e8 slabs per cell. An infinite r0
+    # puts every point in one cell and theta0 = 180 in one slab, and the
+    # passes keep the candidates to about one anchor's worth, here
+    # m n^2 = 64,000.
+    rng = np.random.default_rng(122)
+    a = _random_set(rng, 40, 300.0)
+    b = _random_set(rng, 40, 300.0)
+    for r0, theta0 in itertools.product((0.0, 5e-324, 15.0, math.inf), (0.0, 10.0, 180.0)):
+        tracemalloc.start()
+        try:
+            kernels._alignment_bounds(*_kernel_args(a, b, r0, theta0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20, (r0, theta0, peak)
