@@ -5,13 +5,15 @@ Rows: `imgproc.raw_minutiae`, which thins by 9-bit lookup-table passes
 and detects by crossing number from the codes of its last pass, against
 the scalar Zhang-Suen loop and the pixel-by-pixel crossing-number rule
 (binarization and despeckling run on both sides), the batched ridge trace
-(`imgproc.orientations`) against the scalar trace, the turning scan
-against the shift-by-shift sweep, the branch-and-bound `best_alignment`
-against the exhaustive search, its bound pass `_alignment_bounds`, which
-looks template points up by orientation slab and cell, against the
-brute-force bound over all m^2 n^2 quadruples, and the grid-bucketed
-`merge_close` against the dense n x n merge. Each row exits if the two
-results differ.
+(`imgproc.orientations`) against the scalar trace, one pair's whole
+shape stage (`scoring.layer_distances`, which encodes and compares every
+peer ring pair in one batch) against turning functions and the
+shift-by-shift sweep one ring pair at a time, the branch-and-bound
+`best_alignment` against the exhaustive search, its bound pass
+`_alignment_bounds`, which looks template points up by orientation slab
+and cell, against the brute-force bound over all m^2 n^2 quadruples, and
+the grid-bucketed `merge_close` against the dense n x n merge. Each row
+exits if the two results differ.
 """
 
 import argparse
@@ -25,7 +27,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from onionprint import imgproc, kernels, synth  # noqa: E402
+from onionprint import geometry, imgproc, kernels, scoring, synth  # noqa: E402
 from onionprint.minutiae import Minutia, MinutiaKind, MinutiaSet  # noqa: E402
 from onionprint.turning import turning_function  # noqa: E402
 from oracles import (  # noqa: E402
@@ -99,22 +101,27 @@ def alignment_workload(seed=3, size=50):
     return (a.x, a.y, a.theta, b.x, b.y, b.theta, 15.0, 10.0)
 
 
-def turning_workload(seed=4, nv=25):
+def shape_workload(seed=4, size=40):
+    """The peelings of a genuine pair: every peer ring pair, innermost first."""
     rng = np.random.default_rng(seed)
+    finger = synth.synthetic_finger(rng, n_min=size, n_max=size)
+    a = MinutiaSet.from_iterable(finger)
+    b = synth.jittered_impression(rng, finger)
+    return geometry.convex_layers(a.positions()), geometry.convex_layers(b.positions())
+
+
+def shape_stage_scan(layers_a, layers_b):
+    """`scoring.layer_distances` one ring pair and one shift at a time."""
     out = []
-    for _ in range(2):
-        # convex ring by sorted angles, same recipe as the tests use
-        angles = np.sort(rng.uniform(0.0, 2.0 * math.pi, nv))
-        radius = rng.uniform(40.0, 120.0)
-        poly = np.stack([radius * np.cos(angles), radius * np.sin(angles)], axis=1)
-        fn = turning_function(poly)
-        out.extend([fn.breaks, fn.angles])
-    return tuple(out)
+    for la, lb in zip(reversed(layers_a.proper_layers()), reversed(layers_b.proper_layers())):
+        f, g = turning_function(la.ring), turning_function(lb.ring)
+        out.append(min_turning_distance_scan(f.breaks, f.angles, g.breaks, g.angles)[0])
+    return out
 
 
 def agree(a, b):
-    """(distance, shift, rotation) equal to 1e-9: the two sum in different orders."""
-    return all(math.isclose(x, y, rel_tol=0.0, abs_tol=1e-9) for x, y in zip(a, b))
+    """Distances equal to 1e-9: the two sum in different orders."""
+    return len(a) == len(b) and all(math.isclose(x, y, rel_tol=0.0, abs_tol=1e-9) for x, y in zip(a, b))
 
 
 def same_alignment(got, want):
@@ -141,7 +148,8 @@ def main():
     points = list(zip(xs.astype(int).tolist(), ys.astype(int).tolist(), bif.tolist()))
     align_args = alignment_workload()
     bound_args = alignment_workload(5, 60)
-    turn_args = turning_workload()
+    peelings = shape_workload()
+    rings = len(shape_stage_scan(*peelings))
     kept, minutiae = merge_workload(detected, sk)
 
     def merged_rows():
@@ -159,8 +167,8 @@ def main():
          same_raw, 3),
         (f"orientations {len(points)} points", lambda: imgproc.orientations(sk, xs, ys, bif).tolist(),
          lambda: [orientation_scalar(sk, (x, y), b) for x, y, b in points], lambda a, b: a == b, 3),
-        ("min_turning_distance 25-gon", lambda: kernels.min_turning_distance(*turn_args),
-         lambda: min_turning_distance_scan(*turn_args), agree, 20),
+        (f"layer_distances {rings} ring pairs", lambda: scoring.layer_distances(*peelings),
+         lambda: shape_stage_scan(*peelings), agree, 20),
         ("best_alignment 50 vs ~50", lambda: kernels.best_alignment(*align_args),
          lambda: best_alignment_exhaustive(*align_args), same_alignment, 3),
         (f"_alignment_bounds {len(bound_args[0])} vs {len(bound_args[3])}",

@@ -2,7 +2,8 @@
 
 Three kernels dominate runtime: the thinning subiteration, the alignment
 search over minutia-pair hypotheses, and the critical-shift scan of the
-turning-function distance. Each has one numpy implementation;
+turning-function distance, which one call runs for every peer ring pair
+of a fingerprint pair. Each has one numpy implementation;
 ``tests/oracles.py`` keeps a plain reference for each, and the tests
 compare the two.
 
@@ -27,6 +28,7 @@ times the kernels against their references.
 """
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -353,12 +355,15 @@ def _alignment_bounds(xi, yi, ti, xj, yj, tj, r0, theta0):
     return bound
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def best_alignment(xi, yi, ti, xj, yj, tj, r0, theta0):
     """Winning hypothesis and its pairing: (a, b, pairs_i, pairs_j, ssum).
 
     Same result as verifying all m * n hypotheses, from only those whose
     bound can still reach the best count. Minutia kind plays no part.
-    Empty sets give (0, 0, [], [], 0).
+    Empty sets give (0, 0, [], [], 0). Differences that overflow (points
+    some 1e308 apart) get no bound and fail every tolerance test, which
+    numpy need not warn about.
     """
     m = xi.shape[0]
     n = xj.shape[0]
@@ -389,52 +394,143 @@ def best_alignment(xi, yi, ti, xj, yj, tj, r0, theta0):
 # shift-minimum is attained where two breakpoints align, so only the
 # m*n critical shifts need evaluation. The moments of the difference are
 # integrated exactly over the merged breakpoint partition.
+#
+# One call evaluates the critical shifts of a batch of ring pairs, one
+# table row per shift. A row holds its pair's f breaks, then its g
+# breaks, as if the pair were alone, then padding at position 1.0 that a
+# stable sort keeps after every break. Padding adds nothing to a row:
+# the last break's cell still ends at 1.0, and each row is summed over
+# its pair's own m + n cells only (`row_sums`), since numpy's pairwise
+# summation associates by the number of terms.
 # ---------------------------------------------------------------------------
 
+# Cells of one pass over the table, m * n rows of max(m + n) + 1 entries
+# for each pair in it: a pass holds some 0.1 KB per cell, about 7 MB,
+# whatever the batch. The pairs of 30-60 minutiae prints need some 4,000
+# cells, one pass.
+SHIFT_CELLS = 1 << 16
 
-def min_turning_distance(fs, fa, gs, ga):
-    """(distance, shift, rotation) minimized over all m * n critical shifts.
 
-    All shifts at once, via a sorted merged-break table.
+def row_sums(table, runs):
+    """Sums over the last axis of a (..., K, V) table, each row over its
+    first entries only: `runs` holds (size, rows) pairs that cover the K
+    rows in order. Consecutive rows of one size are summed in one call,
+    and every row sums exactly as it would alone.
     """
-    m = fs.shape[0]
-    n = gs.shape[0]
-    shifts = (fs[:, None] - gs[None, :]).ravel() % 1.0  # i-major, like the reference scan
-    ns = shifts.shape[0]
-    pos_f = (fs[None, :] - shifts[:, None]) % 1.0
-    val_f = fa[None, :] + TWO_PI * (fs[None, :] < shifts[:, None])
+    out = np.empty(table.shape[:-1])
+    start = 0
+    for size, group in itertools.groupby(runs, key=lambda run: run[0]):
+        stop = start + sum(rows for _, rows in group)
+        out[..., start:stop] = table[..., start:stop, :size].sum(axis=-1)
+        start = stop
+    return out
+
+
+def _frac(x):
+    """x % 1.0 for finite x, bit for bit, at a fraction of its cost.
+
+    numpy's float remainder is the exact fmod(x, 1.0), plus 1.0 when
+    that is negative, which rounds once to x - floor(x); both give +0.0
+    at the integers.
+    """
+    return x - np.floor(x)
+
+
+def min_turning_distance(fs, fa, m, gs, ga, n):
+    """(distance, shift, rotation) of every ring pair, each minimized
+    over that pair's m * n critical shifts: three (R,) arrays.
+
+    Row r of `fs` and `fa` holds the breaks and angles of pair r's first
+    turning function in its first m[r] columns, `gs` and `ga` those of
+    its second in n[r]; later columns are ignored. There is at least one
+    pair, and every m[r] and n[r] is at least 1. All shifts of all pairs
+    at once, via one sorted merged-break table, in passes over
+    consecutive pairs of at most SHIFT_CELLS cells (one pair at least),
+    so that memory stays bounded whatever the batch.
+    """
+    m = np.asarray(m, np.intp)
+    n = np.asarray(n, np.intp)
+    cuts = [0]
+    rows = width = 0
+    for k, (mn, w) in enumerate(zip((m * n).tolist(), (m + n + 1).tolist())):
+        rows += mn
+        width = max(width, w)
+        if k > cuts[-1] and rows * width > SHIFT_CELLS:
+            cuts.append(k)
+            rows, width = mn, w
+    cuts.append(m.shape[0])
+    parts = [_shift_pass(fs[a:b], fa[a:b], m[a:b], gs[a:b], ga[a:b], n[a:b])
+             for a, b in zip(cuts[:-1], cuts[1:])]
+    return tuple(np.concatenate(part) for part in zip(*parts))
+
+
+def _shift_pass(fs, fa, m, gs, ga, n):
+    """`min_turning_distance` over one table."""
+    npairs = m.shape[0]
     tot = m + n
-    pos = np.concatenate([pos_f, np.broadcast_to(gs, (ns, n))], axis=1)
-    val = np.concatenate([val_f, np.broadcast_to(ga, (ns, n))], axis=1)
-    isf = np.zeros((ns, tot), bool)
-    isf[:, :m] = True
-    order = np.argsort(pos, axis=1, kind="stable")
-    pos = np.take_along_axis(pos, order, 1)
-    val = np.take_along_axis(val, order, 1)
-    isf = np.take_along_axis(isf, order, 1)
+    mn = m * n
+    width = int(tot.max()) + 1
+    col = np.arange(width)
+    # pair r's merged row before the shift: its f columns, its g columns,
+    # then padding, as flat indices into [fs | gs | pad] row by row
+    isf = col < m[:, None]
+    mw, nw = fs.shape[1], gs.shape[1]
+    src = np.where(isf, col, np.where(col < tot[:, None], mw - m[:, None] + col, mw + nw))
+    src += (mw + nw + 1) * np.arange(npairs)[:, None]
+    pad = np.ones((npairs, 1))
 
-    col = np.arange(tot)[None, :]
-    f_idx = np.maximum.accumulate(np.where(isf, col, -1), axis=1)
-    g_idx = np.maximum.accumulate(np.where(~isf, col, -1), axis=1)
-    fv = np.take_along_axis(val, np.maximum(f_idx, 0), 1)
-    gv = np.take_along_axis(val, np.maximum(g_idx, 0), 1)
-    # before the first break of a function its value wraps around from
-    # the last break minus a full turn
-    k0 = (fs[None, :] < shifts[:, None]).sum(axis=1)
-    f_init = np.where(k0 > 0, fa[np.maximum(k0 - 1, 0)] + TWO_PI, fa[m - 1]) - TWO_PI
-    g_init = ga[n - 1] - TWO_PI
-    fv = np.where(f_idx < 0, f_init[:, None], fv)
-    gv = np.where(g_idx < 0, g_init, gv)
+    # one row per critical shift: pair-major, then i-major like the
+    # reference scan. The table is flat, `width` entries a row, so that
+    # no operation broadcasts along rows this short.
+    pair = np.repeat(np.arange(npairs), mn)
+    first = np.cumsum(mn) - mn
+    q = np.arange(pair.shape[0]) - first[pair]
+    i, j = np.divmod(q, n[pair])
+    shifts = _frac(fs[pair, i] - gs[pair, j])
+    shift = np.repeat(shifts, width)
+    src = src[pair].ravel()
+    isf = isf[pair].ravel()
+    pos = np.concatenate([fs, gs, pad], axis=1).take(src)
+    val = np.concatenate([fa, ga, pad], axis=1).take(src)
+    # shift the f entries only
+    below = isf & (pos < shift)
+    np.add(val, TWO_PI * below, out=val, where=isf)
+    x = pos - shift
+    np.subtract(x, np.floor(x), out=pos, where=isf)  # _frac(x), in place
+    row0 = np.repeat(np.arange(0, pos.shape[0], width), width)
+    order = np.argsort(pos.reshape(-1, width), axis=1, kind="stable").ravel() + row0
+    pos = pos.take(order)
+    val = val.take(order)
+    isf = isf.take(order)
 
-    widths = np.empty((ns, tot))
-    widths[:, :-1] = pos[:, 1:] - pos[:, :-1]
-    widths[:, -1] = 1.0 - pos[:, -1]
-    widths[widths <= SNAP_EPS] = 0.0
+    # index of the last f (g) entry up to each entry; one before the
+    # row's first means none yet, and the value wraps around from the
+    # last break minus a full turn
+    flat = np.arange(pos.shape[0])
+    f_idx = np.maximum.accumulate(np.where(isf, flat, -1))
+    g_idx = np.maximum.accumulate(np.where(isf, -1, flat))
+    k0 = below.reshape(-1, width).sum(axis=1)
+    fa_row = fa.shape[1] * pair
+    f_init = np.where(k0 > 0, fa.take(fa_row + np.maximum(k0 - 1, 0)) + TWO_PI,
+                      fa.take(fa_row + m[pair] - 1)) - TWO_PI
+    g_init = (ga.take(ga.shape[1] * np.arange(npairs) + n - 1) - TWO_PI)[pair]
+    fv = np.where(f_idx < row0, np.repeat(f_init, width), val.take(f_idx))
+    gv = np.where(g_idx < row0, np.repeat(g_init, width), val.take(g_idx))
+
+    # each cell runs to the next entry; a row's m + n cells end before
+    # its padding, so its last cell ends at 1.0
+    widths = np.zeros_like(pos)
+    np.subtract(pos[1:], pos[:-1], out=widths[:-1])
+    np.copyto(widths, 0.0, where=widths <= SNAP_EPS)
     h = fv - gv
-    i1 = (h * widths).sum(axis=1)
+    runs = list(zip(tot.tolist(), mn.tolist()))
+    i1 = row_sums((h * widths).reshape(-1, width), runs)
     # two-pass form: summing squared deviations sidesteps the
     # cancellation of E[h^2] - E[h]^2 near zero distances
-    dev = h - i1[:, None]
-    d2 = (dev * dev * widths).sum(axis=1)
-    best = int(np.argmin(d2))  # first minimum, same tie rule as the reference scan
-    return math.sqrt(max(d2[best], 0.0)), float(shifts[best]), float(-i1[best])
+    dev = h - np.repeat(i1, width)
+    d2 = row_sums((dev * dev * widths).reshape(-1, width), runs)
+    # first minimum of each pair, same tie rule as the reference scan
+    table = np.full((npairs, int(mn.max())), np.inf)
+    table[pair, q] = d2
+    best = first + np.argmin(table, axis=1)
+    return np.sqrt(np.maximum(d2[best], 0.0)), shifts[best], -i1[best]

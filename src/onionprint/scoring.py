@@ -61,16 +61,13 @@ def layer_distances(layers_input, layers_template):
     """Turning distances of peer rings of two peelings, innermost pair first.
 
     Rings with fewer than 3 vertices have no turning function and are
-    skipped; the shorter remaining stack bounds the comparison.
+    skipped; the shorter remaining stack bounds the comparison. All ring
+    pairs are compared in one batch.
     """
-    rings_a = [lay.ring for lay in layers_input.proper_layers()]
-    rings_b = [lay.ring for lay in layers_template.proper_layers()]
-    out = []
-    for ra, rb in zip(reversed(rings_a), reversed(rings_b)):
-        fa = turning.turning_function(ra)
-        fb = turning.turning_function(rb)
-        out.append(turning.turning_distance(fa, fb).distance)
-    return out
+    rings_a = [lay.ring for lay in reversed(layers_input.proper_layers())]
+    rings_b = [lay.ring for lay in reversed(layers_template.proper_layers())]
+    rings = min(len(rings_a), len(rings_b))
+    return turning.ring_distances(rings_a[:rings], rings_b[:rings])
 
 
 def average_distance(dists) -> float:
@@ -122,21 +119,30 @@ def match_pair(a, b, cfg=None, ida=None, idb=None) -> ScoreBreakdown:
     if gate:
         return _checked(ScoreBreakdown(
             ida, idb, res.k, res.m, res.n, res.score, la, lb, (), None, None, 0.0, gate
-        ))
+        ), 0)
 
     dists = tuple(layer_distances(layers_a, layers_b))
     avg = average_distance(dists)
     alpha, final = final_score(res.score, avg)
+    rings = min(len(layers_a.proper_layers()), len(layers_b.proper_layers()))
     return _checked(ScoreBreakdown(
         ida, idb, res.k, res.m, res.n, res.score, la, lb, dists, avg, alpha, final
-    ))
+    ), rings)
 
 
-def _checked(bd: ScoreBreakdown) -> ScoreBreakdown:
-    """The breakdown, once its score is in [0, 1] and k <= min(m, n)."""
+def _checked(bd: ScoreBreakdown, rings: int) -> ScoreBreakdown:
+    """The breakdown, once its score is in [0, 1], k <= min(m, n), and it
+    holds one distance per ring pair compared: `rings`, the smaller
+    count of proper rings (0 when gated), at most min(layersA, layersB).
+    """
     if not (0.0 <= bd.final <= 1.0 and bd.k <= min(bd.m, bd.n)):
         raise InvariantError(
             f"pair {bd.ida}~{bd.idb}: final {bd.final!r} and k {bd.k} of m {bd.m}, n {bd.n} out of range"
+        )
+    if bd.l != rings or bd.l > min(bd.layers_input, bd.layers_template):
+        raise InvariantError(
+            f"pair {bd.ida}~{bd.idb}: {bd.l} ring distances for {rings} ring pairs"
+            f" of {bd.layers_input} and {bd.layers_template} layers"
         )
     return bd
 

@@ -7,6 +7,13 @@ produce identical encodings regardless of input order. The distance
 between two such functions minimizes the L2 difference over all
 rotations (closed form) and all cyclic shifts of the starting point
 (attained at a breakpoint alignment, so a finite scan suffices).
+
+Rings are encoded in batches, and ring pairs compared in batches: a
+pair's shape stage (`ring_distances`) encodes all its peer rings at once
+and makes one `kernels.min_turning_distance` call for all of them.
+`turning_function` and `turning_distance` are the same code on a batch
+of one. Each ring's sums run over its own vertices only, so a ring's
+encoding does not depend on the batch it came in.
 """
 
 import math
@@ -43,43 +50,83 @@ class TurningDistanceResult:
     best_rotation: float
 
 
-def _validate_ring(poly):
-    pts = np.asarray(poly, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 3:
+def _encode(rings):
+    """Turning functions of counterclockwise convex rings, as tables.
+
+    Returns (breaks, angles, counts, perimeters): row k of the (K, V)
+    tables holds ring k's turning function in its first counts[k]
+    columns, and later columns continue the ring cyclically, so every
+    entry is finite. A bad ring raises InvalidInputError, the checks in
+    this order over the batch: vertex count, finiteness, winding,
+    zero-length edges, and an encoding that overflows (edges some 1e154
+    long).
+    """
+    pts = [np.asarray(p, dtype=np.float64) for p in rings]
+    if any(p.ndim != 2 or p.shape[1] != 2 or p.shape[0] < 3 for p in pts):
         raise InvalidInputError("turning function needs at least 3 vertices")
-    if not np.all(np.isfinite(pts)):
+    counts = np.array([p.shape[0] for p in pts])
+    flat = np.concatenate(pts)
+    if not np.isfinite(flat).all():
         raise InvalidInputError("polygon contains non-finite coordinates")
-    x, y = pts[:, 0], pts[:, 1]
-    area2 = float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
-    if area2 <= 0.0:
-        raise InvalidInputError("polygon must wind counterclockwise with positive area")
-    return pts
+    x, y = flat[:, 0], flat[:, 1]
+    cnt = counts[:, None]
+    base = (np.cumsum(counts) - counts)[:, None]
+    col = np.arange(int(counts.max()) + 1)
+    # ring k starts at its first vertex in (x, y) order
+    start = np.lexsort((y, x, np.repeat(np.arange(len(pts)), counts)))[base] - base
+    # vertex c and the one after it, in input order and from the start
+    cyc = col % cnt + base
+    walk = (col + start) % cnt + base
+    xc, yc, xw, yw = x[cyc], y[cyc], x[walk], y[walk]
+    with np.errstate(over="ignore", invalid="ignore"):
+        area2 = xc[:, :-1] * yc[:, 1:] - xc[:, 1:] * yc[:, :-1]
+        ex = np.diff(xw)
+        ey = np.diff(yw)
+        lengths = np.hypot(ex, ey)
+        runs = [(size, 1) for size in counts.tolist()]
+        area2, perimeter = kernels.row_sums(np.stack([area2, lengths]), runs)
+        if (area2 <= 0.0).any():
+            raise InvalidInputError("polygon must wind counterclockwise with positive area")
+        if (lengths == 0.0).any():
+            raise InvalidInputError("polygon has a zero-length edge")
+        breaks = np.zeros_like(lengths)
+        np.cumsum(lengths[:, :-1], axis=1, out=breaks[:, 1:])
+        breaks /= perimeter[:, None]
+        # cross/dot of consecutive edges give the exterior turn at each
+        # vertex after the first
+        px, py, qx, qy = ex[:, :-1], ey[:, :-1], ex[:, 1:], ey[:, 1:]
+        angles = np.zeros_like(lengths)
+        np.cumsum(np.arctan2(px * qy - py * qx, px * qx + py * qy), axis=1, out=angles[:, 1:])
+        # math.atan2, not numpy's, which rounds differently on some inputs
+        first = [math.atan2(dy, dx) for dx, dy in zip(ex[:, 0].tolist(), ey[:, 0].tolist())]
+        angles += np.array(first)[:, None]
+    if not (np.isfinite(perimeter).all() and np.isfinite(angles).all()):
+        raise InvalidInputError("polygon too large: its turning function overflows")
+    return breaks, angles, counts, perimeter
 
 
 def turning_function(poly):
     """Encode a counterclockwise convex ring as a turning function."""
-    pts = _validate_ring(poly)
-    n = pts.shape[0]
-    start = int(np.lexsort((pts[:, 1], pts[:, 0]))[0])
-    pts = np.roll(pts, -start, axis=0)
-    edges = np.roll(pts, -1, axis=0) - pts
-    lengths = np.hypot(edges[:, 0], edges[:, 1])
-    if np.any(lengths == 0.0):
-        raise InvalidInputError("polygon has a zero-length edge")
-    perimeter = float(lengths.sum())
-    breaks = np.concatenate(([0.0], np.cumsum(lengths[:-1]))) / perimeter
-    # cross/dot of consecutive edge pairs give the exterior turn at each
-    # vertex after the first
-    prev = np.roll(edges, 1, axis=0)
-    turn = np.arctan2(
-        prev[:, 0] * edges[:, 1] - prev[:, 1] * edges[:, 0],
-        prev[:, 0] * edges[:, 0] + prev[:, 1] * edges[:, 1],
-    )
-    angles = math.atan2(edges[0, 1], edges[0, 0]) + np.concatenate(([0.0], np.cumsum(turn[1:])))
-    return TurningFunction(breaks=breaks, angles=angles, perimeter=perimeter)
+    breaks, angles, _, perimeter = _encode([poly])
+    return TurningFunction(breaks=breaks[0], angles=angles[0], perimeter=float(perimeter[0]))
 
 
 def turning_distance(f, g):
     """L2 distance minimized over rotation and starting-point shift."""
-    d, t, theta = kernels.min_turning_distance(f.breaks, f.angles, g.breaks, g.angles)
-    return TurningDistanceResult(distance=float(d), best_shift=float(t), best_rotation=float(theta))
+    d, t, theta = kernels.min_turning_distance(f.breaks[None], f.angles[None], [len(f)],
+                                               g.breaks[None], g.angles[None], [len(g)])
+    return TurningDistanceResult(distance=float(d[0]), best_shift=float(t[0]), best_rotation=float(theta[0]))
+
+
+def ring_distances(rings_f, rings_g):
+    """Turning distance of each pair (rings_f[r], rings_g[r]), as a list.
+
+    All rings are encoded at once, f[0], g[0], f[1], ... in that order,
+    and all pairs' critical shifts evaluated in one kernel call.
+    """
+    if not rings_f:
+        return []
+    breaks, angles, counts, _ = _encode([r for pair in zip(rings_f, rings_g) for r in pair])
+    d, _, _ = kernels.min_turning_distance(breaks[0::2], angles[0::2], counts[0::2],
+                                           breaks[1::2], angles[1::2], counts[1::2])
+    return d.tolist()

@@ -14,7 +14,8 @@ import onionprint
 from onionprint import evaluation, scoring, synth
 from onionprint.cli import main
 from onionprint.imgproc import raw_minutiae
-from onionprint.minutiae import FILE_HEADER, read_minutiae, write_minutiae
+from onionprint.minutiae import (FILE_HEADER, Minutia, MinutiaKind, MinutiaSet, read_minutiae,
+                                 write_minutiae)
 from onionprint.pgm import write_pgm
 
 # Address-space limit for the bounded-memory runs. Extracting the noise
@@ -101,6 +102,49 @@ def test_match_score_out_of_range_exits_3(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("internal error:") and "final 1.5" in err
     assert len(err.splitlines()) == 1
+
+
+def test_match_extra_ring_distance_exits_3(tmp_path, capsys, monkeypatch):
+    # a shape stage that returns one distance more than there are ring
+    # pairs breaks the breakdown's post-condition
+    root = _corpus_dir(tmp_path)
+    real = scoring.layer_distances
+    monkeypatch.setattr(scoring, "layer_distances", lambda a, b: real(a, b) + [0.0])
+    assert main(["match", str(root / "1_1.txt"), str(root / "1_2.txt")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error:") and "ring distances" in err
+    assert len(err.splitlines()) == 1
+
+
+def _far_apart_sets(tmp_path):
+    # finite coordinates whose differences overflow
+    paths = tmp_path / "a.min", tmp_path / "b.min"
+    for path, rows in zip(paths, [[(-6e307, 0.0, 10.0), (6e307, 5.0, 20.0), (3.0, 4.0, 30.0)],
+                                  [(6e307, 6e307, 15.0), (-6e307, -5e307, 25.0), (1.0, 1.0, 35.0)]]):
+        write_minutiae(path, MinutiaSet.from_iterable(Minutia(*row, MinutiaKind.ENDING) for row in rows))
+    return paths
+
+
+def test_match_far_apart_coordinates_prints_no_warnings(tmp_path, capsys):
+    a, b = _far_apart_sets(tmp_path)
+    with np.errstate(all="ignore"):
+        assert main(["match", str(a), str(b)]) == 0
+    want = capsys.readouterr().out
+    assert "k = 1\n" in want and "l = 0\n" in want
+    done = subprocess.run([sys.executable, "-m", "onionprint.cli", "match", str(a), str(b)],
+                          env=_env_with_src(), capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (0, want, "")
+
+
+def test_match_ring_too_large_to_encode_exits_2(tmp_path):
+    # all three minutiae pair up, and the ring they form overflows its
+    # turning function
+    a, _ = _far_apart_sets(tmp_path)
+    done = subprocess.run([sys.executable, "-m", "onionprint.cli", "match", str(a), str(a)],
+                          env=_env_with_src(), capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    assert done.stderr.startswith("error:") and "too large" in done.stderr
+    assert len(done.stderr.splitlines()) == 1
 
 
 def test_match_different_fingers_below_one(tmp_path, capsys):

@@ -163,6 +163,13 @@ def test_match_pair_checks_its_postconditions(monkeypatch):
         with pytest.raises(InvariantError, match="k 16 of m 15, n 15"):
             match_pair(ms, ms)
     monkeypatch.undo()
+    # one ring distance too many or too few
+    real_dists = scoring.layer_distances
+    for change in (lambda d: d + [0.0], lambda d: d[:-1]):
+        monkeypatch.setattr(scoring, "layer_distances", lambda a, b, change=change: change(real_dists(a, b)))
+        with pytest.raises(InvariantError, match="ring distances for"):
+            match_pair(ms, ms)
+    monkeypatch.undo()
     assert match_pair(ms, ms).final == 1.0
 
 

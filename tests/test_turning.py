@@ -1,10 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from onionprint import kernels
+from onionprint import kernels, turning
 from onionprint.errors import InvalidInputError
+from onionprint.geometry import convex_layers
+from onionprint.scoring import layer_distances
 from onionprint.turning import (
     TurningFunction,
     turning_distance,
@@ -19,6 +22,18 @@ from oracles import (
     riemann_shift_distance,
     turning_value,
 )
+
+def _tables(fns):
+    """Padded (breaks, angles, counts) tables of turning functions, as
+    `kernels.min_turning_distance` takes one side of its ring pairs."""
+    width = max(len(f) for f in fns)
+    breaks = np.full((len(fns), width), np.nan)
+    angles = np.full((len(fns), width), np.nan)
+    for row, f in enumerate(fns):
+        breaks[row, :len(f)] = f.breaks
+        angles[row, :len(f)] = f.angles
+    return breaks, angles, [len(f) for f in fns]
+
 
 SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 RECT_2_1 = [(0.0, 0.0), (2.0, 0.0), (2.0, 1.0), (0.0, 1.0)]
@@ -189,12 +204,148 @@ def test_turning_distance_never_exceeds_any_shift():
 
 def test_min_turning_distance_matches_scalar_scan():
     rng = np.random.default_rng(37)
-    for _ in range(10):
-        f = turning_function(random_convex_polygon(rng, int(rng.integers(3, 20))))
-        g = turning_function(random_convex_polygon(rng, int(rng.integers(3, 20))))
-        args = (f.breaks, f.angles, g.breaks, g.angles)
-        d1, t1, r1 = min_turning_distance_scan(*args)
-        d2, t2, r2 = kernels.min_turning_distance(*args)
+    fs = [turning_function(random_convex_polygon(rng, int(rng.integers(3, 20)))) for _ in range(10)]
+    gs = [turning_function(random_convex_polygon(rng, int(rng.integers(3, 20)))) for _ in range(10)]
+    got = zip(*kernels.min_turning_distance(*_tables(fs), *_tables(gs)))
+    for f, g, (d2, t2, r2) in zip(fs, gs, got):
+        d1, t1, r1 = min_turning_distance_scan(f.breaks, f.angles, g.breaks, g.angles)
         assert d1 == pytest.approx(d2, abs=1e-12)
         assert t1 == pytest.approx(t2, abs=1e-12)
         assert r1 == pytest.approx(r2, abs=1e-12)
+
+
+def _batch_cases(rng):
+    """Random ring pairs whose m + n falls below 8, in 8-16 and above 16
+    (numpy's summation branches), then pairs whose breaks coincide after
+    a shift, so that zero-width cells (SNAP_EPS) and ties in the sort
+    occur: regular polygons, whose symmetry also makes shifts tie, and a
+    ring with a sliver edge."""
+    pairs = []
+    for lo, hi in ((3, 5), (4, 9), (9, 20)):
+        for _ in range(6):
+            pairs.append(tuple(random_convex_polygon(rng, int(rng.integers(lo, hi))) for _ in range(2)))
+
+    def regular(nv, scale=1.0):
+        ang = 2 * math.pi * np.arange(nv) / nv + 0.3
+        return np.column_stack([np.cos(ang), np.sin(ang)]) * scale + 4.0
+
+    symmetric = [(SQUARE, RECT_2_1)]
+    for nv, scale in ((3, 1.0), (4, 2.5), (6, 1.0), (8, 3.0), (10, 1.0)):
+        symmetric.append((regular(nv), regular(nv, scale)))
+    for nf, ng in ((5, 10), (9, 12), (12, 8), (15, 6), (18, 17)):
+        symmetric.append((regular(nf), regular(ng, 2.0)))
+    # an edge of 1e-17 puts two breaks of one function within rounding
+    # of each other
+    sliver = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1e-17), (0.5, 1.0), (0.0, 1.0)])
+    symmetric += [(regular(5, 3.0), sliver), (sliver, regular(8, 7.0)), (sliver, regular(12, 7.0))]
+    return pairs, symmetric
+
+
+def test_batched_turning_functions_equal_each_ring_alone():
+    rings = [r for cases in _batch_cases(np.random.default_rng(38)) for pair in cases for r in pair]
+    breaks, angles, counts, perimeters = turning._encode(rings)
+    for row, ring in enumerate(rings):
+        alone = turning_function(ring)
+        v = len(alone)
+        assert counts[row] == v
+        assert breaks[row, :v].tolist() == alone.breaks.tolist()
+        assert angles[row, :v].tolist() == alone.angles.tolist()
+        assert perimeters[row] == alone.perimeter
+        # the first edge's direction, as math.atan2 gives it
+        pts = np.asarray(ring, dtype=float)
+        first = int(np.lexsort((pts[:, 1], pts[:, 0]))[0])
+        dx, dy = (pts[(first + 1) % v] - pts[first]).tolist()
+        assert angles[row, 0] == math.atan2(dy, dx)
+
+
+def test_batched_distances_equal_each_pair_alone_and_the_scan():
+    random_pairs, symmetric = _batch_cases(np.random.default_rng(39))
+    pairs = random_pairs + symmetric
+    sums = {len(a) + len(b) for a, b in pairs}
+    assert min(sums) < 8 and any(8 <= s <= 16 for s in sums) and max(sums) > 16
+    fs = [turning_function(a) for a, _ in pairs]
+    gs = [turning_function(b) for _, b in pairs]
+    batch = list(zip(*(v.tolist() for v in kernels.min_turning_distance(*_tables(fs), *_tables(gs)))))
+    assert [d for d, _, _ in batch] == turning.ring_distances([a for a, _ in pairs], [b for _, b in pairs])
+    snapped = 0
+    for k, (f, g, got) in enumerate(zip(fs, gs, batch)):
+        alone = turning_distance(f, g)
+        assert got == (alone.distance, alone.best_shift, alone.best_rotation)
+        d, t, r = min_turning_distance_scan(f.breaks, f.angles, g.breaks, g.angles)
+        assert got[0] == pytest.approx(d, abs=1e-12)
+        if k < len(random_pairs):
+            assert got[1] == t
+            assert got[2] == pytest.approx(r, abs=1e-12)
+        else:
+            # one of the tied shifts: it gives the reported distance
+            at = distance_at_shift(f, g, got[1])
+            assert at.distance == pytest.approx(got[0], abs=1e-9)
+            assert at.rotation == pytest.approx(got[2], abs=1e-9)
+        shifted = np.sort(np.concatenate([(f.breaks - got[1]) % 1.0, g.breaks]))
+        snapped += bool(np.any(np.diff(shifted) <= kernels.SNAP_EPS))
+    assert snapped >= 5
+
+
+@pytest.mark.parametrize("bad", [
+    [(0.0, 0.0), (1.0, 0.0)],
+    list(reversed(SQUARE)),
+    [(0.0, 0.0), (1.0, 0.0), (1.0, 0.0), (0.0, 1.0)],
+    [(0.0, 0.0), (1.0, math.nan), (0.0, 1.0)],
+    [(-6e307, 0.0), (6e307, 5.0), (3.0, 4.0)],
+])
+def test_batch_with_one_bad_ring_raises_as_that_ring_alone(bad):
+    with pytest.raises(InvalidInputError) as alone:
+        turning_function(bad)
+    with pytest.raises(InvalidInputError) as batch:
+        turning.ring_distances([SQUARE, RECT_2_1, bad], [RECT_2_1, SQUARE, SQUARE])
+    assert str(batch.value) == str(alone.value)
+
+
+def test_frac_is_numpy_remainder_bit_for_bit():
+    rng = np.random.default_rng(40)
+    breaks = np.sort(rng.uniform(0.0, 1.0, (200, 12)), axis=1)
+    x = np.concatenate([
+        rng.uniform(-3.0, 3.0, 10_000), rng.normal(0.0, 1e-15, 1_000),
+        (breaks[:, :, None] - breaks[:, None, :]).ravel(),
+        [-0.0, 0.0, 1.0, -1.0, 2.0, -2.0, 1 - 2**-53, -(1 - 2**-53), -1e-17, -5e-324, 5e-324, 1e300, -1e300],
+    ])
+    want = x % 1.0
+    got = kernels._frac(x)
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_row_sums_equal_each_row_summed_alone():
+    rng = np.random.default_rng(41)
+    sizes = [1, 3, 7, 7, 8, 12, 16, 17, 30, 130, 5]
+    table = rng.normal(size=(len(sizes), 140)) * 10.0 ** rng.uniform(-8, 8, size=(len(sizes), 140))
+    got = kernels.row_sums(table, [(s, 1) for s in sizes])
+    assert got.tolist() == [table[k, :s].copy().sum() for k, s in enumerate(sizes)]
+
+
+def test_passes_of_the_shift_table_change_no_result(monkeypatch):
+    random_pairs, symmetric = _batch_cases(np.random.default_rng(42))
+    args = (*_tables([turning_function(a) for a, _ in random_pairs + symmetric]),
+            *_tables([turning_function(b) for _, b in random_pairs + symmetric]))
+    whole = [v.tolist() for v in kernels.min_turning_distance(*args)]
+    passes = []
+    real = kernels._shift_pass
+    monkeypatch.setattr(kernels, "_shift_pass", lambda *a: passes.append(len(a[2])) or real(*a))
+    monkeypatch.setattr(kernels, "SHIFT_CELLS", 400)
+    assert [v.tolist() for v in kernels.min_turning_distance(*args)] == whole
+    assert len(passes) > 3 and sum(passes) == len(whole[0])
+
+
+def test_shape_stage_memory_is_bounded():
+    # every ring pair of two 600-point peelings in one call: 34 ring
+    # pairs, 510,848 table cells in all, some 50 MB in one table
+    rng = np.random.default_rng(43)
+    pts = rng.uniform(0.0, 400.0, size=(600, 2))
+    layers = [convex_layers(p) for p in (pts, pts + rng.normal(0.0, 1.0, size=pts.shape))]
+    tracemalloc.start()
+    try:
+        dists = layer_distances(*layers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(dists) > 25
+    assert peak < 16 << 20, peak
