@@ -1,11 +1,13 @@
 """Times each hot kernel against its slow reference in tests/oracles.py.
 
 Run as `python3 benchmarks/bench_kernels.py` from the repository root.
-Rows: `imgproc.raw_minutiae`, which thins by 9-bit lookup-table passes
-and detects by crossing number from the codes of its last pass, against
-the scalar Zhang-Suen loop and the pixel-by-pixel crossing-number rule
-(binarization and despeckling run on both sides), the batched ridge trace
-(`imgproc.orientations`) against the scalar trace, one pair's whole
+Rows: `imgproc.raw_minutiae`, which despeckles, thins and detects by
+crossing number with bitwise logic on one bit-packed image, against the
+scalar Zhang-Suen loop and the pixel-by-pixel crossing-number rule
+(binarization and despeckling run on both sides); packed thinning plus
+detection alone on a binarized print, against the same scalar rules and
+against the 512-entry lookup tables they ran by before; the batched
+ridge trace (`imgproc.orientations`) against the scalar trace, one pair's whole
 shape stage (`scoring.layer_distances`, which encodes and compares every
 peer ring pair in one batch) against turning functions and the
 shift-by-shift sweep one ring pair at a time, the branch-and-bound
@@ -37,6 +39,7 @@ from oracles import (  # noqa: E402
     merge_close_dense,
     min_turning_distance_scan,
     orientation_scalar,
+    thin_and_detect_lut,
     thin_scalar,
 )
 
@@ -79,6 +82,25 @@ def raw_rows(img):
 def raw_rows_scalar(img):
     sk = thin_scalar(imgproc.despeckle(imgproc.binarize(img)))
     return detect_minutiae_scalar(sk), sk
+
+
+def thin_detect(binary):
+    """Packed thinning plus detection: (x, y, bifurcation) rows and skeleton."""
+    packed = kernels.pack_rows(binary)
+    imgproc._thin(packed)
+    y, x, bif = kernels.crossing_minutiae(packed)
+    return (list(zip(x.astype(float).tolist(), y.astype(float).tolist(), bif.tolist())),
+            kernels.unpack_rows(packed, binary.shape[1]))
+
+
+def thin_detect_scalar(binary):
+    sk = thin_scalar(binary)
+    return detect_minutiae_scalar(sk), sk
+
+
+def thin_detect_tables(binary):
+    (x, y, bif), sk = thin_and_detect_lut(binary)
+    return list(zip(x.tolist(), y.tolist(), bif.tolist())), sk
 
 
 def same_raw(a, b):
@@ -143,6 +165,7 @@ def main():
 
     ridges = ridge_image()
     img = rendered_print()
+    binary = imgproc.despeckle(imgproc.binarize(img))
     detected, sk = imgproc.raw_minutiae(img)
     xs, ys, bif = detected.x, detected.y, detected.bif
     points = list(zip(xs.astype(int).tolist(), ys.astype(int).tolist(), bif.tolist()))
@@ -163,8 +186,10 @@ def main():
     # (name, fast, reference, same results, calls per timing)
     rows = [
         ("raw_minutiae 384x384 ridges", lambda: raw_rows(ridges), lambda: raw_rows_scalar(ridges), same_raw, 3),
-        (f"raw_minutiae {sk.shape[1]}x{sk.shape[0]} print", lambda: raw_rows(img), lambda: raw_rows_scalar(img),
-         same_raw, 3),
+        (f"thin+detect {sk.shape[1]}x{sk.shape[0]} print", lambda: thin_detect(binary),
+         lambda: thin_detect_scalar(binary), same_raw, 10),
+        ("thin+detect, against tables", lambda: thin_detect(binary), lambda: thin_detect_tables(binary),
+         same_raw, 10),
         (f"orientations {len(points)} points", lambda: imgproc.orientations(sk, xs, ys, bif).tolist(),
          lambda: [orientation_scalar(sk, (x, y), b) for x, y, b in points], lambda a, b: a == b, 3),
         (f"layer_distances {rings} ring pairs", lambda: scoring.layer_distances(*peelings),

@@ -1,23 +1,21 @@
 """Grayscale fingerprint image to cleaned minutia set.
 
 Pipeline: Otsu binarization (ridges are dark, so foreground means
-intensity below threshold), despeckle, Zhang-Suen thinning by a 9-bit
-neighbourhood lookup table, crossing-number classification on the
-skeleton (1 an ending, 3 or more a bifurcation), spurious-minutia
-cleanup (border removal, then merging of detections within rm, found
-by grid-bucketed near-neighbor search), and orientation by a short
-ridge trace. Everything after binarization works on arrays: detections
-are a `Detections` record of x, y and bifurcation-flag arrays, merging
-names each group's representative by index, and `orientations` traces
-all the survivors at once, every walker stepping together on the
-padded skeleton. Merging places each cleaned minutia by position alone
-and gives it the orientation of one raw detection, so only those
+intensity below threshold), despeckle, Zhang-Suen thinning, crossing-
+number classification on the skeleton (1 an ending, 3 or more a
+bifurcation), spurious-minutia cleanup (border removal, then merging
+of detections within rm, found by grid-bucketed near-neighbor search),
+and orientation by a short ridge trace. The binary image is bit-packed
+once, 64 pixels to a word (`kernels.pack_rows`): despeckling, every
+thinning subiteration and detection are bitwise logic on the packed
+rows, and only the skeleton is unpacked, for the ridge trace.
+Everything after detection works on arrays: detections are a
+`Detections` record of x, y and bifurcation-flag arrays, merging names
+each group's representative by index, and `orientations` traces all
+the survivors at once, every walker stepping together on the padded
+skeleton. Merging places each cleaned minutia by position alone and
+gives it the orientation of one raw detection, so only those
 representatives are traced, not every detection.
-Each thinning subiteration computes the image's neighbourhood codes
-once; they give the deletion mask, the stop test (when a subiteration
-deletes nothing, the other step's table on the same codes) and, after
-the last one, the crossing numbers, so `raw_minutiae` never computes
-the codes of an unchanged image twice.
 Coordinates are screen pixels (origin top-left, y down); angles are
 degrees counterclockwise from +x in image space, so "up" is 270.
 """
@@ -80,11 +78,11 @@ def _as_gray(img):
     return arr
 
 
-def _as_binary(img):
-    arr = np.asarray(img)
+def _packed(binary):
+    arr = np.asarray(binary)
     if arr.ndim != 2 or arr.size == 0:
         raise InvalidInputError("expected a nonempty 2-D binary image")
-    return (arr != 0).astype(np.uint8)
+    return kernels.pack_rows(arr != 0)
 
 
 def otsu_threshold(img) -> int:
@@ -113,59 +111,28 @@ def binarize(img):
     return (gray < otsu_threshold(gray)).astype(np.uint8)
 
 
-def _neighbor_counts(binary):
-    """Count of foreground 8-neighbors at every pixel."""
-    p = np.pad(binary, 1)  # 0/1 uint8, so sums of 8 fit
-    return (
-        p[:-2, :-2] + p[:-2, 1:-1] + p[:-2, 2:]
-        + p[1:-1, :-2] + p[1:-1, 2:]
-        + p[2:, :-2] + p[2:, 1:-1] + p[2:, 2:]
-    )
-
-
 def despeckle(binary):
     """Drop isolated foreground pixels and fill fully enclosed holes."""
-    b = _as_binary(binary)
-    counts = _neighbor_counts(b)
-    out = b.copy()
-    out[(b == 1) & (counts == 0)] = 0
-    out[(b == 0) & (counts == 8)] = 1
-    return out
+    packed = _packed(binary)
+    kernels.despeckle_rows(packed)
+    return kernels.unpack_rows(packed, np.shape(binary)[1])
 
 
-def _padded(binary):
-    b = _as_binary(binary)
-    h, w = b.shape
-    padded = np.zeros((h + 2, w + 2), np.uint8)
-    padded[1:-1, 1:-1] = b
-    return padded
-
-
-def _thin_in_place(padded):
-    """Zhang-Suen thinning of a zero-padded image, in place; returns the
-    neighbourhood codes of the skeleton.
-
-    Each subiteration computes the codes once and deletes by one lookup
-    in its step's table. A subiteration that deletes nothing leaves the
-    image, and so the codes, as they were: the other step's table is
-    then applied to the same codes, and when it deletes nothing too, no
-    later subiteration would, and the codes are the skeleton's.
-    """
-    step = 0
-    while True:
-        code = kernels.neighbourhood_codes(padded)
-        if not kernels.zhang_suen_pass(padded, code, step):
-            step ^= 1
-            if not kernels.zhang_suen_pass(padded, code, step):
-                return code
+def _thin(packed):
+    """Zhang-Suen thinning of a packed image, in place: the steps
+    alternate until two subiterations in a row delete nothing, after
+    which none would."""
+    step = idle = 0
+    while idle < 2:
+        idle = 0 if kernels.zhang_suen_pass(packed, step) else idle + 1
         step ^= 1
 
 
 def thin(binary):
-    """Zhang-Suen thinning to a one-pixel-wide skeleton (see `_thin_in_place`)."""
-    padded = _padded(binary)
-    _thin_in_place(padded)
-    return padded[1:-1, 1:-1].copy()
+    """Zhang-Suen thinning to a one-pixel-wide skeleton."""
+    packed = _packed(binary)
+    _thin(packed)
+    return kernels.unpack_rows(packed, np.shape(binary)[1])
 
 
 def bifurcation_direction(branch_angles):
@@ -188,7 +155,7 @@ def bifurcation_direction(branch_angles):
     # the smallest leftover angle is the first sorted one outside (i, j);
     # none is left when the row holds two angles
     first = np.where(i > 0, 0, np.where(j > 1, 1, 2))
-    rest = np.pad(angles, ((0, 0), (0, 1)))[:, first]
+    rest = np.concatenate((angles, np.zeros((len(angles), 1))), axis=1)[:, first]
     rest[first >= count[:, None]] = 0.0
     with np.errstate(invalid="ignore"):
         tied = gap == np.nanmin(gap, axis=1, keepdims=True)
@@ -217,7 +184,11 @@ def orientations(sk, x, y, bif):
     the image edge needs no test; a trace's end offset from its minutia
     indexes a table of angles.
     """
-    pad = np.pad(np.asarray(sk) != 0, 1)
+    sk = np.asarray(sk)
+    # np.zeros, not np.pad, whose calls leave reference cycles to the
+    # garbage collector
+    pad = np.zeros((sk.shape[0] + 2, sk.shape[1] + 2), bool)
+    pad[1:-1, 1:-1] = sk
     width = pad.shape[1]
     pad = pad.ravel()
     step = _OFF_Y * width + _OFF_X
@@ -258,13 +229,10 @@ def orientations(sk, x, y, bif):
     return theta
 
 
-def _detections(code):
-    """Crossing-number detections of a skeleton, from its neighbourhood codes."""
-    cn = kernels.crossing_numbers(code).ravel()
-    # flat indices: np.nonzero of a 2-D mask takes about ten times longer
-    at = np.flatnonzero((cn == 1) | (cn >= 3))
-    ys, xs = np.divmod(at, code.shape[1])
-    return Detections(xs.astype(float), ys.astype(float), cn[at] >= 3)
+def _detections(packed):
+    """Crossing-number detections of a packed skeleton."""
+    y, x, bif = kernels.crossing_minutiae(packed)
+    return Detections(x.astype(float), y.astype(float), bif)
 
 
 def detect_minutiae(sk) -> Detections:
@@ -275,17 +243,15 @@ def detect_minutiae(sk) -> Detections:
     bifurcation, 2 an ordinary ridge pixel, 0 an ignored speck. Unlike
     a neighbour count, it reads the corner pixels of a Zhang-Suen
     staircase as ridge pixels. The skeleton must be thin: neither
-    thinning subiteration, applied to the same neighbourhood codes,
-    may delete a pixel. Output is in
-    raster order, which already matches the canonical (y, x) sort. No
+    thinning subiteration may delete a pixel of it. Output is in raster
+    order, which already matches the canonical (y, x) sort. No
     orientation is traced here: most detections are cut at the border
     or merged away, so `clean_minutiae` traces only the survivors.
     """
-    padded = _padded(sk)
-    code = kernels.neighbourhood_codes(padded)
-    if kernels.zhang_suen_pass(padded, code, 0) or kernels.zhang_suen_pass(padded, code, 1):
+    packed = _packed(sk)
+    if kernels.zhang_suen_pass(packed, 0) or kernels.zhang_suen_pass(packed, 1):
         raise PreconditionError("detect_minutiae requires a fully thinned skeleton")
-    return _detections(code)
+    return _detections(packed)
 
 
 def merge_close(d, rm) -> Merged:
@@ -413,15 +379,15 @@ def remove_border_minutiae(d, shape, margin) -> Detections:
 def raw_minutiae(img):
     """Image through detection, before any cleanup: (detections, skeleton).
 
-    `thin` then `detect_minutiae`, except that detection reads the
-    neighbourhood codes of thinning's last subiteration instead of
-    computing them again; they are dropped before this returns. No
-    config parameter reaches this stage, so parameter sweeps compute it
-    once per image and rerun only the cleanup below it.
+    `despeckle`, `thin` and `detect_minutiae` on one packed image, which
+    is unpacked once, for the skeleton. No config parameter reaches this
+    stage, so parameter sweeps compute it once per image and rerun only
+    the cleanup below it.
     """
-    padded = _padded(despeckle(binarize(img)))
-    detected = _detections(_thin_in_place(padded))
-    return detected, padded[1:-1, 1:-1].copy()
+    packed = kernels.pack_rows(binarize(img))
+    kernels.despeckle_rows(packed)
+    _thin(packed)
+    return _detections(packed), kernels.unpack_rows(packed, np.shape(img)[1])
 
 
 def clean_minutiae(detected, sk, cfg=None, source=None) -> MinutiaSet:

@@ -7,15 +7,14 @@ of a fingerprint pair. Each has one numpy implementation;
 ``tests/oracles.py`` keeps a plain reference for each, and the tests
 compare the two.
 
-The thinning subiteration looks every pixel's 3 x 3 neighbourhood up in
-a 512-entry table: three horizontal shifts pack each row triple into 3
-bits, three vertical shifts stack three such rows into a 9-bit code,
-and one ``take`` per subiteration gives the deletion mask. The table is
-built once, on first use, from Zhang and Suen's rule evaluated over all
-512 codes. The caller computes the codes and passes them in, so one set
-serves a subiteration, the other step's table when that subiteration
-deletes nothing (the stop test), and minutia detection, which looks them
-up in a second table, of crossing numbers.
+The thinning subiteration is bitwise logic on bit-packed rows, 64
+pixels to a uint64 word: the eight neighbours of every pixel are the
+packed image shifted by a row or by a bit, and Zhang and Suen's deletion
+rule, written over those planes, takes about 45 numpy operations per
+subiteration, whatever the image holds. Despeckling and crossing-number
+detection read the same planes. ``tests/oracles.py`` keeps the 512-entry
+tables of both rules, and the tests check the logic against them on
+every neighbourhood, placed across a word boundary.
 
 The alignment search, ``best_alignment``, is an exact branch and bound:
 an upper bound on every hypothesis's matched count, computed from
@@ -44,109 +43,130 @@ SNAP_EPS = 1e-12
 
 
 # ---------------------------------------------------------------------------
-# 3 x 3 neighbourhood tables: Zhang-Suen thinning and crossing numbers
+# 3 x 3 neighbourhoods on bit-packed rows: despeckling, Zhang-Suen
+# thinning and crossing numbers
 #
-# Both look a pixel's 9-bit neighbourhood code up in a 512-entry table.
-# Thinning operates on a zero-padded uint8 0/1 image in place, from
-# codes computed before the pass, and returns the number of deleted
-# pixels; `step` selects the subiteration (0 or 1). Deletion is
-# simultaneous: every code is read before any pixel clears. The same
-# codes, once neither step's table deletes anything, give the
-# skeleton's crossing numbers.
+# A binary image is packed once into uint64 words, 64 pixels a word:
+# pixel x of a row is bit x % 64 of the row's word x // 64, and each
+# row ends in at least one zero bit. A zero row lies above and below
+# the image, and the rows lie end to end in one flat array. The pixels
+# above and below are then that array shifted by a row of words, and
+# the east and west neighbours are its words shifted by one bit, each
+# taking the carry from the next or previous word; a carry across a row
+# end is a zero bit. Every rule is bitwise logic on the centre and its
+# eight neighbour planes, 64 pixels per operation, and every pixel reads
+# the image as it was before the rule applies. No rule sets a padding
+# bit: deletion clears only foreground pixels, and a hole is filled only
+# where all eight neighbours are set, which no padding bit has.
+#
+# The ring runs clockwise from the pixel above, p2 to p9 as Zhang and
+# Suen name it (CACM 27(3), 1984): the 4-neighbours a0..a3 = p2, p4, p6,
+# p8, and the diagonals d0..d3 = p3, p5, p7, p9 between them. Along
+# a_j, d_j, a_j+1 the ring has at most one 0-to-1 transition,
+# (d_j | a_j+1) ^ (a_j & d_j), so the four of them sum to the crossing
+# number (Rutovitz 1966).
 # ---------------------------------------------------------------------------
 
 
-def _ring_bits():
-    """Centre and clockwise 8-neighbour ring bits of every 9-bit code.
+def pack_rows(binary):
+    """A 2-D 0/1 or boolean image, bit-packed and zero-padded."""
+    h, w = binary.shape
+    packed = np.zeros((h + 2, w // 64 + 1), "<u8")
+    packed.view(np.uint8)[1:-1, :(w + 7) // 8] = np.packbits(binary, axis=1, bitorder="little")
+    return packed
 
-    Bit 8 is the top-left pixel and bit 0 the bottom-right, in raster
-    order, so the centre is bit 4. The ring is named as in Zhang and
-    Suen (CACM 27(3), 1984): p2 above, then clockwise to p9 top-left.
+
+def _bytes(words):
+    """Little-endian bytes of uint64 words, 8 per word."""
+    return words.astype("<u8", copy=False).view(np.uint8)
+
+
+def unpack_rows(packed, width):
+    """The uint8 0/1 image, `width` columns wide, that `packed` holds."""
+    return np.unpackbits(_bytes(packed[1:-1]), axis=1, count=width, bitorder="little")
+
+
+def _ring(packed):
+    """Centre, then a0, d0, a1, d1, a2, d2, a3, d3, of every pixel of a
+    packed image's rows, as flat word arrays; the centre is a view."""
+    words = packed.shape[1]
+    flat = packed.reshape(-1)
+    east = flat >> 1
+    east[:-1] |= flat[1:] << 63
+    west = flat << 1
+    west[1:] |= flat[:-1] >> 63
+    up, mid, down = slice(0, -2 * words), slice(words, -words), slice(2 * words, None)
+    return flat[mid], (flat[up], east[up], east[mid], east[down],
+                       flat[down], west[down], west[mid], west[up])
+
+
+def _transitions(ring):
+    """The ring's 0-to-1 transitions along a_j, d_j, a_j+1, j = 0..3."""
+    a0, d0, a1, d1, a2, d2, a3, d3 = ring
+    return [(d | b) ^ (a & d) for a, d, b in ((a0, d0, a1), (a1, d1, a2), (a2, d2, a3), (a3, d3, a0))]
+
+
+def despeckle_rows(packed):
+    """Clear each foreground pixel with no foreground neighbour and set
+    each background pixel with eight, in a packed image, in place."""
+    centre, ring = _ring(packed)
+    centre[:] = (centre & functools.reduce(np.bitwise_or, ring)) | functools.reduce(np.bitwise_and, ring)
+
+
+def zhang_suen_pass(packed, step):
+    """One Zhang-Suen subiteration on a packed image, in place; returns
+    the pixels deleted. `step` (0 or 1) selects the subiteration.
+
+    A foreground pixel goes when its ring has one 0-to-1 transition,
+    2 <= B <= 6 foreground neighbours, and p4 p6 (p2 | p8) = 0 in step 0,
+    p2 p8 (p4 | p6) = 0 in step 1. With one transition the foreground
+    neighbours form one arc and the background ones another, and an arc
+    longer than one pixel holds both an a_j and a d_j. So B >= 2 when
+    some a_j and some d_j are set, which also rules out an empty ring,
+    and B <= 6 when some a_j and some d_j are clear. A pixel that passes
+    the step's test has some a_j clear, so only the d_j are tested, and
+    they rule out a full ring too.
     """
-    code = np.arange(512)
-    p9, p2, p3, p8, c, p4, p7, p6, p5 = ((code >> k) & 1 for k in range(8, -1, -1))
-    return c, (p2, p3, p4, p5, p6, p7, p8, p9)
-
-
-def _crossings(ring):
-    """0-to-1 transitions around the closed ring: the crossing number."""
-    return sum((cur == 0) & (nxt == 1) for cur, nxt in zip(ring, ring[1:] + ring[:1]))
-
-
-@functools.cache
-def _zhang_suen_tables():
-    """Deletion flag of every 3 x 3 neighbourhood code, one row per step.
-
-    Built on first use rather than at import: its integer array
-    operations page in numpy code (about 0.5 MB resident) that a process
-    which never thins would not otherwise load.
-    """
-    c, ring = _ring_bits()
-    p2, p3, p4, p5, p6, p7, p8, p9 = ring
-    b = sum(ring)
-    core = (c == 1) & (b >= 2) & (b <= 6) & (_crossings(ring) == 1)
-    table = np.stack([
-        core & (p2 * p4 * p6 == 0) & (p4 * p6 * p8 == 0),
-        core & (p2 * p4 * p8 == 0) & (p2 * p6 * p8 == 0),
-    ])
-    table.flags.writeable = False  # shared by every call
-    return table
-
-
-@functools.cache
-def _crossing_number_table():
-    """Crossing number of every code's centre pixel, 0 where it is background.
-
-    Around a ring of 0/1 pixels the 0-to-1 transitions number half the
-    sum of |p(i) - p(i+1)|, Rutovitz's crossing number.
-    """
-    c, ring = _ring_bits()
-    table = (c * _crossings(ring)).astype(np.uint8)
-    table.flags.writeable = False  # shared by every call
-    return table
-
-
-def neighbourhood_codes(img):
-    """9-bit 3 x 3 neighbourhood code of every interior pixel of a padded
-    uint8 0/1 image: three horizontal shifts pack each row triple into
-    3 bits, and three vertical shifts stack three such rows.
-
-    The shifts run over the flattened image, where they are contiguous
-    and about a third faster than over 2-D slices; the triples and codes
-    that straddle a row end land in the last two columns of each row,
-    which the returned view leaves out.
-    """
-    h, w = img.shape
-    flat = img.ravel()
-    rows = flat[:-2] << 2
-    rows |= flat[1:-1] << 1
-    rows |= flat[2:]
-    # code[y * w + x] is that of padded pixel (y + 1, x + 1)
-    n = (h - 2) * w - 2
-    code = np.empty((h - 2) * w, np.uint16)
-    np.left_shift(rows[:n], 6, out=code[:n], dtype=np.uint16)
-    code[:n] |= rows[w:w + n] << 3
-    code[:n] |= rows[2 * w:]
-    return code.reshape(h - 2, w)[:, :w - 2]
-
-
-def zhang_suen_pass(img, code, step):
-    """One subiteration on a padded uint8 0/1 image whose interior has
-    the neighbourhood codes `code`, in place; returns the pixels deleted.
-
-    The table deletes only foreground centres, so an XOR with the mask
-    clears exactly them.
-    """
-    kill = _zhang_suen_tables()[step].take(code)
-    deleted = int(np.count_nonzero(kill))
+    centre, ring = _ring(packed)
+    a0, d0, a1, d1, a2, d2, a3, d3 = ring
+    u0, u1, u2, u3 = _transitions(ring)
+    kill = centre & (a0 | a1 | a2 | a3) & (d0 | d1 | d2 | d3)
+    keep = d0 & d1 & d2 & d3
+    keep |= a1 & a2 & (a0 | a3) if step == 0 else a0 & a3 & (a1 | a2)
+    # two transitions or more
+    keep |= ((u0 | u1) & (u2 | u3)) | (u0 & u1) | (u2 & u3)
+    kill &= ~keep
+    deleted = int(np.bitwise_count(kill).sum())
     if deleted:
-        img[1:-1, 1:-1] ^= kill.view(np.uint8)
+        centre ^= kill
     return deleted
 
 
-def crossing_numbers(code):
-    """Crossing number of the centre pixel of each code, 0 at background."""
-    return _crossing_number_table().take(code)
+def crossing_minutiae(packed):
+    """(y, x, bifurcation) of the minutiae of a packed skeleton, in
+    raster order: the foreground pixels whose crossing number is 1, an
+    ending, or at least 3, a bifurcation. Only the words that hold one
+    are unpacked.
+    """
+    centre, ring = _ring(packed)
+    u0, u1, u2, u3 = _transitions(ring)
+    # bitwise counts: at least one, two, three transitions
+    ones = u0 | u1
+    twos = u0 & u1
+    threes = twos & u2
+    twos |= ones & u2
+    ones |= u2
+    threes |= twos & u3
+    twos |= ones & u3
+    ones |= u3
+    bif = centre & threes
+    found = (centre & (ones ^ twos)) | bif
+    at = np.flatnonzero(found)
+    bits = np.flatnonzero(np.unpackbits(_bytes(found[at]), bitorder="little"))
+    word = at[bits >> 6]
+    y, col = np.divmod(word, packed.shape[1])
+    x = col * 64 + (bits & 63)
+    return y, x, np.unpackbits(_bytes(bif[at]), bitorder="little")[bits].view(bool)
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +284,9 @@ def _alignment_bounds(xi, yi, ti, xj, yj, tj, r0, theta0):
     """
     m = xi.shape[0]
     n = xj.shape[0]
+    if r0 == math.inf and theta0 >= 180.0:
+        # every input point is a partner of every template point
+        return np.full(m * n, min(m, n))
     scale = max(1.0, r0, *(float(np.abs(v).max()) for v in (xi, yi, xj, yj)))
     r_pad = r0 + BOUND_EPS * scale
     t_pad = theta0 + BOUND_EPS

@@ -37,25 +37,19 @@ class Minutia:
             raise InvalidInputError(f"minutia angle {self.theta} outside [0, 360)")
 
 
-def _read_only(arr):
-    arr.flags.writeable = False
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class MinutiaSet:
     """Minutiae at distinct positions in canonical (y, x) order, as parallel arrays.
 
-    `x`, `y` and `theta` are read-only float64 arrays and `bif` a
-    read-only bool array, True for a bifurcation. Iterating or indexing
-    gives `Minutia` records. Two sets are equal when their minutiae are;
-    `source` is not compared.
+    `x`, `y` and `theta` are float64 arrays and `bif` a bool array, True
+    for a bifurcation: read-only views of the one immutable buffer
+    `data` (the three float columns, then the flags), made on each
+    access. A set costs that buffer and little more, so evaluations and
+    sweeps can hold many. Iterating or indexing gives `Minutia` records.
+    Two sets are equal when their minutiae are; `source` is not compared.
     """
 
-    x: np.ndarray
-    y: np.ndarray
-    theta: np.ndarray
-    bif: np.ndarray
+    data: bytes
     source: str = None
 
     @classmethod
@@ -69,12 +63,32 @@ class MinutiaSet:
         if len(bad):
             raise InvalidInputError(f"minutia angle {theta[bad[0]].item()} outside [0, 360)")
         order = np.lexsort((x, y))
-        x, y, theta, bif = (_read_only(v[order]) for v in (x, y, theta, bif))
+        x, y = x[order], y[order]
         same = np.flatnonzero((x[1:] == x[:-1]) & (y[1:] == y[:-1]))
         if len(same):
             i = same[0] + 1
             raise InvalidInputError(f"two minutiae at identical position ({x[i].item()}, {y[i].item()})")
-        return cls(x, y, theta, bif, source)
+        return cls(b"".join(v.tobytes() for v in (x, y, theta[order], bif[order])), source)
+
+    def _column(self, k, dtype=np.float64):
+        n = len(self)
+        return np.frombuffer(self.data, dtype, n, 8 * k * n)
+
+    @property
+    def x(self):
+        return self._column(0)
+
+    @property
+    def y(self):
+        return self._column(1)
+
+    @property
+    def theta(self):
+        return self._column(2)
+
+    @property
+    def bif(self):
+        return self._column(3, bool)
 
     @classmethod
     def from_iterable(cls, items, source=None):
@@ -83,7 +97,7 @@ class MinutiaSet:
                                [m.kind is MinutiaKind.BIFURCATION for m in items], source)
 
     def __len__(self):
-        return len(self.x)
+        return len(self.data) // 25  # 3 floats and a flag per minutia
 
     def __getitem__(self, i):
         return Minutia(float(self.x[i]), float(self.y[i]), float(self.theta[i]),

@@ -72,12 +72,13 @@ def parse_pgm(data: bytes, name="<pgm>") -> np.ndarray:
         if count > (n - pos) // 2:
             error(f"truncated raster: {count} samples need at least {2 * count} bytes, "
                   f"{n - pos} left")
-        vals = np.empty(count, dtype=np.int32)
+        img = np.empty(count, dtype=np.uint8)
         for i in range(count):
-            vals[i] = next_int(f"sample {i}")
-        if vals.min() < 0 or vals.max() > maxval:
-            error(f"sample value outside 0..{maxval}")
-        img = vals.astype(np.uint8).reshape(height, width)
+            v = next_int(f"sample {i}")
+            if not 0 <= v <= maxval:
+                error(f"sample value outside 0..{maxval}")
+            img[i] = v
+        img = img.reshape(height, width)
     if int(img.max()) > maxval:
         error(f"sample value exceeds declared maxval {maxval}")
     return img

@@ -13,6 +13,7 @@ imported at module level; `extract_eager` and the alignment helpers
 reuse the library code they do not check.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -411,6 +412,23 @@ def has_full_2x2_block(binary):
     return bool(np.any(b[:-1, :-1] & b[:-1, 1:] & b[1:, :-1] & b[1:, 1:]))
 
 
+def despeckle_scalar(binary):
+    """`imgproc.despeckle` pixel by pixel: a foreground pixel without a
+    foreground 8-neighbour clears, a background pixel with eight sets;
+    outside the image is background."""
+    b = (np.asarray(binary) != 0).astype(np.uint8)
+    padded = np.pad(b, 1).tolist()
+    out = b.copy()
+    for y in range(b.shape[0]):
+        for x in range(b.shape[1]):
+            count = sum(padded[y + 1 + dy][x + 1 + dx] for dy in (-1, 0, 1) for dx in (-1, 0, 1)) - b[y, x]
+            if b[y, x] and count == 0:
+                out[y, x] = 0
+            elif not b[y, x] and count == 8:
+                out[y, x] = 1
+    return out
+
+
 def zhang_suen_pass_scalar(img, step):
     """One Zhang-Suen subiteration, pixel by pixel, on a padded 0/1 image.
 
@@ -458,6 +476,93 @@ def thin_scalar(binary):
     while zhang_suen_pass_scalar(padded, 0) + zhang_suen_pass_scalar(padded, 1):
         pass
     return padded[1:-1, 1:-1].copy()
+
+
+def _ring_bits():
+    """Centre and clockwise 8-neighbour ring bits of every 9-bit code.
+
+    Bit 8 is the top-left pixel and bit 0 the bottom-right, in raster
+    order, so the centre is bit 4. The ring is named as in Zhang and
+    Suen: p2 above, then clockwise to p9 top-left.
+    """
+    code = np.arange(512)
+    p9, p2, p3, p8, c, p4, p7, p6, p5 = ((code >> k) & 1 for k in range(8, -1, -1))
+    return c, (p2, p3, p4, p5, p6, p7, p8, p9)
+
+
+def _crossings(ring):
+    """0-to-1 transitions around the closed ring: the crossing number."""
+    return sum((cur == 0) & (nxt == 1) for cur, nxt in zip(ring, ring[1:] + ring[:1]))
+
+
+@functools.cache
+def zhang_suen_tables():
+    """Deletion flag of every 9-bit 3 x 3 neighbourhood code, one row per step."""
+    c, ring = _ring_bits()
+    p2, p3, p4, p5, p6, p7, p8, p9 = ring
+    b = sum(ring)
+    core = (c == 1) & (b >= 2) & (b <= 6) & (_crossings(ring) == 1)
+    table = np.stack([
+        core & (p2 * p4 * p6 == 0) & (p4 * p6 * p8 == 0),
+        core & (p2 * p4 * p8 == 0) & (p2 * p6 * p8 == 0),
+    ])
+    table.flags.writeable = False  # shared by every call
+    return table
+
+
+@functools.cache
+def crossing_number_table():
+    """Crossing number of every code's centre pixel, 0 where it is background."""
+    c, ring = _ring_bits()
+    table = (c * _crossings(ring)).astype(np.uint8)
+    table.flags.writeable = False  # shared by every call
+    return table
+
+
+def neighbourhood_codes(img):
+    """9-bit code of every interior pixel of a zero-padded uint8 0/1 image,
+    by shifts of the flattened image: the triples and codes that straddle
+    a row end land in the last two columns of each row, which the
+    returned view leaves out."""
+    h, w = img.shape
+    flat = img.ravel()
+    rows = flat[:-2] << 2
+    rows |= flat[1:-1] << 1
+    rows |= flat[2:]
+    n = (h - 2) * w - 2
+    code = np.empty((h - 2) * w, np.uint16)
+    np.left_shift(rows[:n], 6, out=code[:n], dtype=np.uint16)
+    code[:n] |= rows[w:w + n] << 3
+    code[:n] |= rows[2 * w:]
+    return code.reshape(h - 2, w)[:, :w - 2]
+
+
+def thin_and_detect_lut(binary):
+    """Thinning and crossing-number detection by 512-entry tables:
+    ((x, y, bifurcation) arrays, skeleton).
+
+    Each subiteration computes every pixel's neighbourhood code once and
+    deletes by one lookup in its step's table; an idle subiteration
+    leaves the codes valid for the other step, and once both steps are
+    idle the same codes give the crossing numbers.
+    """
+    padded = np.pad((np.asarray(binary) != 0).astype(np.uint8), 1)
+    tables = zhang_suen_tables()
+    step = 0
+    while True:
+        code = neighbourhood_codes(padded)
+        kill = tables[step].take(code)
+        if not kill.any():
+            step ^= 1
+            kill = tables[step].take(code)
+            if not kill.any():
+                break
+        padded[1:-1, 1:-1] ^= kill.view(np.uint8)
+        step ^= 1
+    cn = crossing_number_table().take(code).ravel()
+    at = np.flatnonzero((cn == 1) | (cn >= 3))
+    ys, xs = np.divmod(at, code.shape[1])
+    return (xs.astype(float), ys.astype(float), cn[at] >= 3), padded[1:-1, 1:-1].copy()
 
 
 # 8-neighborhood in raster order, as (dx, dy)

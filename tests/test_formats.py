@@ -1,10 +1,18 @@
 """PGM image and minutiae text round trips."""
 
+import os
+import pickle
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import onionprint
 from onionprint.errors import InvalidInputError
 from onionprint.minutiae import (
     FILE_HEADER,
@@ -71,6 +79,86 @@ def test_pgm_rejects_bad_magic_and_maxval():
 def test_pgm_p2_sample_out_of_range():
     with pytest.raises(InvalidInputError):
         parse_pgm(b"P2\n2 1\n100\n5 101\n", "x")
+
+
+def test_pgm_p2_sample_beyond_any_integer_type_raises():
+    for sample in (b"99999999999", b"-99999999999", b"9" * 30):
+        with pytest.raises(InvalidInputError, match="outside"):
+            parse_pgm(b"P2\n1 1\n255\n" + sample + b"\n", "x")
+
+
+# what a token of a PGM file can be instead of the right number
+_PGM_TOKEN = st.one_of(st.integers(-2, 300).map(lambda v: str(v).encode()),
+                       st.integers(2**31, 2**70).map(lambda v: str(v).encode()),
+                       st.integers(-2**70, -2**31).map(lambda v: str(v).encode()),
+                       st.sampled_from([b"P2", b"P5", b"P6", b"+3", b"0x10", b"1_0", b"3.0", b"", b"#"]),
+                       st.binary(max_size=3))
+_PGM_SEP = st.sampled_from([b" ", b"\n", b"\t", b"\r\n", b" # note\n"])
+
+
+@st.composite
+def _pgm_like(draw):
+    """A small valid P2 or P5 file, then a few tokens replaced, and maybe cut short."""
+    w, h = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    maxval = draw(st.integers(1, 255))
+    samples = draw(st.lists(st.integers(0, maxval), min_size=w * h, max_size=w * h))
+    p2 = draw(st.booleans())
+    tokens = [b"P2" if p2 else b"P5", *(str(v).encode() for v in (w, h, maxval))]
+    if p2:
+        tokens += [str(v).encode() for v in samples]
+    for _ in range(draw(st.integers(0, 3))):
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(_PGM_TOKEN)
+    data = tokens[0]
+    for token in tokens[1:]:
+        data += draw(_PGM_SEP) + token
+    data += draw(_PGM_SEP) if p2 else b"\n" + bytes(samples)
+    return data[:draw(st.integers(0, len(data)))] if draw(st.booleans()) else data
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.one_of(_pgm_like(), st.binary(max_size=100)))
+def test_parse_pgm_fuzz_parses_or_rejects(data):
+    try:
+        img = parse_pgm(data, "fuzz")
+    except InvalidInputError:
+        return
+    assert img.ndim == 2 and img.size > 0 and img.dtype == np.uint8
+
+
+# headers that declare far more pixels than their bytes hold
+_PGM_BOMBS = [
+    b"P5\n100000 100000\n255\n" + bytes(64),
+    b"P2\n100000 100000\n255\n0 0 0\n",
+    b"P5 4294967296 4294967296 255 " + bytes(64),
+    b"P2 4294967296 4294967296 255 0 0",
+    b"P5\n" + b"9" * 4000 + b" 1\n255\n" + bytes(8),
+    b"P2\n1 " + b"9" * 30 + b"\n1\n0\n",
+]
+
+_PARSE_BOMBS = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))
+from onionprint.errors import InvalidInputError
+from onionprint.pgm import parse_pgm
+for data in {bombs!r}:
+    try:
+        parse_pgm(data, "bomb")
+        print("parsed")
+    except InvalidInputError:
+        print("rejected")
+"""
+
+
+def test_parse_pgm_dimension_bombs_rejected_in_bounded_memory():
+    # 256 MiB of address space: Python and numpy need some 100 MiB, and
+    # any of these headers would need gigabytes if it were believed
+    src = str(Path(onionprint.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    code = _PARSE_BOMBS.format(limit=256 * 2**20, bombs=_PGM_BOMBS)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["rejected"] * len(_PGM_BOMBS)
 
 
 def test_pgm_missing_file(tmp_path):
@@ -166,6 +254,24 @@ def test_minutiae_set_arrays_are_read_only_and_checked():
         MinutiaSet.from_arrays([0.0, 1.0], [0.0, 0.0], [0.0, 360.0], [False, False])
     empty = MinutiaSet.from_arrays([], [], [], [])
     assert len(empty) == 0 and list(empty) == [] and empty.positions().shape == (0, 2)
+    again = pickle.loads(pickle.dumps(ms))
+    assert again == ms and again.source == "s"
+    with pytest.raises(ValueError):
+        again.x[0] = 0
+
+
+def test_minutiae_set_kept_costs_its_values_and_little_more():
+    # evaluations, sweeps and benchmarks hold many sets: a set of 25
+    # minutiae holds 625 bytes of values, one buffer for all four arrays
+    rng = np.random.default_rng(5)
+    values = (rng.uniform(0, 300, 25), rng.uniform(0, 300, 25), rng.uniform(0, 360, 25), rng.random(25) < 0.3)
+    tracemalloc.start()
+    try:
+        kept = [MinutiaSet.from_arrays(*values, source="s") for _ in range(200)]
+        per_set = tracemalloc.get_traced_memory()[0] / len(kept)
+    finally:
+        tracemalloc.stop()
+    assert per_set < 25 * 25 + 200, per_set
 
 
 def test_minutia_validation():

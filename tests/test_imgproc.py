@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,13 +22,15 @@ from onionprint.imgproc import (
     remove_border_minutiae,
     thin,
 )
-from onionprint.kernels import crossing_numbers, neighbourhood_codes, zhang_suen_pass
+from onionprint.kernels import crossing_minutiae, pack_rows, unpack_rows, zhang_suen_pass
 from onionprint.minutiae import Minutia, MinutiaKind
 from onionprint.synth import render_impression
 from oracles import (
     bifurcation_direction_scalar,
     count_components_8,
     crossing_number_scalar,
+    crossing_number_table,
+    despeckle_scalar,
     detect_minutiae_scalar,
     extract_eager,
     has_full_2x2_block,
@@ -36,8 +39,10 @@ from oracles import (
     merge_groups_unionfind,
     orientation_scalar,
     otsu_threshold_bruteforce,
+    thin_and_detect_lut,
     thin_scalar,
     zhang_suen_pass_scalar,
+    zhang_suen_tables,
 )
 
 
@@ -186,36 +191,101 @@ def test_thin_random_blobs_properties():
         assert count_components_8(sk) == count_components_8(img)
 
 
-def _code_image(code):
-    """The 3x3 neighbourhood of a 9-bit code (bit 8 top-left, raster order), zero-padded."""
-    img = np.zeros((5, 5), np.uint8)
-    img[1:4, 1:4] = ((code >> np.arange(8, -1, -1)) & 1).reshape(3, 3)
+def _code_image(code, centre_x=1, width=3):
+    """A 3-row image `width` wide holding the 3x3 neighbourhood of a 9-bit
+    code (bit 8 top-left, raster order) centred on column centre_x."""
+    img = np.zeros((3, width), np.uint8)
+    img[:, centre_x - 1:centre_x + 2] = ((code >> np.arange(8, -1, -1)) & 1).reshape(3, 3)
     return img
 
 
+# centre columns on both sides of the first word boundary, so every
+# neighbourhood is read through the carries between words, in rows that
+# with their trailing zero bit fill whole words (63, 127) or not (67, 128)
+_BOUNDARY_CENTRES = ((62, 127), (63, 127), (64, 128), (65, 67), (66, 128), (1, 63))
+
+
+def _packed_pass(binary, step):
+    """zhang_suen_pass on a packed copy: (deleted, resulting image)."""
+    packed = pack_rows(binary)
+    deleted = zhang_suen_pass(packed, step)
+    return deleted, unpack_rows(packed, binary.shape[1])
+
+
 def test_zhang_suen_pass_matches_scalar_rule_on_all_neighbourhoods():
+    tables = zhang_suen_tables()
     deleted = 0
     for code in range(512):
         for step in (0, 1):
-            got, want = _code_image(code), _code_image(code)
-            assert zhang_suen_pass(got, neighbourhood_codes(got), step) == zhang_suen_pass_scalar(want, step)
-            assert np.array_equal(got, want)
-            deleted += int(got[2, 2] == 0 and code & 16)
+            for k, (cx, width) in enumerate(_BOUNDARY_CENTRES):
+                img = _code_image(code, cx, width)
+                got = _packed_pass(img, step)
+                assert got[1][1, cx] == (code >> 4 & 1) - tables[step, code], (code, step, cx)
+                if k == code % len(_BOUNDARY_CENTRES):
+                    want = np.pad(img, 1)
+                    assert got[0] == zhang_suen_pass_scalar(want, step)
+                    assert np.array_equal(got[1], want[1:-1, 1:-1])
+            deleted += int(tables[step, code])
     assert deleted > 0
+
+
+def _edge_shapes(rng):
+    """Random shapes, then every width around one and two packed words."""
+    shapes = [tuple(rng.integers(1, 48, size=2)) for _ in range(6)]
+    shapes += [(int(rng.integers(1, 12)), w) for w in (1, 2, 62, 63, 64, 65, 126, 127, 128, 129)]
+    return shapes
 
 
 def test_zhang_suen_pass_matches_scalar_rule_on_random_binaries():
     rng = np.random.default_rng(932)
     for density in (0.2, 0.5, 0.8):
-        for _ in range(6):
-            shape = rng.integers(1, 48, size=2)
+        for shape in _edge_shapes(rng):
             binary = (rng.random(shape) < density).astype(np.uint8)
-            got = np.pad(binary, 1)
-            want = got.copy()
+            got = pack_rows(binary)
+            want = np.pad(binary, 1)
             for step in (0, 1, 0, 1, 1, 0):
-                assert zhang_suen_pass(got, neighbourhood_codes(got), step) == zhang_suen_pass_scalar(want, step)
-                assert np.array_equal(got, want)
+                assert zhang_suen_pass(got, step) == zhang_suen_pass_scalar(want, step)
+                assert np.array_equal(unpack_rows(got, shape[1]), want[1:-1, 1:-1])
             assert np.array_equal(thin(binary), thin_scalar(binary))
+
+
+def test_despeckle_matches_scalar_rule_on_random_binaries():
+    rng = np.random.default_rng(934)
+    for density in (0.1, 0.5, 0.9):
+        for shape in _edge_shapes(rng):
+            binary = (rng.random(shape) < density).astype(np.uint8)
+            got = despeckle(binary)
+            assert got.dtype == np.uint8
+            assert np.array_equal(got, despeckle_scalar(binary))
+
+
+def test_thinning_matches_lookup_tables():
+    # the packed path against the 512-entry table path it replaced:
+    # the same skeleton and the same detections, in the same order
+    rng = np.random.default_rng(935)
+    images = [_gray(rng.random(shape) < density) for density in (0.2, 0.5, 0.8) for shape in _edge_shapes(rng)]
+    images += [_ridges(rng, 130, 96, noise, angle) for noise in (0.0, 15.0) for angle in (0.0, 15.0, 30.0, 45.0)]
+    images.append(rng.integers(0, 256, size=(70, 129)).astype(np.uint8))
+    for img in images:
+        (x, y, bif), want = thin_and_detect_lut(despeckle(binarize(img)))
+        d, sk = raw_minutiae(img)
+        assert np.array_equal(sk, want)
+        assert (d.x.tolist(), d.y.tolist(), d.bif.tolist()) == (x.tolist(), y.tolist(), bif.tolist())
+
+
+def test_thinning_and_detection_memory_per_pixel():
+    # uniform noise makes the most detections per pixel, about 0.14; the
+    # lookup-table path peaked at 11 to 13 bytes per pixel on it
+    gray = _gray(np.random.default_rng(940).random((512, 512)) < 0.5)
+    peaks = []
+    for run in (lambda: raw_minutiae(gray), lambda: thin_and_detect_lut(despeckle(binarize(gray)))):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1] / gray.size)
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= min(peaks[1], 11.0), peaks
 
 
 def _accepted_as_thin(binary):
@@ -228,7 +298,7 @@ def _accepted_as_thin(binary):
 
 def test_thinness_check_matches_one_scalar_iteration():
     rng = np.random.default_rng(936)
-    cases = [_code_image(code)[1:-1, 1:-1] for code in range(512)]
+    cases = [_code_image(code) for code in range(512)]
     cases += [(rng.random(rng.integers(1, 30, size=2)) < density).astype(np.uint8)
               for density in (0.2, 0.5, 0.8) for _ in range(10)]
     cases += [thin(b) for b in cases[-30:]]
@@ -262,17 +332,17 @@ def _assert_raw_matches_scalar_thinning(img):
     return d
 
 
-def _codes_computed(monkeypatch, img):
-    """How many times raw_minutiae(img) calls kernels.neighbourhood_codes."""
-    codes = kernels.neighbourhood_codes
+def _passes_run(monkeypatch, img):
+    """How many times raw_minutiae(img) calls kernels.zhang_suen_pass."""
+    zs_pass = kernels.zhang_suen_pass
     calls = []
 
-    def counted(padded):
-        calls.append(1)
-        return codes(padded)
+    def counted(packed, step):
+        calls.append(step)
+        return zs_pass(packed, step)
 
     with monkeypatch.context() as m:
-        m.setattr(kernels, "neighbourhood_codes", counted)
+        m.setattr(kernels, "zhang_suen_pass", counted)
         raw_minutiae(img)
     return len(calls)
 
@@ -315,19 +385,20 @@ def test_raw_minutiae_matches_scalar_thinning_on_edge_cases():
     _assert_raw_matches_scalar_thinning(_gray(_IDLE_THEN_DELETING))
 
 
-def test_raw_minutiae_computes_codes_once_per_deleting_subiteration(monkeypatch):
+def test_raw_minutiae_runs_one_pass_per_scalar_subiteration(monkeypatch):
+    # the deleting subiterations of the scalar loop, the idle ones among
+    # them and the two idle ones that end it
     img = _ridges(np.random.default_rng(939), 96, 80, 15.0)
     deleted = _scalar_pass_deletions(img)
     assert np.count_nonzero(deleted) >= 4
-    assert _codes_computed(monkeypatch, img) == np.count_nonzero(deleted) + 1
-    # the idle subiteration's codes serve the next, deleting one
+    assert _passes_run(monkeypatch, img) == len(deleted)
     img = _gray(_IDLE_THEN_DELETING)
     deleted = _scalar_pass_deletions(img)
     assert any(a == 0 < b for a, b in zip(deleted, deleted[1:]))
-    assert _codes_computed(monkeypatch, img) == np.count_nonzero(deleted) + 1
-    # already thin: one set of codes for both stop tests and detection
+    assert _passes_run(monkeypatch, img) == len(deleted)
+    # already thin: the two idle subiterations only
     assert _scalar_pass_deletions(_gray(_y_skeleton())) == [0, 0]
-    assert _codes_computed(monkeypatch, _gray(_y_skeleton())) == 1
+    assert _passes_run(monkeypatch, _gray(_y_skeleton())) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -402,19 +473,19 @@ def test_detect_locality():
     assert [p for p in after if p[1] == 4.0] == before
 
 
-def _scalar_crossing_numbers(sk):
-    """crossing_number_scalar at every foreground pixel, 0 elsewhere."""
-    return np.array([[crossing_number_scalar(sk, x, y) if sk[y, x] else 0 for x in range(sk.shape[1])]
-                     for y in range(sk.shape[0])])
-
-
 def test_crossing_numbers_match_scalar_rule_on_all_neighbourhoods():
-    for code in range(512):
-        img = _code_image(code)
-        assert neighbourhood_codes(img)[1, 1] == code
-        assert np.array_equal(crossing_numbers(neighbourhood_codes(img)), _scalar_crossing_numbers(img[1:-1, 1:-1]))
+    table = crossing_number_table()
     # the table holds every crossing number a ring of 8 can have
-    assert set(crossing_numbers(np.arange(512)).tolist()) == {0, 1, 2, 3, 4}
+    assert set(table.tolist()) == {0, 1, 2, 3, 4}
+    for code in range(512):
+        for cx, width in _BOUNDARY_CENTRES:
+            img = _code_image(code, cx, width)
+            assert crossing_number_scalar(img, cx, 1) * (code >> 4 & 1) == table[code]
+            y, x, bif = crossing_minutiae(pack_rows(img))
+            found = list(zip(x.tolist(), y.tolist(), bif.tolist()))
+            assert found == [(float(x), float(y), b) for x, y, b in detect_minutiae_scalar(img)]
+            want = [(cx, 1, bool(table[code] >= 3))] if table[code] == 1 or table[code] >= 3 else []
+            assert [p for p in found if p[:2] == (cx, 1)] == want, (code, cx)
 
 
 def test_detect_matches_scalar_crossing_number_at_every_pixel():
