@@ -79,8 +79,17 @@ def raw_rows(img):
     return list(zip(d.x.tolist(), d.y.tolist(), d.bif.tolist())), sk
 
 
+def despeckled(img):
+    """The binarized, despeckled image, by the packed kernel that
+    `imgproc.raw_minutiae` runs."""
+    binary = imgproc.binarize(img)
+    packed = kernels.pack_rows(binary)
+    kernels.despeckle_rows(packed)
+    return kernels.unpack_rows(packed, binary.shape[1])
+
+
 def raw_rows_scalar(img):
-    sk = thin_scalar(imgproc.despeckle(imgproc.binarize(img)))
+    sk = thin_scalar(despeckled(img))
     return detect_minutiae_scalar(sk), sk
 
 
@@ -165,7 +174,7 @@ def main():
 
     ridges = ridge_image()
     img = rendered_print()
-    binary = imgproc.despeckle(imgproc.binarize(img))
+    binary = despeckled(img)
     detected, sk = imgproc.raw_minutiae(img)
     xs, ys, bif = detected.x, detected.y, detected.bif
     points = list(zip(xs.astype(int).tolist(), ys.astype(int).tolist(), bif.tolist()))

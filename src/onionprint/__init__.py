@@ -6,7 +6,7 @@ peer rings by turning-function distance, and squash into a [0, 1]
 similarity score.
 """
 
-from .alignment import MatchResult, Transform, match_minutiae
+from .alignment import MatchResult, match_minutiae
 from .config import MatchConfig, build_config, load_config_file
 from .errors import InvalidInputError, InvariantError, OnionprintError, PreconditionError
 from .evaluation import Dataset, EvalReport, ScoreTable, evaluate, load_dataset, sweep
@@ -34,7 +34,6 @@ __all__ = [
     "PreconditionError",
     "ScoreBreakdown",
     "ScoreTable",
-    "Transform",
     "TurningFunction",
     "build_config",
     "convex_hull",

@@ -16,54 +16,21 @@ Only the hypotheses whose bound can still reach the best count are
 paired out. The winner is the one exhaustive verification picks.
 """
 
-import math
 from dataclasses import dataclass
 
 from . import kernels
+from .config import MatchConfig
 from .errors import InvalidInputError
-from .minutiae import Minutia, MinutiaSet
-
-DEFAULT_R0 = 15.0
-DEFAULT_THETA0 = 10.0
-
-
-@dataclass(frozen=True)
-class Transform:
-    """Rigid map: rotate counterclockwise by dtheta degrees, then translate."""
-
-    dtheta: float = 0.0
-    dx: float = 0.0
-    dy: float = 0.0
-
-
-IDENTITY = Transform()
+from .minutiae import MinutiaSet
 
 
 @dataclass(frozen=True)
 class MatchResult:
-    transform: Transform
     pairs: tuple
     k: int
     m: int
     n: int
     score: float
-
-
-def _rotation(dtheta):
-    rad = dtheta * math.pi / 180.0
-    return math.cos(rad), math.sin(rad)
-
-
-def _hypothesis(mi: Minutia, mj: Minutia) -> Transform:
-    # identical float expressions to the search kernels, so the rebuilt
-    # winner is bit-for-bit the transform the search evaluated
-    dth = (mj.theta - mi.theta) % 360.0
-    cosv, sinv = _rotation(dth)
-    return Transform(
-        dtheta=dth,
-        dx=mj.x - (cosv * mi.x - sinv * mi.y),
-        dy=mj.y - (sinv * mi.x + cosv * mi.y),
-    )
 
 
 def minutiae_score(k: int, m: int, n: int) -> float:
@@ -75,8 +42,8 @@ def minutiae_score(k: int, m: int, n: int) -> float:
 def match_minutiae(
     inp: MinutiaSet,
     tpl: MinutiaSet,
-    r0=DEFAULT_R0,
-    theta0=DEFAULT_THETA0,
+    r0=MatchConfig.r0,
+    theta0=MatchConfig.theta0,
 ) -> MatchResult:
     """Best alignment over all pairwise hypotheses, greedily verified.
 
@@ -91,13 +58,12 @@ def match_minutiae(
         raise InvalidInputError(f"theta0 must be in [0, 180], got {theta0}")
     m, n = len(inp), len(tpl)
     if m == 0 or n == 0:
-        return MatchResult(IDENTITY, (), 0, m, n, 0.0)
-    a, b, out_i, out_j, _ = kernels.best_alignment(
+        return MatchResult((), 0, m, n, 0.0)
+    _, _, out_i, out_j, _ = kernels.best_alignment(
         inp.x, inp.y, inp.theta, tpl.x, tpl.y, tpl.theta, float(r0), float(theta0)
     )
-    tr = _hypothesis(inp[a], tpl[b])
     pairs = tuple((int(i), int(j)) for i, j in zip(out_i, out_j))
-    return MatchResult(tr, pairs, len(pairs), m, n, minutiae_score(len(pairs), m, n))
+    return MatchResult(pairs, len(pairs), m, n, minutiae_score(len(pairs), m, n))
 
 
 def matched_subsets(result: MatchResult, inp: MinutiaSet, tpl: MinutiaSet):

@@ -159,7 +159,11 @@ def _dataset_from_manifest(manifest: Path) -> Dataset:
         path = Path(rec[2].strip())
         if not path.is_absolute():
             path = base / path
-        if not path.is_file():
+        try:
+            found = path.is_file()
+        except OSError as exc:  # a name the OS rejects, such as one too long
+            raise InvalidInputError(f"{manifest}:{lineno}: bad path: {exc}") from None
+        if not found:
             raise InvalidInputError(f"{manifest}:{lineno}: no such file {path}")
         entries.append(DatasetEntry(finger, impression, str(path)))
     return _validated(entries, str(manifest))

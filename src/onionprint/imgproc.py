@@ -78,13 +78,6 @@ def _as_gray(img):
     return arr
 
 
-def _packed(binary):
-    arr = np.asarray(binary)
-    if arr.ndim != 2 or arr.size == 0:
-        raise InvalidInputError("expected a nonempty 2-D binary image")
-    return kernels.pack_rows(arr != 0)
-
-
 def otsu_threshold(img) -> int:
     """Threshold maximizing between-class variance; ties pick the smallest.
 
@@ -111,13 +104,6 @@ def binarize(img):
     return (gray < otsu_threshold(gray)).astype(np.uint8)
 
 
-def despeckle(binary):
-    """Drop isolated foreground pixels and fill fully enclosed holes."""
-    packed = _packed(binary)
-    kernels.despeckle_rows(packed)
-    return kernels.unpack_rows(packed, np.shape(binary)[1])
-
-
 def _thin(packed):
     """Zhang-Suen thinning of a packed image, in place: the steps
     alternate until two subiterations in a row delete nothing, after
@@ -126,13 +112,6 @@ def _thin(packed):
     while idle < 2:
         idle = 0 if kernels.zhang_suen_pass(packed, step) else idle + 1
         step ^= 1
-
-
-def thin(binary):
-    """Zhang-Suen thinning to a one-pixel-wide skeleton."""
-    packed = _packed(binary)
-    _thin(packed)
-    return kernels.unpack_rows(packed, np.shape(binary)[1])
 
 
 def bifurcation_direction(branch_angles):
@@ -230,28 +209,11 @@ def orientations(sk, x, y, bif):
 
 
 def _detections(packed):
-    """Crossing-number detections of a packed skeleton."""
+    """Crossing-number detections of a packed skeleton (Rutovitz 1966),
+    in raster order. Unlike a neighbour count, the crossing number reads
+    the corner pixels of a Zhang-Suen staircase as ridge pixels."""
     y, x, bif = kernels.crossing_minutiae(packed)
     return Detections(x.astype(float), y.astype(float), bif)
-
-
-def detect_minutiae(sk) -> Detections:
-    """Classify skeleton pixels by crossing number.
-
-    The crossing number is half the sum of |p(i) - p(i+1)| around a
-    pixel's 8 neighbours (Rutovitz 1966): 1 is an ending, 3 or more a
-    bifurcation, 2 an ordinary ridge pixel, 0 an ignored speck. Unlike
-    a neighbour count, it reads the corner pixels of a Zhang-Suen
-    staircase as ridge pixels. The skeleton must be thin: neither
-    thinning subiteration may delete a pixel of it. Output is in raster
-    order, which already matches the canonical (y, x) sort. No
-    orientation is traced here: most detections are cut at the border
-    or merged away, so `clean_minutiae` traces only the survivors.
-    """
-    packed = _packed(sk)
-    if kernels.zhang_suen_pass(packed, 0) or kernels.zhang_suen_pass(packed, 1):
-        raise PreconditionError("detect_minutiae requires a fully thinned skeleton")
-    return _detections(packed)
 
 
 def merge_close(d, rm) -> Merged:
@@ -379,10 +341,10 @@ def remove_border_minutiae(d, shape, margin) -> Detections:
 def raw_minutiae(img):
     """Image through detection, before any cleanup: (detections, skeleton).
 
-    `despeckle`, `thin` and `detect_minutiae` on one packed image, which
-    is unpacked once, for the skeleton. No config parameter reaches this
-    stage, so parameter sweeps compute it once per image and rerun only
-    the cleanup below it.
+    Despeckling, Zhang-Suen thinning and crossing-number detection on
+    one packed image, which is unpacked once, for the skeleton. No
+    config parameter reaches this stage, so parameter sweeps compute it
+    once per image and rerun only the cleanup below it.
     """
     packed = kernels.pack_rows(binarize(img))
     kernels.despeckle_rows(packed)

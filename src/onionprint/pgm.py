@@ -39,10 +39,13 @@ def parse_pgm(data: bytes, name="<pgm>") -> np.ndarray:
         return data[start:pos]
 
     def next_int(what):
+        # ASCII decimal digits only; int() also reads "+3", "1_0" and "-0"
         tok = next_token(what)
+        if tok[:1] == b"-" and tok[1:].isdigit():
+            error(f"{what} {tok!r} outside the unsigned range")
         try:
-            return int(tok)
-        except ValueError:
+            return int(tok) if tok.isdigit() else error(f"bad {what}: {tok!r}")
+        except ValueError:  # more digits than int() converts
             error(f"bad {what}: {tok!r}")
 
     magic = next_token("magic number")

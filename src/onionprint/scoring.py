@@ -10,12 +10,9 @@ counts too far apart.
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import alignment, geometry, turning
 from .config import MatchConfig
 from .errors import InvalidInputError, InvariantError
-from .imgproc import extract
 from .minutiae import MinutiaSet
 
 GATE_LOW_SIM = "low_sim"
@@ -90,22 +87,14 @@ def final_score(minutiae_score, average):
     return alpha, 1.0 - 2.0 ** (-alpha)
 
 
-def _as_minutiae(obj, cfg) -> MinutiaSet:
-    if isinstance(obj, MinutiaSet):
-        return obj
-    return extract(np.asarray(obj), cfg)
-
-
-def match_pair(a, b, cfg=None, ida=None, idb=None) -> ScoreBreakdown:
-    """Score two fingerprints given as images or extracted minutia sets."""
+def match_pair(a: MinutiaSet, b: MinutiaSet, cfg=None, ida=None, idb=None) -> ScoreBreakdown:
+    """Score two fingerprints given as extracted minutia sets."""
     cfg = cfg if cfg is not None else MatchConfig()
-    sa = _as_minutiae(a, cfg)
-    sb = _as_minutiae(b, cfg)
-    ida = ida if ida is not None else (sa.source or "")
-    idb = idb if idb is not None else (sb.source or "")
+    ida = ida if ida is not None else (a.source or "")
+    idb = idb if idb is not None else (b.source or "")
 
-    res = alignment.match_minutiae(sa, sb, cfg.r0, cfg.theta0)
-    left, right = alignment.matched_subsets(res, sa, sb)
+    res = alignment.match_minutiae(a, b, cfg.r0, cfg.theta0)
+    left, right = alignment.matched_subsets(res, a, b)
     # one peeling per side serves both the ring-count gate and the rings
     layers_a = geometry.convex_layers(left)
     layers_b = geometry.convex_layers(right)

@@ -9,8 +9,8 @@ helpers that only tests call: point classification against a convex
 ring, the turning function's value and its distance at one shift, and
 the transform, candidate, inverse and tolerance helpers of alignment.
 Only the data types of `onionprint.minutiae` and the error types are
-imported at module level; `extract_eager` and the alignment helpers
-reuse the library code they do not check.
+imported at module level; `extract_eager` reuses the library code it
+does not check.
 """
 
 import functools
@@ -413,7 +413,7 @@ def has_full_2x2_block(binary):
 
 
 def despeckle_scalar(binary):
-    """`imgproc.despeckle` pixel by pixel: a foreground pixel without a
+    """`kernels.despeckle_rows` pixel by pixel: a foreground pixel without a
     foreground 8-neighbour clears, a background pixel with eight sets;
     outside the image is background."""
     b = (np.asarray(binary) != 0).astype(np.uint8)
@@ -470,7 +470,7 @@ def is_thin_scalar(binary):
 
 
 def thin_scalar(binary):
-    """`imgproc.thin` with the pixel-by-pixel subiteration."""
+    """Zhang-Suen thinning (`imgproc._thin`) with the pixel-by-pixel subiteration."""
     b = (np.asarray(binary) != 0).astype(np.uint8)
     padded = np.pad(b, 1)
     while zhang_suen_pass_scalar(padded, 0) + zhang_suen_pass_scalar(padded, 1):
@@ -656,6 +656,30 @@ def orientation_scalar(sk, p, bif):
     return bifurcation_direction_scalar(branch_angles)
 
 
+@dataclass(frozen=True)
+class Transform:
+    """Rigid map: rotate counterclockwise by dtheta degrees, then translate."""
+
+    dtheta: float = 0.0
+    dx: float = 0.0
+    dy: float = 0.0
+
+
+def hypothesis_transform(mi, mj):
+    """The transform that the pair (mi, mj) proposes: rotate so the
+    angles agree, then translate mi onto mj. The float expressions are
+    those of the search kernels, so this is bit for bit the transform
+    `kernels.best_alignment` evaluated for its winner (a, b)."""
+    dth = (mj.theta - mi.theta) % 360.0
+    rad = dth * math.pi / 180.0
+    cosv, sinv = math.cos(rad), math.sin(rad)
+    return Transform(
+        dtheta=dth,
+        dx=mj.x - (cosv * mi.x - sinv * mi.y),
+        dy=mj.y - (sinv * mi.x + cosv * mi.y),
+    )
+
+
 def apply_transform(tr, mu):
     """The minutia mu moved by tr: rotated about the origin, then translated."""
     rad = tr.dtheta * math.pi / 180.0
@@ -670,8 +694,6 @@ def apply_transform(tr, mu):
 
 def invert_transform(tr):
     """The transform undoing tr."""
-    from onionprint.alignment import Transform
-
     rad = -tr.dtheta * math.pi / 180.0
     cosv, sinv = math.cos(rad), math.sin(rad)
     return Transform(
@@ -698,9 +720,7 @@ def within_tolerance(a, b, r0=15.0, theta0=10.0):
 
 def candidate_transforms(inp, tpl):
     """One transform per cross-set minutia pair, first-set index major."""
-    from onionprint.alignment import _hypothesis
-
-    return [_hypothesis(mi, mj) for mi in inp for mj in tpl]
+    return [hypothesis_transform(mi, mj) for mi in inp for mj in tpl]
 
 
 def optimal_alignment_cardinality(a_set, b_set, r0, theta0):
@@ -911,13 +931,14 @@ def _components(adj):
 def extract_eager(img, cfg, source=None):
     """`imgproc.extract` tracing an orientation for every raw detection.
 
-    Detection is `detect_minutiae_scalar`, and each detection's
-    orientation is traced at once with the scalar trace;
-    border removal, dense merging and quantization follow.
+    The skeleton is that of `imgproc.raw_minutiae`, detection is
+    `detect_minutiae_scalar`, and each detection's orientation is
+    traced at once with the scalar trace; border removal, dense merging
+    and quantization follow.
     """
-    from onionprint.imgproc import binarize, despeckle, thin
+    from onionprint.imgproc import raw_minutiae
 
-    sk = thin(despeckle(binarize(img)))
+    sk = raw_minutiae(img)[1]
     h, w = sk.shape
     margin = cfg.border_margin
     detected = []

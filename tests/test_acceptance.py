@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from onionprint.alignment import Transform, minutiae_score
+from onionprint.alignment import minutiae_score
 from onionprint.config import MatchConfig
 from onionprint.evaluation import (MODE_ALL_PAIRS, MODE_FVC, Dataset,
                                    DatasetEntry, evaluate, load_dataset,
@@ -22,7 +22,7 @@ from onionprint.minutiae import MinutiaSet, write_minutiae
 from onionprint.scoring import final_score, match_pair
 from onionprint.synth import synthetic_corpus
 from onionprint.turning import turning_distance, turning_function
-from oracles import (apply_transform, dedup_points, grid_min_distance,
+from oracles import (Transform, apply_transform, dedup_points, grid_min_distance,
                      hull_vertex_indices, peel_layers_oracle,
                      random_convex_polygon, ring_set)
 

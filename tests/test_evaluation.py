@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from onionprint import evaluation
 from onionprint.config import MatchConfig
@@ -115,6 +117,29 @@ def test_manifest_duplicate_entry(tmp_path):
     manifest.write_text(f"1,1,{path}\n1,1,{path}\n")
     with pytest.raises(InvalidInputError, match="duplicate"):
         load_dataset(manifest)
+
+
+# manifest fields: short text, ids, and paths the OS rejects (a name
+# too long, a NUL byte)
+_MANIFEST_FIELD = st.one_of(st.text(max_size=12), st.integers(-2, 3).map(str),
+                            st.sampled_from(["1_1.txt", "finger_id", "x" * 5000, "a/" * 3000, "x\x00y"]))
+_MANIFEST = st.lists(st.lists(_MANIFEST_FIELD, max_size=4), max_size=5).map(
+    lambda rows: "".join(",".join(r) + "\n" for r in rows).encode("utf-8", "surrogatepass"))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.one_of(st.binary(max_size=200), _MANIFEST))
+@example(b"1,1," + b"x" * 5000 + b"\n")
+def test_manifest_fuzz_loads_or_rejects(tmp_path_factory, data):
+    d = tmp_path_factory.mktemp("manifest")
+    (d / "1_1.txt").write_bytes(b"")
+    manifest = d / "m.csv"
+    manifest.write_bytes(data)
+    try:
+        ds = load_dataset(manifest)
+    except InvalidInputError:
+        return
+    assert all(os.path.isfile(e.path) for e in ds.entries)
 
 
 def test_load_fingerprint_sniffs_content(tmp_path):

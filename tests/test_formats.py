@@ -87,6 +87,14 @@ def test_pgm_p2_sample_beyond_any_integer_type_raises():
             parse_pgm(b"P2\n1 1\n255\n" + sample + b"\n", "x")
 
 
+def test_pgm_tokens_must_be_ascii_decimal_digits():
+    # int() reads all of these as numbers
+    for data in (b"P5\n1_0 1\n255\n" + bytes(10), b"P5\n+3 1\n255\n" + bytes(3),
+                 b"P2\n2 1\n255\n+1 0_1\n", b"P2\n1 1\n255\n-0\n"):
+        with pytest.raises(InvalidInputError):
+            parse_pgm(data, "x")
+
+
 # what a token of a PGM file can be instead of the right number
 _PGM_TOKEN = st.one_of(st.integers(-2, 300).map(lambda v: str(v).encode()),
                        st.integers(2**31, 2**70).map(lambda v: str(v).encode()),

@@ -9,18 +9,16 @@ from onionprint.config import MatchConfig
 from onionprint.errors import InvalidInputError, PreconditionError
 from onionprint.imgproc import (
     Detections,
+    _thin,
     bifurcation_direction,
     binarize,
     clean_minutiae,
-    despeckle,
-    detect_minutiae,
     extract,
     merge_close,
     orientations,
     otsu_threshold,
     raw_minutiae,
     remove_border_minutiae,
-    thin,
 )
 from onionprint.kernels import crossing_minutiae, pack_rows, unpack_rows, zhang_suen_pass
 from onionprint.minutiae import Minutia, MinutiaKind
@@ -74,6 +72,26 @@ def _merge(ms, rm):
 
 def _thetas(sk, d):
     return orientations(sk, d.x, d.y, d.bif).tolist()
+
+
+def _skeleton(binary):
+    """Zhang-Suen skeleton of a 0/1 image, by the packed thinning of `raw_minutiae`."""
+    packed = pack_rows(binary)
+    _thin(packed)
+    return unpack_rows(packed, binary.shape[1])
+
+
+def _despeckled(binary):
+    """A 0/1 image despeckled by the packed kernel of `raw_minutiae`."""
+    packed = pack_rows(binary)
+    kernels.despeckle_rows(packed)
+    return unpack_rows(packed, binary.shape[1])
+
+
+def _detect(sk):
+    """Crossing-number detections of a skeleton, in raster order."""
+    y, x, bif = crossing_minutiae(pack_rows(sk))
+    return Detections(x.astype(float), y.astype(float), bif)
 
 
 def _y_skeleton():
@@ -144,15 +162,15 @@ def test_thin_diagonal_line_unchanged():
     img = np.zeros((10, 10), np.uint8)
     for i in range(2, 8):
         img[i, i] = 1
-    assert np.array_equal(thin(img), img)
+    assert np.array_equal(_skeleton(img), img)
 
 
 def test_thin_bar_collapses_to_line():
     bar = np.zeros((9, 26), np.uint8)
     bar[3:6, 3:23] = 1
-    sk = thin(bar)
+    sk = _skeleton(bar)
     assert is_thin_scalar(sk)
-    assert np.array_equal(thin(sk), sk)
+    assert np.array_equal(_skeleton(sk), sk)
     assert np.all(bar[sk == 1] == 1)
     assert not has_full_2x2_block(sk)
     assert count_components_8(sk) == 1
@@ -165,7 +183,7 @@ def test_thin_bar_collapses_to_line():
 def test_thin_disk_one_pixel_wide_connected():
     yy, xx = np.indices((40, 40))
     disk = ((xx - 20) ** 2 + (yy - 20) ** 2 <= 15 * 15).astype(np.uint8)
-    sk = thin(disk)
+    sk = _skeleton(disk)
     assert sk.sum() > 0
     assert count_components_8(sk) == 1
     assert not has_full_2x2_block(sk)
@@ -173,7 +191,7 @@ def test_thin_disk_one_pixel_wide_connected():
 
 
 def test_thin_all_background_stays_background():
-    assert thin(np.zeros((8, 8), np.uint8)).sum() == 0
+    assert _skeleton(np.zeros((8, 8), np.uint8)).sum() == 0
 
 
 def test_thin_random_blobs_properties():
@@ -185,9 +203,9 @@ def test_thin_random_blobs_properties():
             r = int(rng.integers(3, 8))
             yy, xx = np.indices(img.shape)
             img |= ((xx - cx) ** 2 + (yy - cy) ** 2 <= r * r).astype(np.uint8)
-        sk = thin(img)
+        sk = _skeleton(img)
         assert np.all(img[sk == 1] == 1)
-        assert np.array_equal(thin(sk), sk)
+        assert np.array_equal(_skeleton(sk), sk)
         assert count_components_8(sk) == count_components_8(img)
 
 
@@ -246,7 +264,7 @@ def test_zhang_suen_pass_matches_scalar_rule_on_random_binaries():
             for step in (0, 1, 0, 1, 1, 0):
                 assert zhang_suen_pass(got, step) == zhang_suen_pass_scalar(want, step)
                 assert np.array_equal(unpack_rows(got, shape[1]), want[1:-1, 1:-1])
-            assert np.array_equal(thin(binary), thin_scalar(binary))
+            assert np.array_equal(_skeleton(binary), thin_scalar(binary))
 
 
 def test_despeckle_matches_scalar_rule_on_random_binaries():
@@ -254,7 +272,7 @@ def test_despeckle_matches_scalar_rule_on_random_binaries():
     for density in (0.1, 0.5, 0.9):
         for shape in _edge_shapes(rng):
             binary = (rng.random(shape) < density).astype(np.uint8)
-            got = despeckle(binary)
+            got = _despeckled(binary)
             assert got.dtype == np.uint8
             assert np.array_equal(got, despeckle_scalar(binary))
 
@@ -267,7 +285,7 @@ def test_thinning_matches_lookup_tables():
     images += [_ridges(rng, 130, 96, noise, angle) for noise in (0.0, 15.0) for angle in (0.0, 15.0, 30.0, 45.0)]
     images.append(rng.integers(0, 256, size=(70, 129)).astype(np.uint8))
     for img in images:
-        (x, y, bif), want = thin_and_detect_lut(despeckle(binarize(img)))
+        (x, y, bif), want = thin_and_detect_lut(_despeckled(binarize(img)))
         d, sk = raw_minutiae(img)
         assert np.array_equal(sk, want)
         assert (d.x.tolist(), d.y.tolist(), d.bif.tolist()) == (x.tolist(), y.tolist(), bif.tolist())
@@ -278,7 +296,7 @@ def test_thinning_and_detection_memory_per_pixel():
     # lookup-table path peaked at 11 to 13 bytes per pixel on it
     gray = _gray(np.random.default_rng(940).random((512, 512)) < 0.5)
     peaks = []
-    for run in (lambda: raw_minutiae(gray), lambda: thin_and_detect_lut(despeckle(binarize(gray)))):
+    for run in (lambda: raw_minutiae(gray), lambda: thin_and_detect_lut(_despeckled(binarize(gray)))):
         tracemalloc.start()
         try:
             run()
@@ -288,33 +306,11 @@ def test_thinning_and_detection_memory_per_pixel():
     assert peaks[0] <= min(peaks[1], 11.0), peaks
 
 
-def _accepted_as_thin(binary):
-    try:
-        detect_minutiae(binary)
-    except PreconditionError:
-        return False
-    return True
-
-
-def test_thinness_check_matches_one_scalar_iteration():
-    rng = np.random.default_rng(936)
-    cases = [_code_image(code) for code in range(512)]
-    cases += [(rng.random(rng.integers(1, 30, size=2)) < density).astype(np.uint8)
-              for density in (0.2, 0.5, 0.8) for _ in range(10)]
-    cases += [thin(b) for b in cases[-30:]]
-    thin_count = 0
-    for binary in cases:
-        want = is_thin_scalar(binary)
-        assert _accepted_as_thin(binary) == want
-        thin_count += want
-    assert thin_count > len(cases) // 4
-
-
 def test_thin_matches_scalar_loop_on_rendered_prints():
     rng = np.random.default_rng(933)
     for angle in (0.0, 15.0, 30.0, 45.0):
         binary = binarize(_ridges(rng, 96, 80, 25.0, angle))
-        sk = thin(binary)
+        sk = _skeleton(binary)
         assert np.array_equal(sk, thin_scalar(binary))
         assert is_thin_scalar(sk)
 
@@ -325,10 +321,10 @@ def _gray(binary):
 
 
 def _assert_raw_matches_scalar_thinning(img):
-    """raw_minutiae(img) equals detect_minutiae on the scalar loop's skeleton."""
-    want = thin_scalar(despeckle(binarize(img)))
+    """raw_minutiae(img) equals detection on the scalar loop's skeleton."""
+    want = thin_scalar(_despeckled(binarize(img)))
     d, sk = raw_minutiae(img)
-    assert (_rows(d), sk.tolist()) == (_rows(detect_minutiae(want)), want.tolist())
+    assert (_rows(d), sk.tolist()) == (_rows(_detect(want)), want.tolist())
     return d
 
 
@@ -349,7 +345,7 @@ def _passes_run(monkeypatch, img):
 
 def _scalar_pass_deletions(img):
     """Pixels deleted by each subiteration of the scalar loop on img's binary."""
-    padded = np.pad(despeckle(binarize(img)), 1)
+    padded = np.pad(_despeckled(binarize(img)), 1)
     deleted = []
     while not deleted or deleted[-2:] != [0, 0]:
         deleted.append(zhang_suen_pass_scalar(padded, len(deleted) % 2))
@@ -411,7 +407,7 @@ def test_despeckle_drops_isolated_and_fills_holes():
     img[1, 1] = 1  # lone speck
     img[3:6, 3:6] = 1
     img[4, 4] = 0  # enclosed hole
-    out = despeckle(img)
+    out = _despeckled(img)
     assert out[1, 1] == 0
     assert out[4, 4] == 1
     assert out[3, 3] == 1
@@ -425,7 +421,7 @@ def test_despeckle_drops_isolated_and_fills_holes():
 def test_detect_straight_segment():
     sk = np.zeros((7, 20), np.uint8)
     sk[3, 2:18] = 1
-    ms = detect_minutiae(sk)
+    ms = _detect(sk)
     assert _rows(ms) == [
         (2.0, 3.0, MinutiaKind.ENDING),
         (17.0, 3.0, MinutiaKind.ENDING),
@@ -437,12 +433,12 @@ def test_detect_straight_segment():
 def test_detect_vertical_top_ending_is_270():
     sk = np.zeros((20, 7), np.uint8)
     sk[2:18, 3] = 1
-    assert _thetas(sk, detect_minutiae(sk)) == [270.0, 90.0]
+    assert _thetas(sk, _detect(sk)) == [270.0, 90.0]
 
 
 def test_detect_y_junction():
     sk = _y_skeleton()
-    ms = detect_minutiae(sk)
+    ms = _detect(sk)
     assert len(ms) == 4 and ms.bif.sum() == 1
     assert (ms.x[ms.bif][0], ms.y[ms.bif][0]) == (8.0, 8.0)
     # closest branch pair (225, 315) bisects to 270, away from the up branch
@@ -452,24 +448,17 @@ def test_detect_y_junction():
 def test_detect_ignores_isolated_pixels():
     sk = np.zeros((5, 5), np.uint8)
     sk[2, 2] = 1
-    assert len(detect_minutiae(sk)) == 0
-
-
-def test_detect_rejects_non_thin_input():
-    fat = np.zeros((8, 8), np.uint8)
-    fat[2:6, 2:6] = 1
-    with pytest.raises(PreconditionError):
-        detect_minutiae(fat)
+    assert len(_detect(sk)) == 0
 
 
 def test_detect_locality():
     # presence and kind depend only on the 3x3 block around each pixel
     base = np.zeros((9, 30), np.uint8)
     base[4, 2:28] = 1
-    before = _rows(detect_minutiae(base))
+    before = _rows(_detect(base))
     edited = base.copy()
     edited[0, 10] = 1  # far from both endings
-    after = _rows(detect_minutiae(edited))
+    after = _rows(_detect(edited))
     assert [p for p in after if p[1] == 4.0] == before
 
 
@@ -490,12 +479,12 @@ def test_crossing_numbers_match_scalar_rule_on_all_neighbourhoods():
 
 def test_detect_matches_scalar_crossing_number_at_every_pixel():
     rng = np.random.default_rng(941)
-    skeletons = [thin((rng.random(shape) < density).astype(np.uint8))
+    skeletons = [_skeleton((rng.random(shape) < density).astype(np.uint8))
                  for density in (0.2, 0.5, 0.8) for shape in ((40, 40), (1, 30), (23, 2))]
-    skeletons += [thin(binarize(_ridges(rng, 96, 80, 25.0, angle))) for angle in (0.0, 15.0, 30.0, 45.0)]
+    skeletons += [_skeleton(binarize(_ridges(rng, 96, 80, 25.0, angle))) for angle in (0.0, 15.0, 30.0, 45.0)]
     kinds = set()
     for sk in skeletons:
-        d = detect_minutiae(sk)
+        d = _detect(sk)
         want = detect_minutiae_scalar(sk)
         assert list(zip(d.x.tolist(), d.y.tolist(), d.bif.tolist())) == want
         kinds.update(bif for _, _, bif in want)
@@ -512,7 +501,7 @@ def test_detect_reads_staircase_corners_as_ridge():
              "000000000000001"]
     sk = np.pad(np.array([[int(c) for c in row] for row in steps], np.uint8), 2)
     assert is_thin_scalar(sk)
-    assert _rows(detect_minutiae(sk)) == [(2.0, 2.0, MinutiaKind.ENDING), (16.0, 5.0, MinutiaKind.ENDING)]
+    assert _rows(_detect(sk)) == [(2.0, 2.0, MinutiaKind.ENDING), (16.0, 5.0, MinutiaKind.ENDING)]
 
 
 def test_bifurcation_direction_examples():
@@ -562,8 +551,8 @@ def _assert_every_pixel_exact(sk):
 def test_orientations_match_scalar_trace_on_rendered_prints():
     rng = np.random.default_rng(934)
     for angle in (0.0, 15.0, 30.0, 45.0):
-        sk = thin(binarize(_ridges(rng, 96, 80, 25.0, angle)))
-        d = detect_minutiae(sk)
+        sk = _skeleton(binarize(_ridges(rng, 96, 80, 25.0, angle)))
+        d = _detect(sk)
         assert len(d) > 50 and d.bif.any() and not d.bif.all()
         _assert_orientations_exact(sk, d.x.astype(int).tolist(), d.y.astype(int).tolist(), d.bif.tolist())
 
@@ -572,7 +561,7 @@ def test_orientations_match_scalar_trace_on_random_skeletons():
     # thinned noise: junctions, loops and spurs everywhere
     rng = np.random.default_rng(935)
     for density in (0.2, 0.5, 0.8):
-        _assert_every_pixel_exact(thin((rng.random((40, 40)) < density).astype(np.uint8)))
+        _assert_every_pixel_exact(_skeleton((rng.random((40, 40)) < density).astype(np.uint8)))
     assert orientations(np.zeros((3, 3), np.uint8), [], [], []).tolist() == []
 
 
@@ -584,7 +573,7 @@ def test_orientations_on_the_image_edge():
     sk[11, 5:19] = 1  # along the bottom edge
     sk[6:11, 19] = 1  # up the right edge from a bottom-right corner turn
     _assert_every_pixel_exact(sk)
-    d = detect_minutiae(sk)
+    d = _detect(sk)
     assert (9.0, 0.0, MinutiaKind.BIFURCATION) in _rows(d)
     assert (0.0, 11.0, MinutiaKind.ENDING) in _rows(d)
     _assert_orientations_exact(sk, d.x.astype(int).tolist(), d.y.astype(int).tolist(), d.bif.tolist())

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from onionprint import alignment, scoring
-from onionprint.alignment import Transform
 from onionprint.config import MatchConfig
 from onionprint.errors import InvalidInputError, InvariantError
 from onionprint.geometry import convex_layers
+from onionprint.imgproc import extract
 from onionprint.minutiae import Minutia, MinutiaKind, MinutiaSet
 from onionprint.scoring import (
     CSV_HEADER,
@@ -21,7 +21,7 @@ from onionprint.scoring import (
     layer_distances,
     match_pair,
 )
-from oracles import apply_transform
+from oracles import Transform, apply_transform
 
 
 def _mu(x, y, th=0.0, kind=MinutiaKind.ENDING):
@@ -251,11 +251,12 @@ def test_match_pair_symmetry():
         assert abs(ab.final - ba.final) <= 1e-9
 
 
-def test_match_pair_accepts_images():
+def test_match_pair_scores_extracted_images():
     img = np.full((64, 64), 220, np.uint8)
     img[20:23, 8:56] = 30
     img[40:43, 8:56] = 30
-    out = match_pair(img, img.copy(), MatchConfig(border_margin=2.0))
+    cfg = MatchConfig(border_margin=2.0)
+    out = match_pair(extract(img, cfg), extract(img.copy(), cfg), cfg)
     assert out.m == out.n == 4
     assert out.final == 1.0
 

@@ -1,0 +1,15 @@
+"""The scripts beside the library still run against it."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_bench_kernels_runs_and_agrees_with_references():
+    # the script exits non-zero when a kernel differs from its reference
+    done = subprocess.run([sys.executable, str(ROOT / "benchmarks" / "bench_kernels.py"), "--repeat", "1"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "merge_close" in done.stdout
