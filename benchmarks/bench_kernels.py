@@ -9,7 +9,7 @@ detection alone on a binarized print, against the same scalar rules and
 against the 512-entry lookup tables they ran by before; the batched
 ridge trace (`imgproc.orientations`) against the scalar trace, one pair's whole
 shape stage (`scoring.layer_distances`, which encodes and compares every
-peer ring pair in one batch) against turning functions and the
+peer ring pair in one batch) against each ring encoded alone and the
 shift-by-shift sweep one ring pair at a time, the branch-and-bound
 `best_alignment` against the exhaustive search, its bound pass
 `_alignment_bounds`, which looks template points up by orientation slab
@@ -29,9 +29,8 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from onionprint import geometry, imgproc, kernels, scoring, synth  # noqa: E402
+from onionprint import geometry, imgproc, kernels, scoring, synth, turning  # noqa: E402
 from onionprint.minutiae import Minutia, MinutiaKind, MinutiaSet  # noqa: E402
-from onionprint.turning import turning_function  # noqa: E402
 from oracles import (  # noqa: E402
     alignment_bounds_bruteforce,
     best_alignment_exhaustive,
@@ -144,9 +143,10 @@ def shape_workload(seed=4, size=40):
 def shape_stage_scan(layers_a, layers_b):
     """`scoring.layer_distances` one ring pair and one shift at a time."""
     out = []
-    for la, lb in zip(reversed(layers_a.proper_layers()), reversed(layers_b.proper_layers())):
-        f, g = turning_function(la.ring), turning_function(lb.ring)
-        out.append(min_turning_distance_scan(f.breaks, f.angles, g.breaks, g.angles)[0])
+    for ra, rb in zip(scoring._proper(layers_a), scoring._proper(layers_b)):
+        fs, fa, _, _ = turning._encode([ra])
+        gs, ga, _, _ = turning._encode([rb])
+        out.append(min_turning_distance_scan(fs[0], fa[0], gs[0], ga[0])[0])
     return out
 
 

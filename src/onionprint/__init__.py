@@ -10,17 +10,15 @@ from .alignment import MatchResult, match_minutiae
 from .config import MatchConfig, build_config, load_config_file
 from .errors import InvalidInputError, InvariantError, OnionprintError, PreconditionError
 from .evaluation import Dataset, EvalReport, ScoreTable, evaluate, load_dataset, sweep
-from .geometry import ConvexLayers, convex_hull, convex_layers
+from .geometry import convex_layers
 from .imgproc import extract
 from .minutiae import Minutia, MinutiaKind, MinutiaSet, read_minutiae, write_minutiae
 from .pgm import read_pgm, write_pgm
 from .scoring import ScoreBreakdown, match_pair
-from .turning import TurningFunction, turning_distance, turning_function
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConvexLayers",
     "Dataset",
     "EvalReport",
     "InvalidInputError",
@@ -34,9 +32,7 @@ __all__ = [
     "PreconditionError",
     "ScoreBreakdown",
     "ScoreTable",
-    "TurningFunction",
     "build_config",
-    "convex_hull",
     "convex_layers",
     "evaluate",
     "extract",
@@ -47,8 +43,6 @@ __all__ = [
     "read_minutiae",
     "read_pgm",
     "sweep",
-    "turning_distance",
-    "turning_function",
     "write_minutiae",
     "write_pgm",
 ]

@@ -406,18 +406,6 @@ def score_pairs(pairs, cfg=None, threads=1, sets=None) -> ScoreTable:
 # ---------------------------------------------------------------------------
 
 
-def confusion_at(table: ScoreTable, t):
-    """(TP, FP, TN, FN) with predicted-match meaning final score >= t."""
-    finals = table.finals()
-    genuine = table.genuine_mask()
-    pred = finals >= t
-    tp = int(np.sum(pred & genuine))
-    fp = int(np.sum(pred & ~genuine))
-    tn = int(np.sum(~pred & ~genuine))
-    fn = int(np.sum(~pred & genuine))
-    return tp, fp, tn, fn
-
-
 def _ratio(num, den):
     return num / den if den else 0.0
 
@@ -430,9 +418,15 @@ def rates_and_metrics(table: ScoreTable) -> EvalReport:
     if n_gen == 0 or n_imp == 0:
         raise InvalidInputError("protocol produced no genuine or no impostor pairs")
 
+    # a predicted match is final >= t: count each class's finals below t
+    gen_sorted = np.sort(finals[genuine])
+    imp_sorted = np.sort(finals[~genuine])
     rows = []
     for t in THRESHOLDS:
-        tp, fp, tn, fn = confusion_at(table, t)
+        tp = n_gen - int(np.searchsorted(gen_sorted, t, "left"))
+        fp = n_imp - int(np.searchsorted(imp_sorted, t, "left"))
+        tn = n_imp - fp
+        fn = n_gen - tp
         pr = _ratio(tp, tp + fp)
         rc = _ratio(tp, tp + fn)
         rows.append(

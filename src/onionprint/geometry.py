@@ -1,42 +1,15 @@
-"""Planar convex hulls and nested convex layers (onion peeling).
+"""Nested convex layers (onion peeling) of a planar point set.
 
-Points are (n, 2) float arrays. Hulls are strict: collinear boundary
-points are dropped from the hull and therefore survive into deeper
-layers during peeling. Orientation is counterclockwise in the standard
-mathematical sense (positive cross products); both fingerprints of a
-pair use the same convention, so the image-space y flip cancels out.
+Points and rings are (n, 2) float arrays. Hulls are strict: collinear
+boundary points are dropped from a ring and survive into deeper rings.
+Orientation is counterclockwise in the standard mathematical sense
+(positive cross products); both fingerprints of a pair use the same
+convention, so the image-space y flip cancels out.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError
-
-@dataclass(frozen=True)
-class Layer:
-    """One ring of the onion: peeling depth plus its vertices."""
-
-    depth: int
-    ring: np.ndarray  # (k, 2); k may be 1 or 2 for degenerate rings
-
-    def is_proper(self) -> bool:
-        return len(self.ring) >= 3
-
-
-@dataclass(frozen=True)
-class ConvexLayers:
-    layers: tuple[Layer, ...]
-
-    def __len__(self) -> int:
-        return len(self.layers)
-
-    def __iter__(self):
-        return iter(self.layers)
-
-    def proper_layers(self) -> list[Layer]:
-        """Layers with at least 3 vertices, shallowest first."""
-        return [lay for lay in self.layers if lay.is_proper()]
 
 
 def _as_points(points) -> np.ndarray:
@@ -94,32 +67,22 @@ def _ring(hull: list) -> np.ndarray:
     return np.array(hull, dtype=np.float64).reshape(len(hull), 2)
 
 
-def convex_hull(points) -> np.ndarray:
-    """Strict convex hull by Andrew's monotone chain.
+def convex_layers(points) -> tuple:
+    """Peel strict convex hulls off the point set until none remain.
 
-    Returns hull vertices in counterclockwise order starting from the
-    lexicographically smallest point. Collinear points on hull edges are
-    excluded. For fewer than 3 distinct points the deduplicated points
-    are returned in lexicographic order.
-    """
-    pts = _dedup_lexsorted(_as_points(points))
-    return _ring(_monotone_chain(list(map(tuple, pts.tolist()))))
-
-
-def convex_layers(points) -> ConvexLayers:
-    """Peel convex hulls off the point set until none remain.
-
-    Duplicate input points are removed first. Each layer is the strict
-    hull of the remaining points, so collinear boundary points fall
-    through to deeper layers. The innermost layer may hold 1 or 2 points.
-    Removing a ring keeps the rest distinct and sorted, so the points are
-    sorted once.
+    Returns (k, 2) ring arrays, outermost first, so a ring's depth is its
+    index. Each ring is the strict hull of the points left (Andrew's
+    monotone chain), counterclockwise from its lexicographically smallest
+    point, so collinear boundary points fall through to deeper rings. A
+    ring of 1 or 2 points, in lexicographic order, is not proper.
+    Duplicates are removed and the points sorted once: removing a ring
+    keeps the rest distinct and sorted.
     """
     remaining = list(map(tuple, _dedup_lexsorted(_as_points(points)).tolist()))
-    layers: list[Layer] = []
+    rings = []
     while remaining:
         hull = _monotone_chain(remaining)
-        layers.append(Layer(depth=len(layers), ring=_ring(hull)))
+        rings.append(_ring(hull))
         on_ring = set(hull)
         remaining = [p for p in remaining if p not in on_ring]
-    return ConvexLayers(layers=tuple(layers))
+    return tuple(rings)

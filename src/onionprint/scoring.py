@@ -54,15 +54,19 @@ class ScoreBreakdown:
         return len(self.layer_dists)
 
 
-def layer_distances(layers_input, layers_template):
+def _proper(rings):
+    """The rings with at least 3 vertices, innermost first."""
+    return [ring for ring in reversed(rings) if len(ring) >= 3]
+
+
+def layer_distances(rings_input, rings_template):
     """Turning distances of peer rings of two peelings, innermost pair first.
 
-    Rings with fewer than 3 vertices have no turning function and are
-    skipped; the shorter remaining stack bounds the comparison. All ring
-    pairs are compared in one batch.
+    Peelings are (k, 2) ring arrays, outermost first. Rings with fewer
+    than 3 vertices have no turning function and are skipped; the shorter
+    remaining stack bounds the comparison. All pairs are one batch.
     """
-    rings_a = [lay.ring for lay in reversed(layers_input.proper_layers())]
-    rings_b = [lay.ring for lay in reversed(layers_template.proper_layers())]
+    rings_a, rings_b = _proper(rings_input), _proper(rings_template)
     rings = min(len(rings_a), len(rings_b))
     return turning.ring_distances(rings_a[:rings], rings_b[:rings])
 
@@ -113,7 +117,7 @@ def match_pair(a: MinutiaSet, b: MinutiaSet, cfg=None, ida=None, idb=None) -> Sc
     dists = tuple(layer_distances(layers_a, layers_b))
     avg = average_distance(dists)
     alpha, final = final_score(res.score, avg)
-    rings = min(len(layers_a.proper_layers()), len(layers_b.proper_layers()))
+    rings = min(len(_proper(layers_a)), len(_proper(layers_b)))
     return _checked(ScoreBreakdown(
         ida, idb, res.k, res.m, res.n, res.score, la, lb, dists, avg, alpha, final
     ), rings)

@@ -8,46 +8,19 @@ between two such functions minimizes the L2 difference over all
 rotations (closed form) and all cyclic shifts of the starting point
 (attained at a breakpoint alignment, so a finite scan suffices).
 
-Rings are encoded in batches, and ring pairs compared in batches: a
-pair's shape stage (`ring_distances`) encodes all its peer rings at once
-and makes one `kernels.min_turning_distance` call for all of them.
-`turning_function` and `turning_distance` are the same code on a batch
-of one. Each ring's sums run over its own vertices only, so a ring's
-encoding does not depend on the batch it came in.
+`ring_distances` is the way in: a pair's shape stage encodes all its
+peer rings at once (`_encode`) and makes one
+`kernels.min_turning_distance` call for all of them. Each ring's sums
+run over its own vertices only, so a ring's encoding does not depend on
+the batch it came in.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
 from .errors import InvalidInputError
-
-
-@dataclass(frozen=True)
-class TurningFunction:
-    """Piecewise-constant cumulative direction over normalized arc length.
-
-    ``breaks`` holds the arc-length positions of the vertices starting at
-    0.0, strictly increasing and below 1.0. ``angles[i]`` is the
-    direction of the edge leaving vertex i, unwrapped so that one full
-    tour adds exactly 2*pi.
-    """
-
-    breaks: np.ndarray
-    angles: np.ndarray
-    perimeter: float
-
-    def __len__(self):
-        return self.breaks.shape[0]
-
-
-@dataclass(frozen=True)
-class TurningDistanceResult:
-    distance: float
-    best_shift: float
-    best_rotation: float
 
 
 def _encode(rings):
@@ -56,10 +29,12 @@ def _encode(rings):
     Returns (breaks, angles, counts, perimeters): row k of the (K, V)
     tables holds ring k's turning function in its first counts[k]
     columns, and later columns continue the ring cyclically, so every
-    entry is finite. A bad ring raises InvalidInputError, the checks in
-    this order over the batch: vertex count, finiteness, winding,
-    zero-length edges, and an encoding that overflows (edges some 1e154
-    long).
+    entry is finite. Breaks run from 0.0, strictly increasing, below 1.0;
+    angles[k, i], the direction of the edge leaving vertex i, is
+    unwrapped so that one full tour adds exactly 2*pi. A bad ring raises
+    InvalidInputError, the checks in this order over the batch: vertex
+    count, finiteness, winding, zero-length edges, and an encoding that
+    overflows (edges some 1e154 long).
     """
     pts = [np.asarray(p, dtype=np.float64) for p in rings]
     if any(p.ndim != 2 or p.shape[1] != 2 or p.shape[0] < 3 for p in pts):
@@ -103,19 +78,6 @@ def _encode(rings):
     if not (np.isfinite(perimeter).all() and np.isfinite(angles).all()):
         raise InvalidInputError("polygon too large: its turning function overflows")
     return breaks, angles, counts, perimeter
-
-
-def turning_function(poly):
-    """Encode a counterclockwise convex ring as a turning function."""
-    breaks, angles, _, perimeter = _encode([poly])
-    return TurningFunction(breaks=breaks[0], angles=angles[0], perimeter=float(perimeter[0]))
-
-
-def turning_distance(f, g):
-    """L2 distance minimized over rotation and starting-point shift."""
-    d, t, theta = kernels.min_turning_distance(f.breaks[None], f.angles[None], [len(f)],
-                                               g.breaks[None], g.angles[None], [len(g)])
-    return TurningDistanceResult(distance=float(d[0]), best_shift=float(t[0]), best_rotation=float(theta[0]))
 
 
 def ring_distances(rings_f, rings_g):

@@ -17,11 +17,11 @@ from onionprint.config import MatchConfig
 from onionprint.evaluation import (MODE_ALL_PAIRS, MODE_FVC, Dataset,
                                    DatasetEntry, evaluate, load_dataset,
                                    write_report_files)
-from onionprint.geometry import convex_hull, convex_layers
+from onionprint.geometry import convex_layers
 from onionprint.minutiae import MinutiaSet, write_minutiae
 from onionprint.scoring import final_score, match_pair
 from onionprint.synth import synthetic_corpus
-from onionprint.turning import turning_distance, turning_function
+from onionprint.turning import ring_distances
 from oracles import (Transform, apply_transform, dedup_points, grid_min_distance,
                      hull_vertex_indices, peel_layers_oracle,
                      random_convex_polygon, ring_set)
@@ -55,20 +55,20 @@ def test_criterion_1_geometry_matches_bruteforce():
              for _ in range(500)]
 
     start = time.perf_counter()
-    results = [(convex_hull(pts), convex_layers(pts)) for pts in cases]
+    results = [convex_layers(pts) for pts in cases]
     elapsed = time.perf_counter() - start
 
     # continuous uniform coordinates are in general position, so the
     # strict-containment oracle applies
     mismatches = 0
-    for pts, (hull, lay) in zip(cases, results):
+    for pts, lay in zip(cases, results):
+        hull = lay[0]
         distinct = dedup_points(pts)
         want_hull = ring_set(distinct[hull_vertex_indices(distinct, strict_only=True)])
         want_layers = peel_layers_oracle(pts, strict_only=True)
         hull_ok = ring_set(hull) == want_hull
         layers_ok = len(lay) == len(want_layers) and all(
-            ring_set(layer.ring) == want
-            for layer, want in zip(lay.layers, want_layers))
+            ring_set(ring) == want for ring, want in zip(lay, want_layers))
         if not (hull_ok and layers_ok):
             mismatches += 1
     ok = mismatches == 0 and elapsed < 10.0
@@ -80,32 +80,27 @@ def test_criterion_2_turning_distance_properties():
     rng = np.random.default_rng(20260824)
     polys = [random_convex_polygon(rng, int(rng.integers(3, 31)))
              for _ in range(200)]
-    fns = [turning_function(p) for p in polys]
-
-    worst_self = worst_sim = worst_sym = worst_tri = 0.0
-    for poly, fn in zip(polys, fns):
-        worst_self = max(worst_self, turning_distance(fn, fn).distance)
+    # the shape stage's own call: one batch of peer ring pairs
+    worst_self = max(ring_distances(polys, polys))
+    moves = []
+    for poly in polys:
         ang = rng.uniform(0.0, 2.0 * math.pi)
         scale = rng.uniform(0.3, 3.0)
         cosv, sinv = math.cos(ang), math.sin(ang)
         moved = np.empty_like(poly)
         moved[:, 0] = scale * (cosv * poly[:, 0] - sinv * poly[:, 1]) + rng.uniform(-100, 100)
         moved[:, 1] = scale * (sinv * poly[:, 0] + cosv * poly[:, 1]) + rng.uniform(-100, 100)
-        moved = np.roll(moved, int(rng.integers(0, len(moved))), axis=0)
-        worst_sim = max(worst_sim,
-                        turning_distance(fn, turning_function(moved)).distance)
-    for f, g in zip(fns, fns[1:]):
-        worst_sym = max(worst_sym, abs(turning_distance(f, g).distance
-                                       - turning_distance(g, f).distance))
-    for f, g, h in zip(fns, fns[1:], fns[2:]):
-        slack = (turning_distance(f, h).distance
-                 - turning_distance(f, g).distance
-                 - turning_distance(g, h).distance)
-        worst_tri = max(worst_tri, slack)
+        moves.append(np.roll(moved, int(rng.integers(0, len(moved))), axis=0))
+    worst_sim = max(ring_distances(polys, moves))
+    fg = ring_distances(polys[:-1], polys[1:])
+    gf = ring_distances(polys[1:], polys[:-1])
+    worst_sym = max(abs(d - e) for d, e in zip(fg, gf))
+    fh = ring_distances(polys[:-2], polys[2:])
+    worst_tri = max(0.0, *(d - e - g for d, e, g in zip(fh, fg, fg[1:])))
 
     square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     rect = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [0.0, 1.0]])
-    got = turning_distance(turning_function(square), turning_function(rect)).distance
+    got = ring_distances([square], [rect])[0]
     want = grid_min_distance(square, rect, grid=10_000)
     grid_err = abs(got - want)
 

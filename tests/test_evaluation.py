@@ -20,7 +20,6 @@ from onionprint.evaluation import (
     ScoreRow,
     ScoreTable,
     chunk_bounds,
-    confusion_at,
     curves_csv_lines,
     evaluate,
     load_dataset,
@@ -206,17 +205,57 @@ def test_protocol_fvc_uses_lowest_impression_as_first():
 # ---------------------------------------------------------------------------
 
 
+def _confusion(table, t):
+    """(TP, FP, TN, FN) of the report row at grid threshold t."""
+    row = next(r for r in rates_and_metrics(table).rows if r.threshold == t)
+    return row.tp, row.fp, row.tn, row.fn
+
+
 def test_confusion_extremes():
     table = _table([0.9, 0.8], [0.2, 0.1])
-    assert confusion_at(table, 0.0) == (2, 2, 0, 0)
-    assert confusion_at(table, 0.95) == (0, 0, 2, 2)
+    assert _confusion(table, 0.0) == (2, 2, 0, 0)
+    assert _confusion(table, 0.95) == (0, 0, 2, 2)
 
 
 def test_confusion_hand_built_six_pairs():
     table = _table([0.9, 0.5, 0.3], [0.7, 0.5, 0.1])
     # threshold 0.5, predicted match means >= t
-    tp, fp, tn, fn = confusion_at(table, 0.5)
+    tp, fp, tn, fn = _confusion(table, 0.5)
     assert (tp, fp, tn, fn) == (2, 2, 1, 1)
+
+
+def _random_table(rng, n_gen, n_imp):
+    """Finals drawn from the extremes, grid thresholds, a few repeated
+    values and uniform noise, so that ties and finals exactly on a
+    threshold occur; about a quarter of the rows gated."""
+    pool = [0.0, 1.0, 0.15, 0.5, 0.15, 0.5, 0.37, 0.37, 0.99]
+
+    def final():
+        return pool[rng.integers(len(pool))] if rng.random() < 0.6 else float(rng.random())
+
+    def row(label, i):
+        # the first row of each class stays scored, so without_gated()
+        # keeps both classes
+        gate = "low_sim" if i and rng.random() < 0.25 else ""
+        return _fake_row(label, final(), gate)
+
+    return ScoreTable(tuple([row(GENUINE, i) for i in range(n_gen)]
+                            + [row(IMPOSTOR, i) for i in range(n_imp)]))
+
+
+def test_confusion_counts_equal_a_brute_force_count():
+    rng = np.random.default_rng(406)
+    tables = [_random_table(rng, 1, 30)]
+    tables += [_random_table(rng, int(rng.integers(1, 40)), int(rng.integers(1, 40)))
+               for _ in range(20)]
+    for table in tables + [t.without_gated() for t in tables]:
+        labelled = [(r.breakdown.final, r.label == GENUINE) for r in table.rows]
+        for r in rates_and_metrics(table).rows:
+            want = [0, 0, 0, 0]
+            for final, genuine in labelled:
+                match = final >= r.threshold
+                want[(0 if genuine else 1) if match else (3 if genuine else 2)] += 1
+            assert (r.tp, r.fp, r.tn, r.fn) == tuple(want), r.threshold
 
 
 def test_rates_perfect_separation():

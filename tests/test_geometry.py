@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from onionprint.errors import InvalidInputError
-from onionprint.geometry import convex_hull, convex_layers
+from onionprint.geometry import convex_layers
 from oracles import (
     BOUNDARY,
     INSIDE,
@@ -20,38 +20,38 @@ UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 
 def test_square_plus_center_hull():
     pts = UNIT_SQUARE + [(0.5, 0.5)]
-    hull = convex_hull(pts)
+    hull = convex_layers(pts)[0]
     assert hull.tolist() == [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
 
 
 def test_three_points_ccw():
-    hull = convex_hull([(2.0, 0.0), (0.0, 0.0), (1.0, 2.0)])
+    hull = convex_layers([(2.0, 0.0), (0.0, 0.0), (1.0, 2.0)])[0]
     assert hull.tolist() == [[0.0, 0.0], [2.0, 0.0], [1.0, 2.0]]
     assert polygon_signed_area(hull) > 0
 
 
 def test_hull_small_inputs():
-    assert convex_hull([]).shape == (0, 2)
-    assert convex_hull([(3.0, 4.0)]).tolist() == [[3.0, 4.0]]
-    assert convex_hull([(3.0, 4.0), (3.0, 4.0)]).tolist() == [[3.0, 4.0]]
+    assert convex_layers([]) == ()
+    assert convex_layers([(3.0, 4.0)])[0].tolist() == [[3.0, 4.0]]
+    assert convex_layers([(3.0, 4.0), (3.0, 4.0)])[0].tolist() == [[3.0, 4.0]]
     # two distinct points come back lexicographically sorted
-    assert convex_hull([(5.0, 1.0), (2.0, 9.0)]).tolist() == [[2.0, 9.0], [5.0, 1.0]]
+    assert convex_layers([(5.0, 1.0), (2.0, 9.0)])[0].tolist() == [[2.0, 9.0], [5.0, 1.0]]
 
 
 def test_all_collinear_reduces_to_extremes():
     pts = [(0.0, 0.0), (1.0, 1.0), (2.0, 2.0), (3.0, 3.0)]
-    assert convex_hull(pts).tolist() == [[0.0, 0.0], [3.0, 3.0]]
+    assert convex_layers(pts)[0].tolist() == [[0.0, 0.0], [3.0, 3.0]]
 
 
 def test_collinear_edge_points_excluded():
     # midpoints of square edges are not strict hull vertices
     pts = UNIT_SQUARE + [(0.5, 0.0), (1.0, 0.5)]
-    assert ring_set(convex_hull(pts)) == ring_set(UNIT_SQUARE)
+    assert ring_set(convex_layers(pts)[0]) == ring_set(UNIT_SQUARE)
 
 
 def test_non_finite_rejected():
     with pytest.raises(InvalidInputError):
-        convex_hull([(0.0, 0.0), (np.nan, 1.0), (1.0, 0.0)])
+        convex_layers([(0.0, 0.0), (np.nan, 1.0), (1.0, 0.0)])
 
 
 def test_two_nested_squares():
@@ -59,27 +59,25 @@ def test_two_nested_squares():
     inner = [(1.0, 1.0), (3.0, 1.0), (3.0, 3.0), (1.0, 3.0)]
     lay = convex_layers(outer + inner)
     assert len(lay) == 2
-    assert lay.layers[0].depth == 0
-    assert ring_set(lay.layers[0].ring) == ring_set(outer)
-    assert lay.layers[1].depth == 1
-    assert ring_set(lay.layers[1].ring) == ring_set(inner)
+    assert ring_set(lay[0]) == ring_set(outer)
+    assert ring_set(lay[1]) == ring_set(inner)
 
 
 def test_three_points_single_layer():
     lay = convex_layers([(0.0, 0.0), (2.0, 0.0), (1.0, 2.0)])
     assert len(lay) == 1
-    assert lay.layers[0].depth == 0
+    assert len(lay[0]) == 3
 
 
 def test_collinear_stack_peels_inward():
     pts = [(float(i), 0.0) for i in range(5)]
     lay = convex_layers(pts)
-    assert [ring_set(l.ring) for l in lay.layers] == [
+    assert [ring_set(ring) for ring in lay] == [
         {(0.0, 0.0), (4.0, 0.0)},
         {(1.0, 0.0), (3.0, 0.0)},
         {(2.0, 0.0)},
     ]
-    assert not lay.layers[0].is_proper()
+    assert len(lay[0]) < 3  # not a proper ring
 
 
 def test_point_in_convex_unit_square():
@@ -104,7 +102,7 @@ def _check_against_oracle(pts, allow_boundary=False):
     boundary hits for integer grids.
     """
     distinct = dedup_points(pts)
-    hull = convex_hull(pts)
+    hull = convex_layers(pts)[0]
     want = ring_set(distinct[hull_vertex_indices(distinct)])
     assert ring_set(hull) == want
 
@@ -119,18 +117,17 @@ def _check_against_oracle(pts, allow_boundary=False):
     lay = convex_layers(pts)
     want_layers = peel_layers_oracle(pts)
     assert len(lay) == len(want_layers)
-    for layer, want in zip(lay.layers, want_layers):
-        assert ring_set(layer.ring) == want
-    assert [layer.depth for layer in lay.layers] == list(range(len(lay)))
-    assert sum(len(layer.ring) for layer in lay.layers) == len(distinct)
+    for ring, want in zip(lay, want_layers):
+        assert ring_set(ring) == want
+    assert sum(len(ring) for ring in lay) == len(distinct)
 
     # deeper points fall inside every enclosing proper ring, strictly so
     # unless collinear fall-through is possible
     allowed = {INSIDE, BOUNDARY} if allow_boundary else {INSIDE}
-    for parent, child in zip(lay.layers, lay.layers[1:]):
-        if parent.is_proper():
-            for q in child.ring:
-                assert point_in_convex(parent.ring, q) in allowed
+    for parent, child in zip(lay, lay[1:]):
+        if len(parent) >= 3:
+            for q in child:
+                assert point_in_convex(parent, q) in allowed
 
 
 def test_degenerate_grid_sets_match_oracle():
@@ -153,14 +150,14 @@ def test_generic_float_sets_match_oracle():
 def test_hull_permutation_invariant():
     rng = np.random.default_rng(826)
     pts = rng.uniform(0.0, 100.0, size=(30, 2))
-    base = convex_hull(pts)
+    base = convex_layers(pts)[0]
     for _ in range(5):
-        assert np.array_equal(convex_hull(rng.permutation(pts)), base)
+        assert np.array_equal(convex_layers(rng.permutation(pts))[0], base)
 
 
 def test_hull_contains_every_input_point():
     rng = np.random.default_rng(827)
     pts = rng.uniform(0.0, 200.0, size=(40, 2))
-    hull = convex_hull(pts)
+    hull = convex_layers(pts)[0]
     for q in pts:
         assert point_in_convex(hull, q) != OUTSIDE

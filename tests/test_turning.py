@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -8,11 +9,6 @@ from onionprint import kernels, turning
 from onionprint.errors import InvalidInputError
 from onionprint.geometry import convex_layers
 from onionprint.scoring import layer_distances
-from onionprint.turning import (
-    TurningFunction,
-    turning_distance,
-    turning_function,
-)
 from oracles import (
     distance_at_shift,
     grid_min_distance,
@@ -22,6 +18,32 @@ from oracles import (
     riemann_shift_distance,
     turning_value,
 )
+
+
+@dataclass(frozen=True)
+class _Fn:
+    """One ring's turning function, as the oracles read it: ``breaks``
+    and ``angles`` of its vertices and the ring's perimeter."""
+
+    breaks: np.ndarray
+    angles: np.ndarray
+    perimeter: float
+
+    def __len__(self):
+        return self.breaks.shape[0]
+
+
+def _fn(poly):
+    """`turning._encode` on a batch of one ring."""
+    breaks, angles, counts, perimeter = turning._encode([poly])
+    v = counts[0]
+    return _Fn(breaks=breaks[0, :v], angles=angles[0, :v], perimeter=float(perimeter[0]))
+
+
+def _distance(f, g):
+    """(distance, shift, rotation) of one ring pair, from the kernel."""
+    return tuple(float(v[0]) for v in kernels.min_turning_distance(*_tables([f]), *_tables([g])))
+
 
 def _tables(fns):
     """Padded (breaks, angles, counts) tables of turning functions, as
@@ -40,7 +62,7 @@ RECT_2_1 = [(0.0, 0.0), (2.0, 0.0), (2.0, 1.0), (0.0, 1.0)]
 
 
 def test_unit_square_breaks():
-    f = turning_function(SQUARE)
+    f = _fn(SQUARE)
     assert np.allclose(f.breaks, [0.0, 0.25, 0.5, 0.75])
     assert np.allclose(f.angles, [0.0, math.pi / 2, math.pi, 3 * math.pi / 2])
     assert f.perimeter == 4.0
@@ -48,16 +70,16 @@ def test_unit_square_breaks():
 
 def test_equilateral_triangle_jumps():
     h = math.sqrt(3.0) / 2.0
-    f = turning_function([(0.0, 0.0), (1.0, 0.0), (0.5, h)])
+    f = _fn([(0.0, 0.0), (1.0, 0.0), (0.5, h)])
     assert np.allclose(f.breaks, [0.0, 1.0 / 3.0, 2.0 / 3.0])
     assert np.allclose(np.diff(f.angles), [2 * math.pi / 3] * 2)
 
 
 def test_reference_vertex_is_lexicographic_minimum():
     # same polygon, every cyclic vertex order: identical encoding
-    base = turning_function(SQUARE)
+    base = _fn(SQUARE)
     for shift in range(1, 4):
-        rolled = turning_function(np.roll(SQUARE, -shift, axis=0))
+        rolled = _fn(np.roll(SQUARE, -shift, axis=0))
         assert np.array_equal(rolled.breaks, base.breaks)
         assert np.array_equal(rolled.angles, base.angles)
 
@@ -66,7 +88,7 @@ def test_total_turn_of_random_convex_polygons():
     rng = np.random.default_rng(31)
     for _ in range(30):
         poly = random_convex_polygon(rng, int(rng.integers(3, 31)))
-        f = turning_function(poly)
+        f = _fn(poly)
         assert f.breaks[0] == 0.0
         assert np.all(np.diff(f.breaks) > 0)
         assert np.all(f.breaks < 1.0)
@@ -81,7 +103,7 @@ def test_total_turn_of_random_convex_polygons():
 
 
 def test_cyclic_extension():
-    f = turning_function(SQUARE)
+    f = _fn(SQUARE)
     for s in (0.0, 0.1, 0.25, 0.6, 0.99):
         assert turning_value(f, s + 1.0) == pytest.approx(turning_value(f, s) + 2 * math.pi,
                                                           abs=1e-12)
@@ -89,24 +111,24 @@ def test_cyclic_extension():
 
 def test_rejects_bad_polygons():
     with pytest.raises(InvalidInputError):
-        turning_function([(0.0, 0.0), (1.0, 0.0)])
+        turning._encode([[(0.0, 0.0), (1.0, 0.0)]])
     with pytest.raises(InvalidInputError):
-        turning_function(list(reversed(SQUARE)))  # clockwise
+        turning._encode([list(reversed(SQUARE))])  # clockwise
     with pytest.raises(InvalidInputError):
-        turning_function([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])  # zero area
+        turning._encode([[(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]])  # zero area
 
 
 def test_shift_distance_identity():
-    f = turning_function(SQUARE)
+    f = _fn(SQUARE)
     res = distance_at_shift(f, f, 0.0)
     assert res.distance == pytest.approx(0.0, abs=1e-12)
     assert res.rotation == pytest.approx(0.0, abs=1e-12)
 
 
 def test_shift_distance_constant_offset_absorbed():
-    g = turning_function(SQUARE)
+    g = _fn(SQUARE)
     c = 0.7
-    f = TurningFunction(breaks=g.breaks, angles=g.angles + c, perimeter=g.perimeter)
+    f = _Fn(breaks=g.breaks, angles=g.angles + c, perimeter=g.perimeter)
     res = distance_at_shift(f, g, 0.0)
     assert res.distance == pytest.approx(0.0, abs=1e-12)
     # the optimal rotation cancels the offset
@@ -114,8 +136,8 @@ def test_shift_distance_constant_offset_absorbed():
 
 
 def test_shift_distance_square_vs_rectangle_riemann():
-    f = turning_function(SQUARE)
-    g = turning_function(RECT_2_1)
+    f = _fn(SQUARE)
+    g = _fn(RECT_2_1)
     got = distance_at_shift(f, g, 0.0)
     # 99996 samples make every breakpoint (quarters and sixths) a cell
     # boundary, so the Riemann sum is exact
@@ -129,7 +151,7 @@ def test_shift_distance_random_shifts_match_overlap_oracle():
     for _ in range(15):
         pf = random_convex_polygon(rng, int(rng.integers(3, 25)))
         pg = random_convex_polygon(rng, int(rng.integers(3, 25)))
-        f, g = turning_function(pf), turning_function(pg)
+        f, g = _fn(pf), _fn(pg)
         for t in rng.uniform(0.0, 1.0, 4):
             got = distance_at_shift(f, g, float(t))
             want_d, want_rot = overlap_shift_distance(pf, pg, float(t))
@@ -140,19 +162,19 @@ def test_shift_distance_random_shifts_match_overlap_oracle():
 def test_shift_distance_rejects_other_norms():
     # the norm is L2 throughout: neither the distance nor its reference
     # takes an argument that could choose another
-    f = turning_function(SQUARE)
+    f = _fn(SQUARE)
     with pytest.raises(TypeError):
         distance_at_shift(f, f, 0.0, p=1)
     with pytest.raises(TypeError):
-        turning_distance(f, f, p=3)
+        turning.ring_distances([SQUARE], [SQUARE], p=3)
 
 
 def test_turning_distance_identity():
     rng = np.random.default_rng(33)
     for _ in range(10):
         poly = random_convex_polygon(rng, int(rng.integers(3, 31)))
-        f = turning_function(poly)
-        assert turning_distance(f, f).distance <= 1e-9
+        f = _fn(poly)
+        assert _distance(f, f)[0] <= 1e-9
 
 
 def test_turning_distance_similarity_invariance():
@@ -162,31 +184,31 @@ def test_turning_distance_similarity_invariance():
         ang = math.radians(37.0)
         rot = np.array([[math.cos(ang), -math.sin(ang)], [math.sin(ang), math.cos(ang)]])
         moved = 3.0 * (poly @ rot.T) + np.array([12.5, -4.0])
-        d = turning_distance(turning_function(poly), turning_function(moved)).distance
+        d = _distance(_fn(poly), _fn(moved))[0]
         assert d <= 1e-9
 
 
 def test_turning_distance_square_vs_rectangle_grid_oracle():
-    f = turning_function(SQUARE)
-    g = turning_function(RECT_2_1)
-    res = turning_distance(f, g)
-    assert res.distance == pytest.approx(grid_min_distance(SQUARE, RECT_2_1), abs=1e-4)
-    assert 0.0 <= res.best_shift < 1.0
+    f = _fn(SQUARE)
+    g = _fn(RECT_2_1)
+    distance, shift, rotation = _distance(f, g)
+    assert distance == pytest.approx(grid_min_distance(SQUARE, RECT_2_1), abs=1e-4)
+    assert 0.0 <= shift < 1.0
     # the reported shift and rotation reproduce the reported distance
-    at = distance_at_shift(f, g, res.best_shift)
-    assert at.distance == pytest.approx(res.distance, abs=1e-9)
-    assert at.rotation == pytest.approx(res.best_rotation, abs=1e-9)
+    at = distance_at_shift(f, g, shift)
+    assert at.distance == pytest.approx(distance, abs=1e-9)
+    assert at.rotation == pytest.approx(rotation, abs=1e-9)
 
 
 def test_turning_distance_is_a_pseudometric():
     rng = np.random.default_rng(35)
     for _ in range(12):
         polys = [random_convex_polygon(rng, int(rng.integers(3, 15))) for _ in range(3)]
-        fa, fb, fc = (turning_function(p) for p in polys)
-        dab = turning_distance(fa, fb).distance
-        dba = turning_distance(fb, fa).distance
-        dac = turning_distance(fa, fc).distance
-        dbc = turning_distance(fb, fc).distance
+        fa, fb, fc = (_fn(p) for p in polys)
+        dab = _distance(fa, fb)[0]
+        dba = _distance(fb, fa)[0]
+        dac = _distance(fa, fc)[0]
+        dbc = _distance(fb, fc)[0]
         assert dab >= 0.0
         assert abs(dab - dba) <= 1e-9
         assert dac <= dab + dbc + 1e-9
@@ -196,16 +218,16 @@ def test_turning_distance_never_exceeds_any_shift():
     rng = np.random.default_rng(36)
     pf = random_convex_polygon(rng, 12)
     pg = random_convex_polygon(rng, 9)
-    f, g = turning_function(pf), turning_function(pg)
-    best = turning_distance(f, g).distance
+    f, g = _fn(pf), _fn(pg)
+    best = _distance(f, g)[0]
     for t in rng.uniform(0.0, 1.0, 50):
         assert best <= distance_at_shift(f, g, float(t)).distance + 1e-12
 
 
 def test_min_turning_distance_matches_scalar_scan():
     rng = np.random.default_rng(37)
-    fs = [turning_function(random_convex_polygon(rng, int(rng.integers(3, 20)))) for _ in range(10)]
-    gs = [turning_function(random_convex_polygon(rng, int(rng.integers(3, 20)))) for _ in range(10)]
+    fs = [_fn(random_convex_polygon(rng, int(rng.integers(3, 20)))) for _ in range(10)]
+    gs = [_fn(random_convex_polygon(rng, int(rng.integers(3, 20)))) for _ in range(10)]
     got = zip(*kernels.min_turning_distance(*_tables(fs), *_tables(gs)))
     for f, g, (d2, t2, r2) in zip(fs, gs, got):
         d1, t1, r1 = min_turning_distance_scan(f.breaks, f.angles, g.breaks, g.angles)
@@ -245,7 +267,7 @@ def test_batched_turning_functions_equal_each_ring_alone():
     rings = [r for cases in _batch_cases(np.random.default_rng(38)) for pair in cases for r in pair]
     breaks, angles, counts, perimeters = turning._encode(rings)
     for row, ring in enumerate(rings):
-        alone = turning_function(ring)
+        alone = _fn(ring)
         v = len(alone)
         assert counts[row] == v
         assert breaks[row, :v].tolist() == alone.breaks.tolist()
@@ -263,14 +285,13 @@ def test_batched_distances_equal_each_pair_alone_and_the_scan():
     pairs = random_pairs + symmetric
     sums = {len(a) + len(b) for a, b in pairs}
     assert min(sums) < 8 and any(8 <= s <= 16 for s in sums) and max(sums) > 16
-    fs = [turning_function(a) for a, _ in pairs]
-    gs = [turning_function(b) for _, b in pairs]
+    fs = [_fn(a) for a, _ in pairs]
+    gs = [_fn(b) for _, b in pairs]
     batch = list(zip(*(v.tolist() for v in kernels.min_turning_distance(*_tables(fs), *_tables(gs)))))
     assert [d for d, _, _ in batch] == turning.ring_distances([a for a, _ in pairs], [b for _, b in pairs])
     snapped = 0
     for k, (f, g, got) in enumerate(zip(fs, gs, batch)):
-        alone = turning_distance(f, g)
-        assert got == (alone.distance, alone.best_shift, alone.best_rotation)
+        assert got == _distance(f, g)
         d, t, r = min_turning_distance_scan(f.breaks, f.angles, g.breaks, g.angles)
         assert got[0] == pytest.approx(d, abs=1e-12)
         if k < len(random_pairs):
@@ -295,7 +316,7 @@ def test_batched_distances_equal_each_pair_alone_and_the_scan():
 ])
 def test_batch_with_one_bad_ring_raises_as_that_ring_alone(bad):
     with pytest.raises(InvalidInputError) as alone:
-        turning_function(bad)
+        turning._encode([bad])
     with pytest.raises(InvalidInputError) as batch:
         turning.ring_distances([SQUARE, RECT_2_1, bad], [RECT_2_1, SQUARE, SQUARE])
     assert str(batch.value) == str(alone.value)
@@ -324,8 +345,8 @@ def test_row_sums_equal_each_row_summed_alone():
 
 def test_passes_of_the_shift_table_change_no_result(monkeypatch):
     random_pairs, symmetric = _batch_cases(np.random.default_rng(42))
-    args = (*_tables([turning_function(a) for a, _ in random_pairs + symmetric]),
-            *_tables([turning_function(b) for _, b in random_pairs + symmetric]))
+    args = (*_tables([_fn(a) for a, _ in random_pairs + symmetric]),
+            *_tables([_fn(b) for _, b in random_pairs + symmetric]))
     whole = [v.tolist() for v in kernels.min_turning_distance(*args)]
     passes = []
     real = kernels._shift_pass
