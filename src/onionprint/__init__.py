@@ -6,7 +6,6 @@ peer rings by turning-function distance, and squash into a [0, 1]
 similarity score.
 """
 
-from .alignment import MatchResult, match_minutiae
 from .config import MatchConfig, build_config, load_config_file
 from .errors import InvalidInputError, InvariantError, OnionprintError, PreconditionError
 from .evaluation import Dataset, EvalReport, ScoreTable, evaluate, load_dataset, sweep
@@ -24,7 +23,6 @@ __all__ = [
     "InvalidInputError",
     "InvariantError",
     "MatchConfig",
-    "MatchResult",
     "Minutia",
     "MinutiaKind",
     "MinutiaSet",
@@ -38,7 +36,6 @@ __all__ = [
     "extract",
     "load_config_file",
     "load_dataset",
-    "match_minutiae",
     "match_pair",
     "read_minutiae",
     "read_pgm",

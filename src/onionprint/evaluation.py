@@ -276,7 +276,7 @@ def chunk_bounds(costs, threads, cpus):
     if workers <= 1 or cum[-1] <= 0:
         return [(0, n)]
     cuts = np.searchsorted(cum, cum[-1] * np.arange(1, workers) / workers) + 1
-    edges = [0, *np.unique(np.clip(cuts, 1, n - 1)).tolist(), n]
+    edges = [0, *sorted(set(np.clip(cuts, 1, n - 1).tolist())), n]
     return list(zip(edges[:-1], edges[1:]))
 
 
@@ -474,14 +474,14 @@ def _interpolate_eer(rows):
     return (best.fmr + best.fnmr) / 2.0, best.threshold
 
 
-def evaluate(ds: Dataset, cfg=None, mode=MODE_FVC, threads=1, exclude_gated=False, sets=None):
+def evaluate(ds: Dataset, cfg=None, mode=MODE_FVC, threads=1, exclude_gated=False):
     """Full protocol run: (ScoreTable, EvalReport).
 
     With exclude_gated the gated pairs still appear in the table (and in
     scores.csv) but are dropped from every rate computation.
     """
     pairs = pair_protocol(ds, mode)
-    table = score_pairs(pairs, cfg, threads, sets=sets)
+    table = score_pairs(pairs, cfg, threads)
     basis = table.without_gated() if exclude_gated else table
     return table, rates_and_metrics(basis)
 

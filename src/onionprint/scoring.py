@@ -1,16 +1,19 @@
 """Similarity of two fingerprints from their matched minutiae.
 
-The matched minutiae of each print are peeled into nested convex
-rings; peer rings are compared innermost-first by turning distance and
-the average feeds an exponential squash against the minutiae score.
-Two cheap rejection gates run first: too few matched minutiae, or ring
-counts too far apart.
+The two minutia sets are aligned by rotation and translation
+(`kernels.best_alignment`); scale stays 1, because impressions from one
+sensor share its resolution. The minutiae the winning alignment pairs
+give the minutiae score, k over the mean set size. The matched
+minutiae of each print are peeled into nested convex rings; peer rings
+are compared innermost-first by turning distance and the average feeds
+an exponential squash against the minutiae score. Two cheap rejection
+gates run first: too few matched minutiae, or ring counts too far apart.
 """
 
 import math
 from dataclasses import dataclass
 
-from . import alignment, geometry, turning
+from . import geometry, kernels, turning
 from .config import MatchConfig
 from .errors import InvalidInputError, InvariantError
 from .minutiae import MinutiaSet
@@ -52,6 +55,12 @@ class ScoreBreakdown:
     @property
     def l(self) -> int:
         return len(self.layer_dists)
+
+
+def minutiae_score(k: int, m: int, n: int) -> float:
+    if m + n == 0:
+        return 0.0
+    return k / ((m + n) / 2.0)
 
 
 def _proper(rings):
@@ -97,29 +106,32 @@ def match_pair(a: MinutiaSet, b: MinutiaSet, cfg=None, ida=None, idb=None) -> Sc
     ida = ida if ida is not None else (a.source or "")
     idb = idb if idb is not None else (b.source or "")
 
-    res = alignment.match_minutiae(a, b, cfg.r0, cfg.theta0)
-    left, right = alignment.matched_subsets(res, a, b)
+    _, _, pairs_i, pairs_j, _ = kernels.best_alignment(
+        a.x, a.y, a.theta, b.x, b.y, b.theta, float(cfg.r0), float(cfg.theta0)
+    )
+    k, m, n = len(pairs_i), len(a), len(b)
+    score = minutiae_score(k, m, n)
     # one peeling per side serves both the ring-count gate and the rings
-    layers_a = geometry.convex_layers(left)
-    layers_b = geometry.convex_layers(right)
+    layers_a = geometry.convex_layers(a.positions()[pairs_i])
+    layers_b = geometry.convex_layers(b.positions()[pairs_j])
     la, lb = len(layers_a), len(layers_b)
 
     gate = ""
-    if res.score < cfg.sim:
+    if score < cfg.sim:
         gate = GATE_LOW_SIM
     elif abs(la - lb) > cfg.diff:
         gate = GATE_LAYER_DIFF
     if gate:
         return _checked(ScoreBreakdown(
-            ida, idb, res.k, res.m, res.n, res.score, la, lb, (), None, None, 0.0, gate
+            ida, idb, k, m, n, score, la, lb, (), None, None, 0.0, gate
         ), 0)
 
     dists = tuple(layer_distances(layers_a, layers_b))
     avg = average_distance(dists)
-    alpha, final = final_score(res.score, avg)
+    alpha, final = final_score(score, avg)
     rings = min(len(_proper(layers_a)), len(_proper(layers_b)))
     return _checked(ScoreBreakdown(
-        ida, idb, res.k, res.m, res.n, res.score, la, lb, dists, avg, alpha, final
+        ida, idb, k, m, n, score, la, lb, dists, avg, alpha, final
     ), rings)
 
 

@@ -12,14 +12,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from onionprint.alignment import minutiae_score
 from onionprint.config import MatchConfig
 from onionprint.evaluation import (MODE_ALL_PAIRS, MODE_FVC, Dataset,
                                    DatasetEntry, evaluate, load_dataset,
-                                   write_report_files)
+                                   pair_protocol, rates_and_metrics,
+                                   score_pairs, write_report_files)
 from onionprint.geometry import convex_layers
 from onionprint.minutiae import MinutiaSet, write_minutiae
-from onionprint.scoring import final_score, match_pair
+from onionprint.scoring import final_score, match_pair, minutiae_score
 from onionprint.synth import synthetic_corpus
 from onionprint.turning import ring_distances
 from oracles import (Transform, apply_transform, dedup_points, grid_min_distance,
@@ -145,8 +145,8 @@ def test_criterion_4_score_chain_arithmetic():
 def test_criterion_5_synthetic_separation(corpus):
     ds, sets = _in_memory_dataset(corpus)
     start = time.perf_counter()
-    table, report = evaluate(ds, cfg=MatchConfig(), mode=MODE_FVC,
-                             threads=1, sets=sets)
+    table = score_pairs(pair_protocol(ds, MODE_FVC), MatchConfig(), threads=1, sets=sets)
+    report = rates_and_metrics(table)
     elapsed = time.perf_counter() - start
     finals = table.finals()
     genuine = table.genuine_mask()

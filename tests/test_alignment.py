@@ -6,14 +6,10 @@ import numpy as np
 import pytest
 
 from onionprint import kernels
-from onionprint.alignment import (
-    MatchResult,
-    match_minutiae,
-    matched_subsets,
-    minutiae_score,
-)
+from onionprint.config import MatchConfig
 from onionprint.errors import InvalidInputError
 from onionprint.minutiae import Minutia, MinutiaKind, MinutiaSet
+from onionprint.scoring import match_pair, minutiae_score
 from onionprint.synth import synthetic_corpus
 from oracles import (
     Transform,
@@ -44,6 +40,16 @@ def _random_set(rng, n, box=120.0):
 
 def _transform_set(tr, ms):
     return MinutiaSet.from_iterable(apply_transform(tr, m) for m in ms)
+
+
+def _matched(a, b):
+    """The (i, j) pairs the search keeps for a against b, at the stock tolerances."""
+    pairs_i, pairs_j = kernels.best_alignment(*_kernel_args(a, b))[2:4]
+    return list(zip(pairs_i.tolist(), pairs_j.tolist()))
+
+
+def _k(a, b):
+    return len(_matched(a, b))
 
 
 def _winning_transform(a, b):
@@ -133,23 +139,25 @@ def test_candidates_rotation_maps_sets_exactly():
 
 def test_self_match_is_perfect():
     ms = _random_set(np.random.default_rng(105), 10)
-    res = match_minutiae(ms, ms)
+    pairs = _matched(ms, ms)
+    res = match_pair(ms, ms)
     assert res.k == 10
-    assert res.score == 1.0
-    assert sorted(res.pairs) == [(i, i) for i in range(10)]
+    assert res.minutiae_score == 1.0
+    assert sorted(pairs) == [(i, i) for i in range(10)]
     # under the winning transform every matched pair coincides
     tr = _winning_transform(ms, ms)
-    assert all(within_tolerance(apply_transform(tr, ms[i]), ms[j], 1e-9, 1e-9) for i, j in res.pairs)
-    left, right = matched_subsets(res, ms, ms)
+    assert all(within_tolerance(apply_transform(tr, ms[i]), ms[j], 1e-9, 1e-9) for i, j in pairs)
+    left = ms.positions()[[i for i, _ in pairs]]
+    right = ms.positions()[[j for _, j in pairs]]
     assert left.shape == (10, 2) and np.array_equal(left, right)
 
 
 def test_empty_sets():
     empty = MinutiaSet.from_iterable([])
     ms = _random_set(np.random.default_rng(106), 4)
-    assert match_minutiae(empty, ms).score == 0.0
-    assert match_minutiae(ms, empty).k == 0
-    assert match_minutiae(empty, empty).score == 0.0
+    assert match_pair(empty, ms).minutiae_score == 0.0
+    assert match_pair(ms, empty).k == 0
+    assert match_pair(empty, empty).minutiae_score == 0.0
 
 
 def test_score_arithmetic():
@@ -167,8 +175,8 @@ def test_rotated_translated_with_deletions():
     tr = Transform(25.0, 8.0, -12.0)
     kept = [m for idx, m in enumerate(ms) if idx not in {2, 5, 9, 13, 17}]
     tpl = MinutiaSet.from_iterable(apply_transform(tr, m) for m in kept)
-    res = match_minutiae(ms, tpl)
-    assert res.k == 15
+    k = _k(ms, tpl)
+    assert k == 15
     found = _winning_transform(ms, tpl)
     assert min(abs(found.dtheta - 25.0), 360.0 - abs(found.dtheta - 25.0)) < 1.0
     want = optimal_alignment_cardinality(
@@ -177,7 +185,7 @@ def test_rotated_translated_with_deletions():
         15.0,
         10.0,
     )
-    assert res.k == want
+    assert k == want
 
 
 def test_greedy_never_beats_optimal_and_usually_ties():
@@ -187,7 +195,7 @@ def test_greedy_never_beats_optimal_and_usually_ties():
     for _ in range(trials):
         a = _random_set(rng, int(rng.integers(6, 13)), box=80.0)
         b = _random_set(rng, int(rng.integers(6, 13)), box=80.0)
-        got = match_minutiae(a, b).k
+        got = _k(a, b)
         want = optimal_alignment_cardinality(
             [(m.x, m.y, m.theta) for m in a],
             [(m.x, m.y, m.theta) for m in b],
@@ -204,35 +212,35 @@ def test_matched_count_symmetric():
     for _ in range(8):
         a = _random_set(rng, int(rng.integers(5, 12)))
         b = _random_set(rng, int(rng.integers(5, 12)))
-        assert match_minutiae(a, b).k == match_minutiae(b, a).k
+        assert _k(a, b) == _k(b, a)
 
 
 def test_rigid_motion_preserves_matched_count():
     rng = np.random.default_rng(110)
     a = _random_set(rng, 12)
     b = _random_set(rng, 10)
-    base = match_minutiae(a, b).k
+    base = _k(a, b)
     for _ in range(5):
         motion = Transform(
             float(rng.uniform(0, 360)),
             float(rng.uniform(-40, 40)),
             float(rng.uniform(-40, 40)),
         )
-        assert match_minutiae(_transform_set(motion, a), b).k == base
+        assert _k(_transform_set(motion, a), b) == base
 
 
 def test_tolerances_validated():
     ms = _random_set(np.random.default_rng(118), 3)
     for r0, theta0 in [(-1.0, 10.0), (math.nan, 10.0), (15.0, -1.0), (15.0, 181.0), (15.0, math.nan)]:
         with pytest.raises(InvalidInputError):
-            match_minutiae(ms, ms, r0=r0, theta0=theta0)
-    assert match_minutiae(ms, ms, r0=math.inf, theta0=180.0).k == 3
+            MatchConfig(r0=r0, theta0=theta0)
+    assert match_pair(ms, ms, MatchConfig(r0=math.inf, theta0=180.0)).k == 3
 
 
 def test_kind_never_blocks_a_pair():
     a = MinutiaSet.from_iterable([_mu(10, 10, 0.0, MinutiaKind.ENDING)])
     b = MinutiaSet.from_iterable([_mu(10, 10, 0.0, MinutiaKind.BIFURCATION)])
-    assert match_minutiae(a, b).k == 1
+    assert _k(a, b) == 1
 
 
 def test_score_bounds_random():
@@ -240,8 +248,8 @@ def test_score_bounds_random():
     for _ in range(10):
         a = _random_set(rng, int(rng.integers(1, 10)))
         b = _random_set(rng, int(rng.integers(1, 10)))
-        res = match_minutiae(a, b)
-        assert 0.0 <= res.score <= 1.0
+        res = match_pair(a, b)
+        assert 0.0 <= res.minutiae_score <= 1.0
         assert res.k <= min(res.m, res.n)
 
 

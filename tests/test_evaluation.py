@@ -1,7 +1,10 @@
 import errno
 import math
 import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -449,6 +452,18 @@ def test_chunk_bounds_balances_cost_and_covers_in_order():
         assert bounds[0][0] == 0 and bounds[-1][1] == len(costs)
         assert all(lo < hi for lo, hi in bounds)
         assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+
+
+def test_chunk_bounds_leaves_numpy_ma_unimported():
+    # numpy imports numpy.ma on the first np.unique, some 11-13 ms that
+    # would sit before every fork; a fresh process shows whether it did
+    code = ("import sys; from onionprint import evaluation; "
+            "evaluation.chunk_bounds([1, 2, 3, 4], 2, 2); print('numpy.ma' in sys.modules)")
+    src = str(Path(evaluation.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def _equal(item):

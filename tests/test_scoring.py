@@ -1,10 +1,9 @@
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from onionprint import alignment, scoring
+from onionprint import scoring
 from onionprint.config import MatchConfig
 from onionprint.errors import InvalidInputError, InvariantError
 from onionprint.geometry import convex_layers
@@ -155,11 +154,11 @@ def test_match_pair_checks_its_postconditions(monkeypatch):
         with pytest.raises(InvariantError, match="out of range"):
             match_pair(ms, ms, ida="a", idb="b")
     monkeypatch.undo()
-    real = alignment.match_minutiae
     # a matched count past min(m, n), on a gated and on a scored pair
+    sixteen = np.arange(16) % 15
+    monkeypatch.setattr(scoring.kernels, "best_alignment", lambda *args: (0, 0, sixteen, sixteen, 0.0))
     for score in (0.0, 1.0):
-        monkeypatch.setattr(alignment, "match_minutiae",
-                            lambda *args, score=score: dataclasses.replace(real(*args), k=16, score=score))
+        monkeypatch.setattr(scoring, "minutiae_score", lambda k, m, n, score=score: score)
         with pytest.raises(InvariantError, match="k 16 of m 15, n 15"):
             match_pair(ms, ms)
     monkeypatch.undo()

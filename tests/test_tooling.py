@@ -13,3 +13,12 @@ def test_bench_kernels_runs_and_agrees_with_references():
                           cwd=ROOT, capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stdout + done.stderr
     assert "merge_close" in done.stdout
+
+
+def test_benchmark_smoke_check_passes():
+    # the benchmark imports and wraps public names of the library, so a
+    # change to those names must not leave it broken
+    done = subprocess.run([sys.executable, str(ROOT / "perfbench" / "smoke.py")],
+                          cwd=ROOT, capture_output=True, text=True, timeout=900)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "smoke: ok" in done.stdout
