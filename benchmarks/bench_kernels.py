@@ -74,8 +74,8 @@ def rendered_print(width=384, height=296, seed=5):
 
 def raw_rows(img):
     """(x, y, bifurcation) rows and skeleton of `imgproc.raw_minutiae`."""
-    d, sk = imgproc.raw_minutiae(img)
-    return list(zip(d.x.tolist(), d.y.tolist(), d.bif.tolist())), sk
+    (x, y, bif), sk = imgproc.raw_minutiae(img)
+    return list(zip(x.tolist(), y.tolist(), bif.tolist())), sk
 
 
 def despeckled(img):
@@ -118,9 +118,9 @@ def same_raw(a, b):
 def merge_workload(detected, sk):
     """Border-cleaned detections as minutiae, each with its own angle,
     so the merged orientation names the representative."""
-    kept = imgproc.remove_border_minutiae(detected, sk.shape, 12.0)
+    kept = imgproc.remove_border_minutiae(*detected, sk.shape, 12.0)
     return kept, [Minutia(x=x, y=y, theta=i * 0.01, kind=MinutiaKind.BIFURCATION if b else MinutiaKind.ENDING)
-                  for i, (x, y, b) in enumerate(zip(kept.x.tolist(), kept.y.tolist(), kept.bif.tolist()))]
+                  for i, (x, y, b) in enumerate(zip(*(v.tolist() for v in kept)))]
 
 
 def alignment_workload(seed=3, size=50):
@@ -176,8 +176,8 @@ def main():
     img = rendered_print()
     binary = despeckled(img)
     detected, sk = imgproc.raw_minutiae(img)
-    xs, ys, bif = detected.x, detected.y, detected.bif
-    points = list(zip(xs.astype(int).tolist(), ys.astype(int).tolist(), bif.tolist()))
+    xs, ys, bif = detected
+    points = list(zip(xs.tolist(), ys.tolist(), bif.tolist()))
     align_args = alignment_workload()
     bound_args = alignment_workload(5, 60)
     peelings = shape_workload()
@@ -185,9 +185,8 @@ def main():
     kept, minutiae = merge_workload(detected, sk)
 
     def merged_rows():
-        out = imgproc.merge_close(kept, 5.0)
-        return [(x, y, b, minutiae[r].theta)
-                for x, y, b, r in zip(out.x.tolist(), out.y.tolist(), out.bif.tolist(), out.rep.tolist())]
+        out = imgproc.merge_close(*kept, 5.0)
+        return [(x, y, b, minutiae[r].theta) for x, y, b, r in zip(*(v.tolist() for v in out))]
 
     def dense_rows():
         return [(m.x, m.y, m.kind is MinutiaKind.BIFURCATION, m.theta) for m in merge_close_dense(minutiae, 5.0)]
@@ -208,7 +207,7 @@ def main():
         (f"_alignment_bounds {len(bound_args[0])} vs {len(bound_args[3])}",
          lambda: kernels._alignment_bounds(*bound_args), lambda: alignment_bounds_bruteforce(*bound_args),
          np.array_equal, 10),
-        (f"merge_close {len(kept)} points", merged_rows, dense_rows, lambda a, b: a == b, 3),
+        (f"merge_close {len(kept[0])} points", merged_rows, dense_rows, lambda a, b: a == b, 3),
     ]
 
     print(f"{'kernel':<34}{'fast':>12}{'reference':>12}{'speedup':>10}")

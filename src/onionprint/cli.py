@@ -184,10 +184,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except InvalidInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (InvalidInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OnionprintError as exc:

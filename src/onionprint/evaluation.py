@@ -552,6 +552,7 @@ def sweep(ds: Dataset, grid, base_cfg=None, mode=MODE_FVC, threads=1,
         for key in g:
             if key not in SWEEP_KEYS:
                 raise InvalidInputError(f"sweep key {key!r} not one of {SWEEP_KEYS}")
+    cfgs = [replace(base_cfg, **g) for g in grid]
 
     pairs = pair_protocol(ds, mode)
     unique = _unique_entries(pairs)
@@ -560,8 +561,7 @@ def sweep(ds: Dataset, grid, base_cfg=None, mode=MODE_FVC, threads=1,
         lambda e: _read_print(e.path, e.label), unique, threads, _load_cost)))
 
     results = []
-    for idx, overrides in enumerate(grid):
-        cfg = replace(base_cfg, **overrides)
+    for idx, (overrides, cfg) in enumerate(zip(grid, cfgs)):
         sets = {path: _finish(r, cfg) for path, r in read.items()}
         table = score_pairs(pairs, cfg, threads, sets=sets)
         basis = table.without_gated() if exclude_gated else table
@@ -574,8 +574,7 @@ def sweep(ds: Dataset, grid, base_cfg=None, mode=MODE_FVC, threads=1,
 
     if out_dir is not None:
         lines = ["index," + ",".join(SWEEP_KEYS) + ",eer,best_f_threshold"]
-        for idx, (overrides, _, report) in enumerate(results):
-            cfg = replace(base_cfg, **overrides)
+        for idx, (cfg, (_, _, report)) in enumerate(zip(cfgs, results)):
             vals = ",".join(repr(float(getattr(cfg, k))) for k in SWEEP_KEYS)
             lines.append(f"{idx:03d},{vals},{report.eer!r},{report.best_f_threshold!r}")
         _write_lines(Path(out_dir) / "grid.csv", lines)

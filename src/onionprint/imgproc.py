@@ -9,26 +9,25 @@ and orientation by a short ridge trace. The binary image is bit-packed
 once, 64 pixels to a word (`kernels.pack_rows`): despeckling, every
 thinning subiteration and detection are bitwise logic on the packed
 rows, and only the skeleton is unpacked, for the ridge trace.
-Everything after detection works on arrays: detections are a
-`Detections` record of x, y and bifurcation-flag arrays, merging names
-each group's representative by index, and `orientations` traces all
-the survivors at once, every walker stepping together on the padded
-skeleton. Merging places each cleaned minutia by position alone and
-gives it the orientation of one raw detection, so only those
-representatives are traced, not every detection.
+Everything after detection works on plain arrays: detections are
+parallel x, y and bifurcation-flag arrays, merging names each group's
+representative by index, and `orientations` traces all the survivors
+at once, every walker stepping together on the padded skeleton.
+Merging places each cleaned minutia by position alone and gives it the
+orientation of one raw detection, so only those representatives are
+traced, not every detection.
 Coordinates are screen pixels (origin top-left, y down); angles are
 degrees counterclockwise from +x in image space, so "up" is 270.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
 from .config import MatchConfig
 from .errors import InvalidInputError, PreconditionError
-from .minutiae import MinutiaSet
+from .minutiae import MinutiaSet, quantize
 
 # ridge-following horizon for orientation estimation, in skeleton steps
 TRACE_STEPS = 10
@@ -45,30 +44,6 @@ _ANGLE = np.array([
     [math.degrees(math.atan2(-dy, dx)) % 360.0 for dx in range(-TRACE_STEPS, TRACE_STEPS + 1)]
     for dy in range(-TRACE_STEPS, TRACE_STEPS + 1)
 ])
-
-
-@dataclass(frozen=True, eq=False)
-class Detections:
-    """Skeleton pixels classified as minutiae, as parallel arrays.
-
-    `x` and `y` are float pixel coordinates, `bif` is True for a
-    bifurcation and False for an ending; len() is the detection count.
-    """
-
-    x: np.ndarray
-    y: np.ndarray
-    bif: np.ndarray
-
-    def __len__(self):
-        return len(self.x)
-
-
-@dataclass(frozen=True, eq=False)
-class Merged(Detections):
-    """Cleaned positions and kinds, and for each the index of the input
-    detection whose orientation it takes."""
-
-    rep: np.ndarray
 
 
 def _as_gray(img):
@@ -208,20 +183,12 @@ def orientations(sk, x, y, bif):
     return theta
 
 
-def _detections(packed):
-    """Crossing-number detections of a packed skeleton (Rutovitz 1966),
-    in raster order. Unlike a neighbour count, the crossing number reads
-    the corner pixels of a Zhang-Suen staircase as ridge pixels."""
-    y, x, bif = kernels.crossing_minutiae(packed)
-    return Detections(x.astype(float), y.astype(float), bif)
-
-
-def merge_close(d, rm) -> Merged:
-    """Collapse groups of detections linked by distances <= rm.
+def merge_close(x, y, bif, rm):
+    """Collapse groups of detections linked by distances <= rm: (x, y, bif, rep).
 
     Grouping is the transitive closure of `dx*dx + dy*dy <= rm*rm` over
-    the positions of `d`. Each group becomes one point at its centroid,
-    a bifurcation if any member was one, and names as `rep` the index of
+    the points (x, y). Each group becomes one point at its centroid, a
+    bifurcation if any member was one, and names as `rep` the index of
     the member nearest the centroid (ties to lowest (y, x)), whose
     orientation the merged minutia takes. Merged centroids can re-enter
     each other's radius, so the pass repeats until stable; the result
@@ -241,8 +208,8 @@ def merge_close(d, rm) -> Merged:
     """
     if not rm >= 0:
         raise InvalidInputError(f"rm must be nonnegative, got {rm}")
-    pos = np.column_stack((d.x, d.y)).astype(float)
-    bif = np.asarray(d.bif, bool)
+    pos = np.column_stack((x, y)).astype(float)
+    bif = np.asarray(bif, bool)
     rep = np.arange(len(pos))
     r2 = rm * rm
     with np.errstate(over="ignore"):
@@ -268,7 +235,7 @@ def merge_close(d, rm) -> Merged:
             bif = np.logical_or.reduceat(bif[order], starts)
             pos = centroid
     out = np.lexsort((pos[:, 0], pos[:, 1]))
-    return Merged(pos[out, 0], pos[out, 1], bif[out], rep[out])
+    return pos[out, 0], pos[out, 1], bif[out], rep[out]
 
 
 def _merge_roots(pos, rm, r2):
@@ -277,7 +244,8 @@ def _merge_roots(pos, rm, r2):
     root = np.arange(n)
     span = pos.max(axis=0) - pos.min(axis=0)
     if span[0] * span[0] + span[1] * span[1] <= r2:
-        # no pair is farther apart than the bounding box's diagonal
+        # one group, as no pair is farther apart than the box's diagonal;
+        # the cells below would hold every point in one and test n^2/2 pairs
         return np.zeros(n, np.int64)
     width = rm + kernels.BOUND_EPS * max(1.0, rm, float(np.abs(pos).max()))
     cell = np.floor(pos / width).astype(np.int64)
@@ -331,46 +299,44 @@ def _union(root, i, j):
             root[:] = nxt
 
 
-def remove_border_minutiae(d, shape, margin) -> Detections:
-    """Drop detections closer than margin to the image frame."""
+def remove_border_minutiae(x, y, bif, shape, margin):
+    """The (x, y, bif) of the detections no closer than margin to the image frame."""
     h, w = shape
-    keep = (margin <= d.x) & (d.x <= (w - 1) - margin) & (margin <= d.y) & (d.y <= (h - 1) - margin)
-    return Detections(d.x[keep], d.y[keep], d.bif[keep])
+    keep = (margin <= x) & (x <= (w - 1) - margin) & (margin <= y) & (y <= (h - 1) - margin)
+    return x[keep], y[keep], bif[keep]
 
 
 def raw_minutiae(img):
-    """Image through detection, before any cleanup: (detections, skeleton).
+    """Image through detection, before any cleanup: ((x, y, bif), skeleton).
 
-    Despeckling, Zhang-Suen thinning and crossing-number detection on
-    one packed image, which is unpacked once, for the skeleton. No
-    config parameter reaches this stage, so parameter sweeps compute it
-    once per image and rerun only the cleanup below it.
+    Despeckling, Zhang-Suen thinning and crossing-number detection
+    (Rutovitz 1966) on one packed image, which is unpacked once, for the
+    skeleton. Detections are integer pixels in raster order, `bif` True
+    for a bifurcation. Unlike a neighbour count, the crossing number
+    reads the corner pixels of a Zhang-Suen staircase as ridge pixels.
+    No config parameter reaches this stage, so parameter sweeps compute
+    it once per image and rerun only the cleanup below it.
     """
     packed = kernels.pack_rows(binarize(img))
     kernels.despeckle_rows(packed)
     _thin(packed)
-    return _detections(packed), kernels.unpack_rows(packed, np.shape(img)[1])
+    y, x, bif = kernels.crossing_minutiae(packed)
+    return (x, y, bif), kernels.unpack_rows(packed, np.shape(img)[1])
 
 
 def clean_minutiae(detected, sk, cfg=None, source=None) -> MinutiaSet:
-    """Border removal, merging, orientation, and 3-decimal quantization.
+    """Border removal, merging, orientation, and quantization to the text format.
 
-    Each surviving minutia's orientation is traced on the skeleton `sk`
-    from its representative detection, all in one `orientations` call.
+    `detected` and `sk` are what `raw_minutiae` returns. Each surviving
+    minutia's orientation is traced on the skeleton `sk` from its
+    representative detection, all in one `orientations` call.
     Quantization makes a set round-trip exactly through the text format.
     """
     cfg = cfg if cfg is not None else MatchConfig()
-    kept = remove_border_minutiae(detected, np.shape(sk), cfg.border_margin)
-    merged = merge_close(kept, cfg.rm)
-    rep = merged.rep
-    theta = orientations(sk, kept.x[rep], kept.y[rep], kept.bif[rep])
-    return MinutiaSet.from_arrays(
-        [round(v, 3) for v in merged.x.tolist()],
-        [round(v, 3) for v in merged.y.tolist()],
-        [round(t, 3) % 360.0 for t in theta.tolist()],
-        merged.bif,
-        source,
-    )
+    x, y, bif = remove_border_minutiae(*detected, np.shape(sk), cfg.border_margin)
+    mx, my, mbif, rep = merge_close(x, y, bif, cfg.rm)
+    theta = orientations(sk, x[rep], y[rep], bif[rep])
+    return MinutiaSet.from_arrays(*quantize(mx, my, theta), mbif, source)
 
 
 def extract(img, cfg=None, source=None) -> MinutiaSet:

@@ -31,10 +31,15 @@ class Minutia:
     kind: MinutiaKind
 
     def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise InvalidInputError("minutia coordinates must be finite")
-        if not (0.0 <= self.theta < 360.0):
-            raise InvalidInputError(f"minutia angle {self.theta} outside [0, 360)")
+        _check(self.x, self.y, self.theta)
+
+
+def _check(x, y, theta):
+    """Reject a minutia at (x, y) with angle theta that no set may hold."""
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise InvalidInputError("minutia coordinates must be finite")
+    if not (0.0 <= theta < 360.0):
+        raise InvalidInputError(f"minutia angle {theta} outside [0, 360)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,13 +123,21 @@ class MinutiaSet:
         return np.column_stack((self.x, self.y))
 
 
+def quantize(x, y, theta):
+    """Coordinate and angle arrays as the text format holds them: lists
+    of floats rounded to 3 decimals, each angle wrapped into [0, 360)
+    after rounding. Unwrapped, an angle in [359.9995, 360) would print
+    as 360.000, which the parser rejects. Quantized values round-trip
+    exactly through the format."""
+    return ([round(v, 3) for v in x.tolist()], [round(v, 3) for v in y.tolist()],
+            [round(t, 3) % 360.0 for t in theta.tolist()])
+
+
 def format_minutiae(mset) -> str:
     lines = [FILE_HEADER]
-    for m in mset:
-        # rounded and wrapped first: an angle in [359.9995, 360) would
-        # otherwise print as 360.000, which the parser rejects
-        theta = round(m.theta, 3) % 360.0
-        lines.append(f"{m.x:.3f} {m.y:.3f} {theta:.3f} {m.kind.value}")
+    for x, y, theta, bif in zip(*quantize(mset.x, mset.y, mset.theta), mset.bif.tolist()):
+        kind = MinutiaKind.BIFURCATION if bif else MinutiaKind.ENDING
+        lines.append(f"{x:.3f} {y:.3f} {theta:.3f} {kind.value}")
     return "\n".join(lines) + "\n"
 
 
@@ -133,24 +146,34 @@ def write_minutiae(path, mset):
 
 
 def parse_minutiae(text, source=None) -> MinutiaSet:
+    """The set a minutiae file holds; every error names the line at fault."""
+    where = source or "input"
     lines = text.splitlines()
     if not lines or lines[0].strip() != FILE_HEADER:
-        raise InvalidInputError(f"{source or 'input'}: missing '{FILE_HEADER}' header")
-    out = []
+        raise InvalidInputError(f"{where}: missing '{FILE_HEADER}' header")
+    xs, ys, thetas, bifs = [], [], [], []
+    first_line = {}  # (x, y) -> the line that holds it
     for ln, line in enumerate(lines[1:], start=2):
-        line = line.strip()
-        if not line:
-            continue
         parts = line.split()
+        if not parts:
+            continue
         if len(parts) != 4:
-            raise InvalidInputError(f"{source or 'input'}:{ln}: expected 'x y theta kind'")
+            raise InvalidInputError(f"{where}:{ln}: expected 'x y theta kind'")
         try:
             x, y, theta = float(parts[0]), float(parts[1]), float(parts[2])
-            kind = MinutiaKind(parts[3])
-        except ValueError as exc:
-            raise InvalidInputError(f"{source or 'input'}:{ln}: {exc}") from exc
-        out.append(Minutia(x=x, y=y, theta=theta, kind=kind))
-    return MinutiaSet.from_iterable(out, source=source)
+            bif = MinutiaKind(parts[3]) is MinutiaKind.BIFURCATION
+            _check(x, y, theta)
+        except (ValueError, InvalidInputError) as exc:
+            raise InvalidInputError(f"{where}:{ln}: {exc}") from exc
+        first = first_line.setdefault((x, y), ln)
+        if first != ln:
+            raise InvalidInputError(f"{where}:{ln}: two minutiae at identical position ({x}, {y}),"
+                                    f" the first on line {first}")
+        xs.append(x)
+        ys.append(y)
+        thetas.append(theta)
+        bifs.append(bif)
+    return MinutiaSet.from_arrays(xs, ys, thetas, bifs, source)
 
 
 def read_minutiae(path) -> MinutiaSet:

@@ -297,6 +297,26 @@ def test_evaluate_bad_entry_in_a_worker_exits_2_as_with_one(tmp_path, capsys, mo
     assert len(errs[1].splitlines()) == 1
 
 
+@pytest.mark.parametrize("edit, line", [
+    (lambda rows: rows[1].replace(rows[1].split()[2], "400.0"), 3),  # angle outside [0, 360)
+    (lambda rows: rows[1].replace(rows[1].split()[0], "inf"), 3),  # non-finite coordinate
+    (lambda rows: rows[1] + "\n" + " ".join(rows[0].split()[:2] + ["90.000", "B"]), 4),  # repeated position
+])
+def test_evaluate_bad_minutia_value_names_file_and_line(tmp_path, capsys, edit, line):
+    root = tmp_path / "ds"
+    root.mkdir()
+    for f, i, ms in synth.synthetic_corpus(11, fingers=5, impressions=2):
+        write_minutiae(root / f"{f:03d}_{i}.min", ms)
+    bad = root / "005_2.min"
+    header, *rows = bad.read_text().splitlines()
+    rows[1] = edit(rows)
+    bad.write_text("\n".join([header, *rows]) + "\n")
+    assert main(["evaluate", str(root), "--out", str(tmp_path / "rep")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"005_2.min:{line}: " in err
+    assert len(err.splitlines()) == 1
+
+
 def test_evaluate_fault_in_a_worker_exits_3(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(evaluation, "usable_cpus", lambda: 2)
     parent = os.getpid()
@@ -472,7 +492,7 @@ def test_extract_uniform_noise_image_in_bounded_memory(tmp_path):
     # twice FVC2002 DB2's height and 1.25 times its width: about one
     # pixel in seven is a raw detection, some 59,000 in all
     img = np.random.default_rng(920).integers(0, 256, size=(592, 700)).astype(np.uint8)
-    assert len(raw_minutiae(img)[0]) > 50_000
+    assert len(raw_minutiae(img)[0][0]) > 50_000
     path = tmp_path / "noise.pgm"
     write_pgm(path, img)
     done = _run_cli_with_memory_limit("extract", path, tmp_path / "noise.min")

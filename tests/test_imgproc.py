@@ -8,7 +8,6 @@ from onionprint import kernels
 from onionprint.config import MatchConfig
 from onionprint.errors import InvalidInputError, PreconditionError
 from onionprint.imgproc import (
-    Detections,
     _thin,
     bifurcation_direction,
     binarize,
@@ -53,25 +52,25 @@ def _B(x, y, theta=0.0):
 
 
 def _detections(ms):
-    """Detections at the positions and kinds of a list of minutiae."""
-    return Detections(np.array([m.x for m in ms], dtype=float), np.array([m.y for m in ms], dtype=float),
-                      np.array([m.kind is MinutiaKind.BIFURCATION for m in ms], dtype=bool))
+    """(x, y, bif) detections at the positions and kinds of a list of minutiae."""
+    return (np.array([m.x for m in ms], dtype=float), np.array([m.y for m in ms], dtype=float),
+            np.array([m.kind is MinutiaKind.BIFURCATION for m in ms], dtype=bool))
 
 
 def _rows(d):
-    """(x, y, kind) per detection."""
+    """(x, y, kind) per detection of (x, y, bif) arrays."""
     return [(x, y, MinutiaKind.BIFURCATION if b else MinutiaKind.ENDING)
-            for x, y, b in zip(d.x.tolist(), d.y.tolist(), d.bif.tolist())]
+            for x, y, b in zip(*(v.tolist() for v in d))]
 
 
 def _merge(ms, rm):
     """merge_close over minutiae: (x, y, kind, orientation of the representative) rows."""
-    out = merge_close(_detections(ms), rm)
-    return [(x, y, kind, ms[r].theta) for (x, y, kind), r in zip(_rows(out), out.rep.tolist())]
+    *out, rep = merge_close(*_detections(ms), rm)
+    return [(x, y, kind, ms[r].theta) for (x, y, kind), r in zip(_rows(out), rep.tolist())]
 
 
 def _thetas(sk, d):
-    return orientations(sk, d.x, d.y, d.bif).tolist()
+    return orientations(sk, *d).tolist()
 
 
 def _skeleton(binary):
@@ -89,9 +88,9 @@ def _despeckled(binary):
 
 
 def _detect(sk):
-    """Crossing-number detections of a skeleton, in raster order."""
+    """Crossing-number (x, y, bif) detections of a skeleton, in raster order."""
     y, x, bif = crossing_minutiae(pack_rows(sk))
-    return Detections(x.astype(float), y.astype(float), bif)
+    return x, y, bif
 
 
 def _y_skeleton():
@@ -286,9 +285,9 @@ def test_thinning_matches_lookup_tables():
     images.append(rng.integers(0, 256, size=(70, 129)).astype(np.uint8))
     for img in images:
         (x, y, bif), want = thin_and_detect_lut(_despeckled(binarize(img)))
-        d, sk = raw_minutiae(img)
+        (dx, dy, dbif), sk = raw_minutiae(img)
         assert np.array_equal(sk, want)
-        assert (d.x.tolist(), d.y.tolist(), d.bif.tolist()) == (x.tolist(), y.tolist(), bif.tolist())
+        assert (dx.tolist(), dy.tolist(), dbif.tolist()) == (x.tolist(), y.tolist(), bif.tolist())
 
 
 def test_thinning_and_detection_memory_per_pixel():
@@ -367,8 +366,8 @@ def test_raw_minutiae_matches_scalar_thinning_on_rendered_prints():
     rng = np.random.default_rng(937)
     for noise in (0.0, 15.0):
         for angle in (0.0, 15.0, 30.0, 45.0):
-            d = _assert_raw_matches_scalar_thinning(_ridges(rng, 96, 80, noise, angle))
-            assert d.bif.any() and not d.bif.all()
+            _, _, bif = _assert_raw_matches_scalar_thinning(_ridges(rng, 96, 80, noise, angle))
+            assert bif.any() and not bif.all()
 
 
 def test_raw_minutiae_matches_scalar_thinning_on_edge_cases():
@@ -376,8 +375,8 @@ def test_raw_minutiae_matches_scalar_thinning_on_edge_cases():
     for density in (0.2, 0.5, 0.8):
         for _ in range(6):
             _assert_raw_matches_scalar_thinning(_gray(rng.random(rng.integers(1, 40, size=2)) < density))
-    assert len(_assert_raw_matches_scalar_thinning(np.full((8, 8), 200, np.uint8))) == 0
-    assert len(_assert_raw_matches_scalar_thinning(_gray(_y_skeleton()))) == 4
+    assert len(_assert_raw_matches_scalar_thinning(np.full((8, 8), 200, np.uint8))[0]) == 0
+    assert len(_assert_raw_matches_scalar_thinning(_gray(_y_skeleton()))[0]) == 4
     _assert_raw_matches_scalar_thinning(_gray(_IDLE_THEN_DELETING))
 
 
@@ -438,17 +437,17 @@ def test_detect_vertical_top_ending_is_270():
 
 def test_detect_y_junction():
     sk = _y_skeleton()
-    ms = _detect(sk)
-    assert len(ms) == 4 and ms.bif.sum() == 1
-    assert (ms.x[ms.bif][0], ms.y[ms.bif][0]) == (8.0, 8.0)
+    x, y, bif = _detect(sk)
+    assert len(x) == 4 and bif.sum() == 1
+    assert (x[bif][0], y[bif][0]) == (8.0, 8.0)
     # closest branch pair (225, 315) bisects to 270, away from the up branch
-    assert orientations(sk, ms.x[ms.bif], ms.y[ms.bif], ms.bif[ms.bif]).tolist() == [270.0]
+    assert orientations(sk, x[bif], y[bif], bif[bif]).tolist() == [270.0]
 
 
 def test_detect_ignores_isolated_pixels():
     sk = np.zeros((5, 5), np.uint8)
     sk[2, 2] = 1
-    assert len(_detect(sk)) == 0
+    assert len(_detect(sk)[0]) == 0
 
 
 def test_detect_locality():
@@ -484,9 +483,9 @@ def test_detect_matches_scalar_crossing_number_at_every_pixel():
     skeletons += [_skeleton(binarize(_ridges(rng, 96, 80, 25.0, angle))) for angle in (0.0, 15.0, 30.0, 45.0)]
     kinds = set()
     for sk in skeletons:
-        d = _detect(sk)
+        x, y, bif = _detect(sk)
         want = detect_minutiae_scalar(sk)
-        assert list(zip(d.x.tolist(), d.y.tolist(), d.bif.tolist())) == want
+        assert list(zip(x.tolist(), y.tolist(), bif.tolist())) == want
         kinds.update(bif for _, _, bif in want)
     assert kinds == {False, True}
 
@@ -552,9 +551,9 @@ def test_orientations_match_scalar_trace_on_rendered_prints():
     rng = np.random.default_rng(934)
     for angle in (0.0, 15.0, 30.0, 45.0):
         sk = _skeleton(binarize(_ridges(rng, 96, 80, 25.0, angle)))
-        d = _detect(sk)
-        assert len(d) > 50 and d.bif.any() and not d.bif.all()
-        _assert_orientations_exact(sk, d.x.astype(int).tolist(), d.y.astype(int).tolist(), d.bif.tolist())
+        x, y, bif = _detect(sk)
+        assert len(x) > 50 and bif.any() and not bif.all()
+        _assert_orientations_exact(sk, x.tolist(), y.tolist(), bif.tolist())
 
 
 def test_orientations_match_scalar_trace_on_random_skeletons():
@@ -576,7 +575,7 @@ def test_orientations_on_the_image_edge():
     d = _detect(sk)
     assert (9.0, 0.0, MinutiaKind.BIFURCATION) in _rows(d)
     assert (0.0, 11.0, MinutiaKind.ENDING) in _rows(d)
-    _assert_orientations_exact(sk, d.x.astype(int).tolist(), d.y.astype(int).tolist(), d.bif.tolist())
+    _assert_orientations_exact(sk, *(v.tolist() for v in d))
 
 
 def test_orientations_short_spurs_and_trace_lengths():
@@ -613,7 +612,7 @@ def test_clean_minutiae_traces_each_representative_as_its_own_kind():
     # representative, by the (y, x) tie rule, is the ending
     sk = np.zeros((40, 40), np.uint8)
     sk[10:31, 10] = 1
-    detected = Detections(np.array([10.0, 12.0]), np.array([10.0, 10.0]), np.array([False, True]))
+    detected = (np.array([10.0, 12.0]), np.array([10.0, 10.0]), np.array([False, True]))
     out = clean_minutiae(detected, sk, MatchConfig(rm=5.0, border_margin=0.0))
     assert [(m.x, m.y, m.theta, m.kind) for m in out] == [(11.0, 10.0, 270.0, MinutiaKind.BIFURCATION)]
 
@@ -673,7 +672,7 @@ def test_merge_orientation_from_member_nearest_centroid():
 
 def test_merge_rejects_negative_radius():
     with pytest.raises(InvalidInputError):
-        merge_close(_detections([_E(0.0, 0.0)]), -1.0)
+        merge_close(*_detections([_E(0.0, 0.0)]), -1.0)
 
 
 def _iterated_unionfind_positions(minutiae, rm):
@@ -830,7 +829,7 @@ def test_merge_rm_inf_is_one_group():
 
 def test_merge_rejects_nan_radius():
     with pytest.raises(InvalidInputError):
-        merge_close(_detections([_E(0.0, 0.0), _E(1.0, 0.0)]), math.nan)
+        merge_close(*_detections([_E(0.0, 0.0), _E(1.0, 0.0)]), math.nan)
 
 
 def test_merge_extreme_finite_coordinates():
@@ -918,7 +917,7 @@ def test_extract_finds_planted_minutiae_and_invents_few(noise, min_precision, mi
 
 def test_remove_border_minutiae():
     ms = [_E(5.0, 30.0), _B(30.0, 30.0), _E(30.0, 58.0), _E(12.0, 47.0), _E(47.5, 12.0)]
-    kept = remove_border_minutiae(_detections(ms), (60, 60), 12.0)
+    kept = remove_border_minutiae(*_detections(ms), (60, 60), 12.0)
     assert _rows(kept) == [(30.0, 30.0, MinutiaKind.BIFURCATION), (12.0, 47.0, MinutiaKind.ENDING)]
 
 
