@@ -87,27 +87,23 @@ class ScoreTable:
 
 
 @dataclass(frozen=True)
-class ThresholdMetrics:
-    threshold: float
-    tp: int
-    fp: int
-    tn: int
-    fn: int
-    fmr: float
-    fnmr: float
-    pr: float
-    rc: float
-    acc: float
-    f: float
-
-
-@dataclass(frozen=True)
 class EvalReport:
-    rows: tuple  # ThresholdMetrics per grid threshold
+    """Rates as columns: one tuple per rate, one entry per `THRESHOLDS` value."""
+
+    tp: tuple
+    fp: tuple
+    tn: tuple
+    fn: tuple
+    fmr: tuple
+    fnmr: tuple
+    pr: tuple
+    rc: tuple
+    acc: tuple
+    f: tuple
     eer: float
     eer_threshold: float  # interpolated crossing position
-    eer_grid_threshold: float  # grid point nearest the crossing
-    best_f_threshold: float
+    eer_grid_threshold: float  # grid point nearest the crossing, the smaller on a tie
+    best_f_threshold: float  # the smaller on a tie
 
 
 # ---------------------------------------------------------------------------
@@ -406,72 +402,50 @@ def score_pairs(pairs, cfg=None, threads=1, sets=None) -> ScoreTable:
 # ---------------------------------------------------------------------------
 
 
-def _ratio(num, den):
-    return num / den if den else 0.0
+def _over(num, den):
+    """num / den, with 0 where den is 0."""
+    return np.divide(num, den, out=np.zeros(len(THRESHOLDS)), where=den != 0)
 
 
 def rates_and_metrics(table: ScoreTable) -> EvalReport:
     finals = table.finals()
     genuine = table.genuine_mask()
     n_gen = int(genuine.sum())
-    n_imp = int((~genuine).sum())
+    n_imp = len(table) - n_gen
     if n_gen == 0 or n_imp == 0:
-        raise InvalidInputError("protocol produced no genuine or no impostor pairs")
+        raise InvalidInputError(f"cannot rate {n_gen} genuine and {n_imp} impostor pairs: "
+                                "both classes are needed")
 
     # a predicted match is final >= t: count each class's finals below t
-    gen_sorted = np.sort(finals[genuine])
-    imp_sorted = np.sort(finals[~genuine])
-    rows = []
-    for t in THRESHOLDS:
-        tp = n_gen - int(np.searchsorted(gen_sorted, t, "left"))
-        fp = n_imp - int(np.searchsorted(imp_sorted, t, "left"))
-        tn = n_imp - fp
-        fn = n_gen - tp
-        pr = _ratio(tp, tp + fp)
-        rc = _ratio(tp, tp + fn)
-        rows.append(
-            ThresholdMetrics(
-                threshold=t,
-                tp=tp,
-                fp=fp,
-                tn=tn,
-                fn=fn,
-                fmr=_ratio(fp, fp + tn),
-                fnmr=_ratio(fn, tp + fn),
-                pr=pr,
-                rc=rc,
-                acc=_ratio(tp + tn, len(table)),
-                f=_ratio(2.0 * pr * rc, pr + rc),
-            )
-        )
+    grid = np.array(THRESHOLDS)
+    fn = np.searchsorted(np.sort(finals[genuine]), grid, "left")
+    tn = np.searchsorted(np.sort(finals[~genuine]), grid, "left")
+    tp = n_gen - fn
+    fp = n_imp - tn
+    fmr = fp / n_imp
+    fnmr = fn / n_gen
+    pr = _over(tp, tp + fp)
+    rc = tp / n_gen
+    acc = (tp + tn) / len(table)
+    f = _over(2.0 * pr * rc, pr + rc)
 
-    eer, eer_t = _interpolate_eer(rows)
-    grid_t = min(THRESHOLDS, key=lambda t: (abs(t - eer_t), t))
-    best_f_t = max(rows, key=lambda r: (r.f, -r.threshold)).threshold
-    return EvalReport(tuple(rows), eer, eer_t, grid_t, best_f_t)
-
-
-def _interpolate_eer(rows):
-    """Crossing of the FMR and FNMR polylines over the threshold grid.
-
-    FNMR - FMR starts negative (at t=0 everything is a predicted match)
-    and grows; the first sign change brackets the crossing and linear
-    interpolation inside the bracket gives both the EER and its
-    threshold.
-    """
-    prev = rows[0]
-    for cur in rows[1:]:
-        d0 = prev.fnmr - prev.fmr
-        d1 = cur.fnmr - cur.fmr
-        if d0 < 0 <= d1:
-            frac = 1.0 if d1 == d0 else -d0 / (d1 - d0)
-            t = prev.threshold + frac * (cur.threshold - prev.threshold)
-            eer = prev.fmr + frac * (cur.fmr - prev.fmr)
-            return eer, t
-        prev = cur
-    # curves never cross inside the grid; report the closest approach
-    best = min(rows, key=lambda r: (abs(r.fnmr - r.fmr), r.threshold))
-    return (best.fmr + best.fnmr) / 2.0, best.threshold
+    # FNMR - FMR starts negative (at t=0 everything is a predicted match)
+    # and grows; the first sign change brackets the crossing, and linear
+    # interpolation inside it gives both the EER and its threshold
+    d = fnmr - fmr
+    cross = np.flatnonzero((d[:-1] < 0) & (d[1:] >= 0))
+    if cross.size:
+        i = int(cross[0])
+        frac = float(-d[i] / (d[i + 1] - d[i]))
+        eer_t = THRESHOLDS[i] + frac * (THRESHOLDS[i + 1] - THRESHOLDS[i])
+        eer = float(fmr[i] + frac * (fmr[i + 1] - fmr[i]))
+    else:  # the curves never cross inside the grid: take the closest approach
+        i = int(np.argmin(np.abs(d)))
+        eer, eer_t = float((fmr[i] + fnmr[i]) / 2.0), THRESHOLDS[i]
+    grid_t = THRESHOLDS[int(np.argmin(np.abs(grid - eer_t)))]
+    best_f_t = THRESHOLDS[int(np.argmax(f))]
+    cols = (tp, fp, tn, fn, fmr, fnmr, pr, rc, acc, f)
+    return EvalReport(*(tuple(c.tolist()) for c in cols), eer, eer_t, grid_t, best_f_t)
 
 
 def evaluate(ds: Dataset, cfg=None, mode=MODE_FVC, threads=1, exclude_gated=False):
@@ -482,8 +456,7 @@ def evaluate(ds: Dataset, cfg=None, mode=MODE_FVC, threads=1, exclude_gated=Fals
     """
     pairs = pair_protocol(ds, mode)
     table = score_pairs(pairs, cfg, threads)
-    basis = table.without_gated() if exclude_gated else table
-    return table, rates_and_metrics(basis)
+    return table, rates_and_metrics(table.without_gated() if exclude_gated else table)
 
 
 # ---------------------------------------------------------------------------
@@ -499,10 +472,9 @@ def scores_csv_lines(table: ScoreTable):
 
 def curves_csv_lines(report: EvalReport):
     yield CURVES_HEADER
-    for r in report.rows:
-        yield (
-            f"{r.threshold!r},{r.fmr!r},{r.fnmr!r},{r.pr!r},{r.rc!r},{r.acc!r},{r.f!r}"
-        )
+    for row in zip(THRESHOLDS, report.fmr, report.fnmr, report.pr, report.rc, report.acc,
+                   report.f):
+        yield ",".join(map(repr, row))
 
 
 def summary_lines(table: ScoreTable, report: EvalReport):
@@ -561,21 +533,18 @@ def sweep(ds: Dataset, grid, base_cfg=None, mode=MODE_FVC, threads=1,
         lambda e: _read_print(e.path, e.label), unique, threads, _load_cost)))
 
     results = []
+    grid_lines = ["index," + ",".join(SWEEP_KEYS) + ",eer,best_f_threshold"]
     for idx, (overrides, cfg) in enumerate(zip(grid, cfgs)):
         sets = {path: _finish(r, cfg) for path, r in read.items()}
         table = score_pairs(pairs, cfg, threads, sets=sets)
-        basis = table.without_gated() if exclude_gated else table
-        report = rates_and_metrics(basis)
+        report = rates_and_metrics(table.without_gated() if exclude_gated else table)
         results.append((overrides, table, report))
+        vals = ",".join(repr(float(getattr(cfg, k))) for k in SWEEP_KEYS)
+        grid_lines.append(f"{idx:03d},{vals},{report.eer!r},{report.best_f_threshold!r}")
         if out_dir is not None:
-            out = Path(out_dir)
-            out.mkdir(parents=True, exist_ok=True)
-            _write_lines(out / f"curves_{idx:03d}.csv", curves_csv_lines(report))
+            Path(out_dir).mkdir(parents=True, exist_ok=True)
+            _write_lines(Path(out_dir) / f"curves_{idx:03d}.csv", curves_csv_lines(report))
 
     if out_dir is not None:
-        lines = ["index," + ",".join(SWEEP_KEYS) + ",eer,best_f_threshold"]
-        for idx, (cfg, (_, _, report)) in enumerate(zip(cfgs, results)):
-            vals = ",".join(repr(float(getattr(cfg, k))) for k in SWEEP_KEYS)
-            lines.append(f"{idx:03d},{vals},{report.eer!r},{report.best_f_threshold!r}")
-        _write_lines(Path(out_dir) / "grid.csv", lines)
+        _write_lines(Path(out_dir) / "grid.csv", grid_lines)
     return results

@@ -4,10 +4,11 @@ Everything here is deliberately naive: hull membership by exhaustive
 triangle tests, peeling by repeated application of that test, step
 function integrals by rectangle overlaps or dense Riemann sums, merging
 over all n^2 pairs, thinning, crossing numbers and ridge tracing pixel
-by pixel, the turning-distance scan shift by shift. It also holds the
-helpers that only tests call: point classification against a convex
-ring, the turning function's value and its distance at one shift, and
-the transform, candidate, inverse and tolerance helpers of alignment.
+by pixel, the turning-distance scan shift by shift, error rates one
+threshold at a time. It also holds the helpers that only tests call:
+point classification against a convex ring, the turning function's
+value and its distance at one shift, and the transform, candidate,
+inverse and tolerance helpers of alignment.
 Only the data types of `onionprint.minutiae` and the error types are
 imported at module level; `extract_eager` reuses the library code it
 does not check.
@@ -953,3 +954,51 @@ def extract_eager(img, cfg, source=None):
          for m in ms),
         source=source,
     )
+
+
+# ---------------------------------------------------------------------------
+# Error rates
+# ---------------------------------------------------------------------------
+
+
+def _ratio(num, den):
+    return num / den if den else 0.0
+
+
+def rates_reference(finals, genuine, thresholds):
+    """`evaluation.rates_and_metrics` one threshold at a time.
+
+    `finals` and `genuine` are parallel sequences, both classes present.
+    Returns `(rows, eer, eer_threshold, eer_grid_threshold,
+    best_f_threshold)`, each row `(t, tp, fp, tn, fn, fmr, fnmr, pr, rc,
+    acc, f)`. A predicted match is `final >= t`, counted pair by pair;
+    the EER is interpolated in the first bracket where FNMR - FMR turns
+    from negative to non-negative, or taken at the closest approach if
+    there is none; ties of both picks go to the smaller threshold.
+    """
+    labelled = list(zip(finals, genuine))
+    rows = []
+    for t in thresholds:
+        tp = sum(1 for x, g in labelled if g and x >= t)
+        fp = sum(1 for x, g in labelled if not g and x >= t)
+        tn = sum(1 for x, g in labelled if not g and x < t)
+        fn = sum(1 for x, g in labelled if g and x < t)
+        pr = _ratio(tp, tp + fp)
+        rc = _ratio(tp, tp + fn)
+        rows.append((t, tp, fp, tn, fn, _ratio(fp, fp + tn), _ratio(fn, tp + fn), pr, rc,
+                     _ratio(tp + tn, len(labelled)), _ratio(2.0 * pr * rc, pr + rc)))
+
+    for prev, cur in zip(rows, rows[1:]):
+        d0 = prev[6] - prev[5]
+        d1 = cur[6] - cur[5]
+        if d0 < 0 <= d1:
+            frac = 1.0 if d1 == d0 else -d0 / (d1 - d0)
+            eer_t = prev[0] + frac * (cur[0] - prev[0])
+            eer = prev[5] + frac * (cur[5] - prev[5])
+            break
+    else:
+        best = min(rows, key=lambda r: (abs(r[6] - r[5]), r[0]))
+        eer, eer_t = (best[5] + best[6]) / 2.0, best[0]
+    grid_t = min(thresholds, key=lambda t: (abs(t - eer_t), t))
+    best_f_t = max(rows, key=lambda r: (r[10], -r[0]))[0]
+    return rows, eer, eer_t, grid_t, best_f_t

@@ -280,6 +280,16 @@ def test_evaluate_threads_do_not_change_output(tmp_path, capsys):
         assert (serial / name).read_bytes() == (pooled / name).read_bytes()
 
 
+def test_evaluate_exclude_gated_names_the_class_it_emptied(tmp_path, capsys):
+    # every impostor pair of this corpus is gated, and no genuine pair is
+    root = _corpus_dir(tmp_path, fingers=3, impressions=2)
+    assert main(["evaluate", str(root), "--out", str(tmp_path / "rep"),
+                 "--mode", "all-pairs", "--exclude-gated"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "3 genuine and 0 impostor pairs" in err
+
+
 def test_evaluate_bad_entry_in_a_worker_exits_2_as_with_one(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(evaluation, "usable_cpus", lambda: 2)
     root = _corpus_dir(tmp_path, fingers=3, impressions=2)

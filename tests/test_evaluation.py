@@ -17,6 +17,7 @@ from onionprint.errors import InvalidInputError, InvariantError
 from onionprint.evaluation import (
     GENUINE,
     IMPOSTOR,
+    THRESHOLDS,
     Dataset,
     DatasetEntry,
     EvalReport,
@@ -38,6 +39,7 @@ from onionprint.minutiae import write_minutiae
 from onionprint.pgm import write_pgm
 from onionprint.scoring import ScoreBreakdown
 from onionprint.synth import render_impression, synthetic_corpus
+from oracles import rates_reference
 
 
 def _entries(fingers, impressions):
@@ -209,9 +211,9 @@ def test_protocol_fvc_uses_lowest_impression_as_first():
 
 
 def _confusion(table, t):
-    """(TP, FP, TN, FN) of the report row at grid threshold t."""
-    row = next(r for r in rates_and_metrics(table).rows if r.threshold == t)
-    return row.tp, row.fp, row.tn, row.fn
+    """(TP, FP, TN, FN) of the report at grid threshold t."""
+    rep, i = rates_and_metrics(table), THRESHOLDS.index(t)
+    return rep.tp[i], rep.fp[i], rep.tn[i], rep.fn[i]
 
 
 def test_confusion_extremes():
@@ -253,19 +255,20 @@ def test_confusion_counts_equal_a_brute_force_count():
                for _ in range(20)]
     for table in tables + [t.without_gated() for t in tables]:
         labelled = [(r.breakdown.final, r.label == GENUINE) for r in table.rows]
-        for r in rates_and_metrics(table).rows:
+        rep = rates_and_metrics(table)
+        for i, t in enumerate(THRESHOLDS):
             want = [0, 0, 0, 0]
             for final, genuine in labelled:
-                match = final >= r.threshold
+                match = final >= t
                 want[(0 if genuine else 1) if match else (3 if genuine else 2)] += 1
-            assert (r.tp, r.fp, r.tn, r.fn) == tuple(want), r.threshold
+            assert (rep.tp[i], rep.fp[i], rep.tn[i], rep.fn[i]) == tuple(want), t
 
 
 def test_rates_perfect_separation():
     table = _table([0.9] * 20, [0.1] * 20)
     rep = rates_and_metrics(table)
     assert rep.eer == 0.0
-    assert all(0.0 <= r.fmr <= 1.0 and 0.0 <= r.fnmr <= 1.0 for r in rep.rows)
+    assert all(0.0 <= v <= 1.0 for v in rep.fmr + rep.fnmr)
 
 
 def test_rates_same_distribution_eer_half():
@@ -282,24 +285,22 @@ def test_rates_monotone_curves():
         np.clip(rng.normal(0.3, 0.2, 300), 0, 1).tolist(),
     )
     rep = rates_and_metrics(table)
-    fmr = [r.fmr for r in rep.rows]
-    fnmr = [r.fnmr for r in rep.rows]
-    assert fmr == sorted(fmr, reverse=True)
-    assert fnmr == sorted(fnmr)
+    assert list(rep.fmr) == sorted(rep.fmr, reverse=True)
+    assert list(rep.fnmr) == sorted(rep.fnmr)
     assert 0.0 < rep.eer < 0.5
 
 
 def test_precision_thirty_one_percent():
     table = _table([0.9] * 31, [0.9] * 69)
-    row = next(r for r in rates_and_metrics(table).rows if r.threshold == 0.5)
-    assert (row.tp, row.fp) == (31, 69)
-    assert row.pr == 0.31
+    rep, i = rates_and_metrics(table), THRESHOLDS.index(0.5)
+    assert (rep.tp[i], rep.fp[i]) == (31, 69)
+    assert rep.pr[i] == 0.31
 
 
 def test_zero_over_zero_metrics_are_zero():
     table = _table([0.4], [0.3])
-    row = rates_and_metrics(table).rows[-1]  # threshold 1.0, nothing predicted
-    assert (row.pr, row.rc, row.f) == (0.0, 0.0, 0.0)
+    rep = rates_and_metrics(table)  # at threshold 1.0, the last, nothing is predicted
+    assert (rep.pr[-1], rep.rc[-1], rep.f[-1]) == (0.0, 0.0, 0.0)
 
 
 def test_rates_require_both_labels():
@@ -307,6 +308,29 @@ def test_rates_require_both_labels():
         rates_and_metrics(_table([0.5], []))
     with pytest.raises(InvalidInputError):
         rates_and_metrics(_table([], [0.5]))
+
+
+def test_rates_match_the_scalar_reference():
+    rng = np.random.default_rng(407)
+    tables = [_random_table(rng, int(rng.integers(1, 40)), int(rng.integers(1, 40)))
+              for _ in range(150)]
+    tables += [
+        _random_table(rng, 1, 30),  # a single genuine pair
+        _table([0.42], [0.1, 0.42, 0.7]),
+        _table([1.0] * 3, [1.0] * 5),  # FNMR stays below FMR: the curves never cross
+        _table([0.5, 0.5, 0.2], [0.5, 0.2, 0.2]),  # ties on a grid threshold
+    ]
+    for table in tables + [t.without_gated() for t in tables]:
+        rows, *figures = rates_reference([r.breakdown.final for r in table.rows],
+                                         [r.label == GENUINE for r in table.rows], THRESHOLDS)
+        rep = rates_and_metrics(table)
+        assert list(curves_csv_lines(rep)) == ["threshold,fmr,fnmr,pr,rc,acc,f"] + [
+            f"{t!r},{fmr!r},{fnmr!r},{pr!r},{rc!r},{acc!r},{f!r}"
+            for t, _, _, _, _, fmr, fnmr, pr, rc, acc, f in rows
+        ]
+        got = (rep.eer, rep.eer_threshold, rep.eer_grid_threshold, rep.best_f_threshold)
+        assert list(map(repr, got)) == list(map(repr, figures))
+        assert list(zip(rep.tp, rep.fp, rep.tn, rep.fn)) == [r[1:5] for r in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +364,7 @@ def test_evaluate_exclude_gated_changes_rates_not_rows(tmp_path):
     gated = sum(1 for r in t_all.rows if r.breakdown.gated)
     assert gated > 0
     # gated impostor pairs leave the denominator, so FMR can only grow
-    assert all(a.fmr <= b.fmr + 1e-12 for a, b in zip(rep_all.rows, rep_excl.rows))
+    assert all(a <= b + 1e-12 for a, b in zip(rep_all.fmr, rep_excl.fmr))
 
 
 def test_synthetic_corpus_separates(tmp_path):
@@ -371,7 +395,7 @@ def test_sweep_gating_reduces_fmr(tmp_path):
                     mode="all_pairs")
     open_rep = results[0][2]
     gated_rep = results[1][2]
-    assert all(g.fmr <= o.fmr + 1e-12 for g, o in zip(gated_rep.rows, open_rep.rows))
+    assert all(g <= o + 1e-12 for g, o in zip(gated_rep.fmr, open_rep.fmr))
 
 
 def test_sweep_writes_curve_files(tmp_path):
