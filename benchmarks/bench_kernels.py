@@ -7,13 +7,17 @@ scalar Zhang-Suen loop and the pixel-by-pixel crossing-number rule
 (binarization and despeckling run on both sides); packed thinning plus
 detection alone on a binarized print, against the same scalar rules and
 against the 512-entry lookup tables they ran by before; the batched
-ridge trace (`imgproc.orientations`) against the scalar trace, one pair's whole
-shape stage (`scoring.layer_distances`, which encodes and compares every
-peer ring pair in one batch) against each ring encoded alone and the
-shift-by-shift sweep one ring pair at a time, the branch-and-bound
-`best_alignment` against the exhaustive search, its bound pass
+ridge trace (`imgproc.orientations`) against the scalar trace; the
+batched bisector choice (`imgproc.bifurcation_direction`) against the
+pair-by-pair rule on each row; the whole `imgproc.extract` of a rendered
+print against `extract_eager`, which traces every detection with the
+scalar trace and merges densely; one pair's whole shape stage
+(`scoring.layer_distances`, which encodes and compares every peer ring
+pair in one batch) against each ring encoded alone and the
+shift-by-shift sweep one ring pair at a time; the branch-and-bound
+`best_alignment` against the exhaustive search; its bound pass
 `_alignment_bounds`, which looks template points up by orientation slab
-and cell, against the brute-force bound over all m^2 n^2 quadruples, and
+and cell, against the brute-force bound over all m^2 n^2 quadruples; and
 the grid-bucketed `merge_close` against the dense n x n merge. Each row
 exits if the two results differ.
 """
@@ -30,11 +34,14 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from onionprint import geometry, imgproc, kernels, scoring, synth, turning  # noqa: E402
+from onionprint.config import MatchConfig  # noqa: E402
 from onionprint.minutiae import Minutia, MinutiaKind, MinutiaSet  # noqa: E402
 from oracles import (  # noqa: E402
     alignment_bounds_bruteforce,
     best_alignment_exhaustive,
+    bifurcation_direction_scalar,
     detect_minutiae_scalar,
+    extract_eager,
     merge_close_dense,
     min_turning_distance_scan,
     orientation_scalar,
@@ -123,6 +130,18 @@ def merge_workload(detected, sk):
                   for i, (x, y, b) in enumerate(zip(*(v.tolist() for v in kept)))]
 
 
+def branch_table(seed=6, rows=400):
+    """NaN-padded rows of 2 to 8 branch angles, mostly 3, drawn from the
+    directions a ridge trace can end in, so that gaps often tie."""
+    rng = np.random.default_rng(seed)
+    ends = [math.degrees(math.atan2(-dy, dx)) % 360.0 for dy in range(-10, 11) for dx in range(-10, 11)
+            if dx or dy]
+    table = np.full((rows, 8), np.nan)
+    for row, count in zip(table, rng.choice([2, 3, 3, 3, 4, 5, 8], size=rows)):
+        row[:count] = rng.choice(ends, size=count)
+    return table
+
+
 def alignment_workload(seed=3, size=50):
     rng = np.random.default_rng(seed)
     finger = synth.synthetic_finger(rng, n_min=size, n_max=size)
@@ -183,6 +202,8 @@ def main():
     peelings = shape_workload()
     rings = len(shape_stage_scan(*peelings))
     kept, minutiae = merge_workload(detected, sk)
+    branches = branch_table()
+    cfg = MatchConfig()
 
     def merged_rows():
         out = imgproc.merge_close(*kept, 5.0)
@@ -200,6 +221,10 @@ def main():
          same_raw, 10),
         (f"orientations {len(points)} points", lambda: imgproc.orientations(sk, xs, ys, bif).tolist(),
          lambda: [orientation_scalar(sk, (x, y), b) for x, y, b in points], lambda a, b: a == b, 3),
+        (f"bifurcation_direction {len(branches)} rows", lambda: imgproc.bifurcation_direction(branches).tolist(),
+         lambda: [bifurcation_direction_scalar(row[~np.isnan(row)]) for row in branches], lambda a, b: a == b, 20),
+        (f"extract {sk.shape[1]}x{sk.shape[0]} print", lambda: imgproc.extract(img, cfg),
+         lambda: extract_eager(img, cfg), lambda a, b: a == b and a.theta.tolist() == b.theta.tolist(), 10),
         (f"layer_distances {rings} ring pairs", lambda: scoring.layer_distances(*peelings),
          lambda: shape_stage_scan(*peelings), agree, 20),
         ("best_alignment 50 vs ~50", lambda: kernels.best_alignment(*align_args),

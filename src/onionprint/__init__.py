@@ -7,7 +7,7 @@ similarity score.
 """
 
 from .config import MatchConfig, build_config, load_config_file
-from .errors import InvalidInputError, InvariantError, OnionprintError, PreconditionError
+from .errors import InvalidInputError, InvariantError, OnionprintError
 from .evaluation import Dataset, EvalReport, ScoreTable, evaluate, load_dataset, sweep
 from .geometry import convex_layers
 from .imgproc import extract
@@ -27,7 +27,6 @@ __all__ = [
     "MinutiaKind",
     "MinutiaSet",
     "OnionprintError",
-    "PreconditionError",
     "ScoreBreakdown",
     "ScoreTable",
     "build_config",

@@ -9,9 +9,5 @@ class InvalidInputError(OnionprintError):
     """Malformed or out-of-contract input (bad file, bad parameter value)."""
 
 
-class PreconditionError(OnionprintError):
-    """An operation was called on data that violates its precondition."""
-
-
 class InvariantError(OnionprintError):
     """An internal consistency check failed; indicates a bug, not bad input."""

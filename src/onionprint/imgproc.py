@@ -15,7 +15,11 @@ representative by index, and `orientations` traces all the survivors
 at once, every walker stepping together on the padded skeleton.
 Merging places each cleaned minutia by position alone and gives it the
 orientation of one raw detection, so only those representatives are
-traced, not every detection.
+traced, not every detection. The numpy calls of the cleanup do not
+grow with the number of groups, members or walkers: each merge round
+sums all groups by `bincount`, each trace step advances every walker by
+one table lookup, and bifurcations compare all their branch pairs at
+once.
 Coordinates are screen pixels (origin top-left, y down); angles are
 degrees counterclockwise from +x in image space, so "up" is 270.
 """
@@ -26,7 +30,7 @@ import numpy as np
 
 from . import kernels
 from .config import MatchConfig
-from .errors import InvalidInputError, PreconditionError
+from .errors import InvalidInputError
 from .minutiae import MinutiaSet, quantize
 
 # ridge-following horizon for orientation estimation, in skeleton steps
@@ -35,8 +39,38 @@ TRACE_STEPS = 10
 # candidate pairs `merge_close` tests per batch; bounds its memory
 MERGE_CHUNK = 1 << 18
 
-# 8-neighborhood offsets (dx, dy) in raster order
-_OFF_X, _OFF_Y = np.array(((-1, -1), (0, -1), (1, -1), (-1, 0), (1, 0), (-1, 1), (0, 1), (1, 1))).T
+# a ridge trace's state: the neighbour it last stepped to, _START before
+# its first step, _STOPPED once it has stopped
+_START, _STOPPED = 8, 9
+
+# the move (dx, dy) into each state: the 8-neighborhood in raster order,
+# where neighbour 7 - k lies opposite neighbour k, then no move
+_OFF_X, _OFF_Y = np.array(((-1, -1), (0, -1), (1, -1), (-1, 0), (1, 0), (-1, 1), (0, 1), (1, 1),
+                           (0, 0), (0, 0))).T
+
+# neighbour k's bit in a neighbourhood code
+_BIT = (1 << np.arange(8)).astype(np.uint8)
+
+
+def _next_states():
+    """_NEXT[code, state]: the state after one step. Bit k of `code` is
+    set when neighbour k is foreground; the step goes to the only one
+    other than the pixel the trace came from (neighbour 7 - state), and
+    stops where there is none or more than one."""
+    fg = (np.arange(256)[:, None, None] >> np.arange(8) & 1).astype(bool)
+    came = 7 - np.arange(_STOPPED + 1)  # negative for _START and _STOPPED
+    ahead = fg & (np.arange(8) != came[:, None])
+    nxt = np.where(np.count_nonzero(ahead, axis=2) == 1, ahead.argmax(axis=2), _STOPPED)
+    nxt[:, _STOPPED] = _STOPPED
+    return nxt
+
+
+_NEXT = _next_states()
+
+# the pairs (i, j), i < j, of up to 8 sorted branch angles in (i, j)
+# order, and the first angle outside each pair, the smallest leftover
+_PAIR_I, _PAIR_J = np.triu_indices(8, 1)
+_PAIR_REST = np.where(_PAIR_I > 0, 0, np.where(_PAIR_J > 1, 1, 2))
 
 # direction from a pixel to one dy rows and dx columns away, indexed
 # [dy + TRACE_STEPS, dx + TRACE_STEPS]; no trace ends farther away
@@ -92,33 +126,32 @@ def _thin(packed):
 def bifurcation_direction(branch_angles):
     """Bisector of the two most alike branch directions, per row, in [0, 360).
 
-    Each row of `branch_angles` holds one bifurcation's branch angles in
-    degrees, padded with NaN, at least two per row. Within the sorted
-    angles of a row, the pair (i, j) with the smallest gap wins; ties go
-    to the pair whose leftover branches contain the smallest angle, then
-    to the first (i, j). The bisector follows the short arc.
+    Each row of `branch_angles` holds one bifurcation's branch angles,
+    2 to 8 of them, in degrees in [0, 360), padded with NaN. Within the
+    sorted angles of a row, the pair (i, j) with the smallest gap wins;
+    ties go to the pair whose leftover branches contain the smallest
+    angle, then to the first (i, j). The bisector follows the short arc.
+    All 28 pairs of every row are compared at once; no `%` touches the
+    NaN padding, on which numpy's float modulo is some ten times slower.
     """
-    angles = np.sort(np.asarray(branch_angles, dtype=float) % 360.0, axis=1)  # NaN last
-    count = np.count_nonzero(~np.isnan(angles), axis=1)
-    if (count < 2).any():
-        raise PreconditionError("bifurcation needs at least 2 branch directions")
-    rows = np.arange(len(angles))[:, None]
-    i, j = np.triu_indices(angles.shape[1], 1)  # (i, j) order
-    gap = np.abs(angles[:, i] - angles[:, j])
-    gap = np.minimum(gap, 360.0 - gap)  # NaN for pairs past the row's count
-    # the smallest leftover angle is the first sorted one outside (i, j);
-    # none is left when the row holds two angles
-    first = np.where(i > 0, 0, np.where(j > 1, 1, 2))
-    rest = np.concatenate((angles, np.zeros((len(angles), 1))), axis=1)[:, first]
-    rest[first >= count[:, None]] = 0.0
-    with np.errstate(invalid="ignore"):
-        tied = gap == np.nanmin(gap, axis=1, keepdims=True)
-    tied &= rest == np.where(tied, rest, np.inf).min(axis=1, keepdims=True)
-    pick = tied.argmax(axis=1)[:, None]
-    a = angles[rows, i[pick]][:, 0]
-    b = angles[rows, j[pick]][:, 0]
-    delta = (b - a) % 360.0
-    return np.where(delta <= 180.0, (a + delta / 2.0) % 360.0, (b + (360.0 - delta) / 2.0) % 360.0)
+    angles = np.sort(np.asarray(branch_angles, dtype=float), axis=1)  # NaN last
+    inside = (0.0 <= angles) & (angles < 360.0)
+    count = inside.sum(axis=1)
+    if ((count < 2) | (count > 8) | (inside == np.isnan(angles)).any(axis=1)).any():
+        raise InvalidInputError("a bifurcation needs 2 to 8 branch directions in [0, 360)")
+    rows = np.full((len(angles), 8), np.nan)
+    rows[:, :angles.shape[1]] = angles[:, :8]
+    a, b = rows[:, _PAIR_I], rows[:, _PAIR_J]
+    gap = b - a  # b >= a; NaN for pairs past the row's count
+    gap = np.minimum(gap, 360.0 - gap)
+    tied = gap == np.fmin.reduce(gap, axis=1, keepdims=True)
+    # among the tied pairs the smallest leftover angle wins, then the
+    # first pair; a row of two angles has the one pair (0, 1)
+    pick = np.where(tied, rows[:, _PAIR_REST], np.inf).argmin(axis=1)
+    r = np.arange(len(pick))
+    a, b = a[r, pick], b[r, pick]
+    delta = b - a
+    return np.where(delta <= 180.0, a + delta / 2.0, b + (360.0 - delta) / 2.0) % 360.0
 
 
 def orientations(sk, x, y, bif):
@@ -135,50 +168,47 @@ def orientations(sk, x, y, bif):
     and a bifurcation with fewer than two branches, get 0.
 
     All traces walk together on the zero-padded, flattened skeleton, so
-    the image edge needs no test; a trace's end offset from its minutia
+    the image edge needs no test. Each walker is a pixel offset and a
+    state, the neighbour it last stepped to: one table lookup on the
+    packed neighbourhood gives every walker's next state, and a stopped
+    walker stays where it is. A trace's end offset from its minutia
     indexes a table of angles.
     """
     sk = np.asarray(sk)
-    # np.zeros, not np.pad, whose calls leave reference cycles to the
-    # garbage collector
-    pad = np.zeros((sk.shape[0] + 2, sk.shape[1] + 2), bool)
-    pad[1:-1, 1:-1] = sk
-    width = pad.shape[1]
+    h, w = sk.shape
+    # wide enough that an end offset, at most TRACE_STEPS rows and
+    # columns, has one (row, column) reading; np.zeros, not np.pad,
+    # whose calls leave reference cycles to the garbage collector
+    width = max(w + 2, 2 * TRACE_STEPS + 1)
+    pad = np.zeros((h + 2, width), bool)
+    pad[1:-1, 1:w + 1] = sk
     pad = pad.ravel()
-    step = _OFF_Y * width + _OFF_X
-    x = np.asarray(x).astype(np.intp)
-    y = np.asarray(y).astype(np.intp)
-    centre = (y + 1) * width + x + 1
+    step = _OFF_Y * width + _OFF_X  # by state
+    nbr = step[:8]
+    centre = (np.asarray(y).astype(np.intp) + 1) * width + np.asarray(x).astype(np.intp) + 1
     ends = np.flatnonzero(~np.asarray(bif, bool))
     bifs = np.flatnonzero(bif)
     # one walker per ending, then one per foreground neighbour of each
-    # bifurcation, in neighbour order
-    owner, k = np.nonzero(pad[centre[bifs, None] + step])
+    # bifurcation, in neighbour order, already stepped onto it
+    owner, k = np.nonzero(pad[centre[bifs, None] + nbr])
     ne = len(ends)
-    cur = np.concatenate((centre[ends], centre[bifs[owner]] + step[k]))
-    prev = np.concatenate((np.full(ne, -1), centre[bifs[owner]]))
-    dx = np.concatenate((np.zeros(ne, np.intp), _OFF_X[k]))
-    dy = np.concatenate((np.zeros(ne, np.intp), _OFF_Y[k]))
-    live = np.arange(len(cur))
+    origin = np.concatenate((centre[ends], centre[bifs[owner]]))
+    state = np.concatenate((np.full(ne, _START), k))
+    cur = origin + step[state]
     for s in range(TRACE_STEPS):
         if s == TRACE_STEPS - 1:
-            live = live[live < ne]  # branch traces are one step shorter
-        nbr = cur[live, None] + step
-        fg = pad[nbr] & (nbr != prev[live, None])
-        one = np.count_nonzero(fg, axis=1) == 1
-        live = live[one]
-        go = fg[one].argmax(axis=1)
-        prev[live] = cur[live]
-        cur[live] += step[go]
-        dx[live] += _OFF_X[go]
-        dy[live] += _OFF_Y[go]
-    angle = _ANGLE[dy + TRACE_STEPS, dx + TRACE_STEPS]
+            state[ne:] = _STOPPED  # branch traces are one step shorter
+        state = _NEXT[pad[cur[:, None] + nbr].view(np.uint8) @ _BIT, state]
+        cur += step[state]
+    dy, dx = np.divmod(cur - origin + TRACE_STEPS * (width + 1), width)
+    angle = _ANGLE[dy, dx]
     theta = np.zeros(len(centre))
     theta[ends] = angle[:ne]
-    branch = np.full((len(bifs), len(step)), np.nan)
-    away = (dx[ne:] != 0) | (dy[ne:] != 0)
-    branch[owner[away], k[away]] = angle[ne:][away]
-    ok = np.count_nonzero(~np.isnan(branch), axis=1) >= 2
+    away = cur[ne:] != origin[ne:]
+    owner, k = owner[away], k[away]
+    branch = np.full((len(bifs), 8), np.nan)
+    branch[owner, k] = angle[ne:][away]
+    ok = np.bincount(owner, minlength=len(bifs)) >= 2
     theta[bifs[ok]] = bifurcation_direction(branch[ok])
     return theta
 
@@ -195,87 +225,111 @@ def merge_close(x, y, bif, rm):
     therefore keeps all pairwise distances above rm. Output is sorted by
     (y, x).
 
-    Pairs are found by fixed-radius near-neighbor search: points are
-    bucketed into square cells, and only pairs in the same or adjacent
-    cells are tested, then joined by union-find. Cells are rm plus a pad
-    of `kernels.BOUND_EPS` times max(1, rm, largest |coordinate|) wide,
-    so float rounding of a cell index can never put two points within
-    rm two cells apart, and no cell index exceeds about 1e6 in size.
-    Groups and their members keep the order of the dense search, so
-    every output bit is that of testing all n^2 pairs
-    (`tests/oracles.py` keeps that version); memory is
-    O(n + MERGE_CHUNK).
+    A round makes the same numpy calls however many groups it forms;
+    only the union-find passes and the MERGE_CHUNK batches vary with the
+    input. Pairs are found by fixed-radius near-neighbor search
+    (`_merge_roots`) and joined by union-find. A group's centroid
+    is its members' sum in index order from 0.0, divided by its size,
+    which is what `mean` computes; numpy's segmented sum (`reduceat`)
+    adds a segment's first member to the rest summed apart, pairwise
+    when long, and differs in the last bit. A single point keeps its
+    position. So every output bit is that of testing
+    all n^2 pairs and averaging group by group (`tests/oracles.py` keeps
+    that version); memory is O(n + MERGE_CHUNK).
     """
     if not rm >= 0:
         raise InvalidInputError(f"rm must be nonnegative, got {rm}")
-    pos = np.column_stack((x, y)).astype(float)
+    x = np.array(x, dtype=float)
+    y = np.array(y, dtype=float)
     bif = np.asarray(bif, bool)
-    rep = np.arange(len(pos))
-    r2 = rm * rm
+    rep = np.arange(len(x))
+    moved = None  # every point is new to the first round
     with np.errstate(over="ignore"):
-        while len(pos) > 1:
-            root = _merge_roots(pos, rm, r2)
-            if np.array_equal(root, np.arange(len(pos))):
-                break
+        while len(x) > 1:
+            root = _merge_roots(x, y, rm, moved)
             # members grouped by root, the group's smallest index, and
             # ascending inside each group, so each group starts at its root
-            order = np.argsort(root, kind="stable")
-            starts = np.flatnonzero(root[order] == order)
-            sizes = np.diff(np.r_[starts, len(pos)])
-            centroid = pos[order[starts]]
-            # one mean per group: a segmented sum differs in the last bit
-            for g in np.flatnonzero(sizes > 1).tolist():
-                centroid[g] = pos[order[starts[g]:starts[g] + sizes[g]]].mean(axis=0)
-            if not np.isfinite(centroid).all():
+            order = root.argsort(kind="stable")
+            first = root[order] == order
+            starts = first.nonzero()[0]
+            if len(starts) == len(x):
+                break
+            group = first.cumsum() - 1
+            sizes = np.bincount(group)
+            moved = sizes > 1
+            px, py = x[order], y[order]
+            cx = np.where(moved, np.bincount(group, px) / sizes, px[starts])
+            cy = np.where(moved, np.bincount(group, py) / sizes, py[starts])
+            if not (np.isfinite(cx).all() and np.isfinite(cy).all()):
                 raise InvalidInputError("merged minutia coordinates overflow")
-            group = np.repeat(np.arange(len(starts)), sizes)
-            d2 = ((pos[order] - centroid[group]) ** 2).sum(axis=1)
-            nearest = np.lexsort((pos[order, 0], pos[order, 1], d2, group))[starts]
+            d2 = (px - cx[group]) ** 2 + (py - cy[group]) ** 2
+            nearest = np.lexsort((px, py, d2, group))[starts]
             rep = rep[order[nearest]]
             bif = np.logical_or.reduceat(bif[order], starts)
-            pos = centroid
-    out = np.lexsort((pos[:, 0], pos[:, 1]))
-    return pos[out, 0], pos[out, 1], bif[out], rep[out]
+            x, y = cx, cy
+    out = np.lexsort((x, y))
+    return x[out], y[out], bif[out], rep[out]
 
 
-def _merge_roots(pos, rm, r2):
-    """Smallest member index of each point's group under d2 <= r2."""
-    n = len(pos)
+def _merge_roots(x, y, rm, moved):
+    """Smallest member index of each point's group under d2 <= rm * rm.
+
+    Points go into square cells rm plus a pad of `kernels.BOUND_EPS`
+    times max(1, rm, largest |coordinate|) wide, so float rounding of a
+    cell index can never put two points within rm two cells apart, and
+    no cell index exceeds about 1e6 in size. Sorted by cell key, the
+    cells of one column and three adjacent rows are one run of keys, so
+    every pair to test is found by two batched `searchsorted` calls.
+    With `moved` None, each pair of points in the same or adjacent cells
+    is tested once.
+    Otherwise `moved` marks the points that a merge just placed: the
+    others were farther than rm apart already, so only pairs with a
+    moved point are tested, from the moved point's side.
+    """
+    n = len(x)
+    r2 = rm * rm
     root = np.arange(n)
-    span = pos.max(axis=0) - pos.min(axis=0)
-    if span[0] * span[0] + span[1] * span[1] <= r2:
+    x0, x1, y0, y1 = float(x.min()), float(x.max()), float(y.min()), float(y.max())
+    if (x1 - x0) * (x1 - x0) + (y1 - y0) * (y1 - y0) <= r2:
         # one group, as no pair is farther apart than the box's diagonal;
         # the cells below would hold every point in one and test n^2/2 pairs
         return np.zeros(n, np.int64)
-    width = rm + kernels.BOUND_EPS * max(1.0, rm, float(np.abs(pos).max()))
-    cell = np.floor(pos / width).astype(np.int64)
-    cell -= cell.min(axis=0)
-    # one spare row per column, so a key plus or minus 1 never aliases
-    # the next column
-    rows = int(cell[:, 1].max()) + 2
-    key = cell[:, 0] * rows + cell[:, 1]
-    order = np.argsort(key, kind="stable")
+    width = rm + kernels.BOUND_EPS * max(1.0, rm, -x0, x1, -y0, y1)
+    # rows counted from the lowest, as floor is monotone; one spare row
+    # per column, so a key plus or minus 1 never aliases the next column
+    row0 = math.floor(y0 / width)
+    rows = math.floor(y1 / width) - row0 + 2
+    key = np.floor(x / width).astype(np.int64) * rows + (np.floor(y / width).astype(np.int64) - row0)
+    order = key.argsort(kind="stable")
     key = key[order]
-    # each unordered pair once: later points of the own cell, and the
-    # cells above-right, right, below-right and below
-    begin = [np.arange(1, n + 1)]
-    end = [np.searchsorted(key, key, "right")]
-    for off in (rows - 1, rows, rows + 1, 1):
-        begin.append(np.searchsorted(key, key + off, "left"))
-        end.append(np.searchsorted(key, key + off, "right"))
-    src = np.tile(np.arange(n), len(begin))
-    begin, end = np.concatenate(begin), np.concatenate(end)
-    count = np.maximum(end - begin, 0)
-    total = np.cumsum(count)
+    if moved is None:
+        # the own cell's later points and the cell below, then the three
+        # cells of the next column
+        src = np.arange(n)
+        lo, hi = (0, rows - 1), (1, rows + 1)
+    else:
+        # all nine cells, as three runs
+        src = moved[order].nonzero()[0]
+        lo, hi = (-rows - 1, -1, rows - 1), (1 - rows, 1, rows + 1)
+    q = key[src, None]
+    begin = key.searchsorted(q + lo)
+    end = key.searchsorted(q + hi, "right").ravel()
+    if moved is None:
+        begin[:, 0] = src + 1
+    begin = begin.ravel()
+    src = order[src].repeat(len(lo))
+    count = end - begin
+    total = count.cumsum()
     done = 0
     while done < len(src):
-        stop = max(done + 1, int(np.searchsorted(total, total[done] - count[done] + MERGE_CHUNK, "right")))
+        # the next segments, up to MERGE_CHUNK pairs, or one longer segment
+        stop = max(done + 1, int(total.searchsorted(total[done] - count[done] + MERGE_CHUNK, "right")))
         c = count[done:stop]
-        step = np.arange(int(c.sum())) - np.repeat(np.cumsum(c) - c, c)
-        i = order[np.repeat(src[done:stop], c)]
-        j = order[np.repeat(begin[done:stop], c) + step]
-        dx = pos[i, 0] - pos[j, 0]
-        dy = pos[i, 1] - pos[j, 1]
+        step = c.cumsum()
+        i = src[done:stop].repeat(c)
+        j = order[np.arange(step[-1]) + (begin[done:stop] - step + c).repeat(c)]
+        dx = x[i] - x[j]
+        dy = y[i] - y[j]
         close = dx * dx + dy * dy <= r2
         _union(root, i[close], j[close])
         done = stop
@@ -287,14 +341,16 @@ def _union(root, i, j):
 
     `root` maps each point straight to its root on entry and on exit.
     """
-    while len(i):
+    while True:
         ri, rj = root[i], root[j]
         apart = ri != rj
+        if not apart.any():
+            return
         i, j, ri, rj = i[apart], j[apart], ri[apart], rj[apart]
         np.minimum.at(root, np.maximum(ri, rj), np.minimum(ri, rj))
         while True:
             nxt = root[root]
-            if np.array_equal(nxt, root):
+            if (nxt == root).all():
                 break
             root[:] = nxt
 

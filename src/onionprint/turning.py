@@ -22,6 +22,11 @@ import numpy as np
 from . import kernels
 from .errors import InvalidInputError
 
+# math.atan2 element by element: numpy's arctan2 picks its SIMD kernel by
+# CPU, and the AVX-512 one rounds some results differently, so report
+# scores would depend on the machine
+_atan2 = np.frompyfunc(math.atan2, 2, 1)
+
 
 def _encode(rings):
     """Turning functions of counterclockwise convex rings, as tables.
@@ -71,8 +76,8 @@ def _encode(rings):
         # vertex after the first
         px, py, qx, qy = ex[:, :-1], ey[:, :-1], ex[:, 1:], ey[:, 1:]
         angles = np.zeros_like(lengths)
-        np.cumsum(np.arctan2(px * qy - py * qx, px * qx + py * qy), axis=1, out=angles[:, 1:])
-        # math.atan2, not numpy's, which rounds differently on some inputs
+        turns = _atan2(px * qy - py * qx, px * qx + py * qy).astype(float)
+        np.cumsum(turns, axis=1, out=angles[:, 1:])
         first = [math.atan2(dy, dx) for dx, dy in zip(ex[:, 0].tolist(), ey[:, 0].tolist())]
         angles += np.array(first)[:, None]
     if not (np.isfinite(perimeter).all() and np.isfinite(angles).all()):

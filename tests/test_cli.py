@@ -280,6 +280,32 @@ def test_evaluate_threads_do_not_change_output(tmp_path, capsys):
         assert (serial / name).read_bytes() == (pooled / name).read_bytes()
 
 
+def test_evaluate_bytes_do_not_depend_on_simd_dispatch(tmp_path):
+    # numpy picks a SIMD kernel for each function by CPU when it starts;
+    # with every target above the build's baseline switched off, the
+    # reports must not change. np.arctan2's AVX-512 kernel alone would
+    # change the last digits of 10 of these 66 rows of scores.csv
+    features = np._core._multiarray_umath
+    above = [t for t in features.__cpu_dispatch__ if features.__cpu_features__.get(t)]
+    what = (f"with {' '.join(above)} disabled" if above else
+            "this host has no dispatch target above numpy's baseline, so both runs used the same kernels")
+    print(what)
+    root = _corpus_dir(tmp_path, seed=1, fingers=4, impressions=3)
+    runs = []
+    for name, off in (("default", None), ("baseline", " ".join(above))):
+        env = _env_with_src()
+        env.pop("NPY_DISABLE_CPU_FEATURES", None)
+        if off:
+            env["NPY_DISABLE_CPU_FEATURES"] = off
+        done = subprocess.run([sys.executable, "-m", "onionprint.cli", "evaluate", str(root), "--mode", "all-pairs",
+                               "--sim", "0.05", "--out", str(tmp_path / name)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        runs.append([done.stdout] + [(tmp_path / name / f).read_text() for f in ("scores.csv", "curves.csv", "summary.txt")])
+    assert len(runs[0][1].splitlines()) == 67
+    assert runs[0] == runs[1], f"reports differ {what}"
+
+
 def test_evaluate_exclude_gated_names_the_class_it_emptied(tmp_path, capsys):
     # every impostor pair of this corpus is gated, and no genuine pair is
     root = _corpus_dir(tmp_path, fingers=3, impressions=2)

@@ -1,12 +1,14 @@
 import math
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from onionprint import kernels
 from onionprint.config import MatchConfig
-from onionprint.errors import InvalidInputError, PreconditionError
+from onionprint.errors import InvalidInputError
 from onionprint.imgproc import (
     _thin,
     bifurcation_direction,
@@ -20,7 +22,8 @@ from onionprint.imgproc import (
     remove_border_minutiae,
 )
 from onionprint.kernels import crossing_minutiae, pack_rows, unpack_rows, zhang_suen_pass
-from onionprint.minutiae import Minutia, MinutiaKind
+from onionprint.minutiae import Minutia, MinutiaKind, format_minutiae
+from onionprint.pgm import read_pgm
 from onionprint.synth import render_impression
 from oracles import (
     bifurcation_direction_scalar,
@@ -515,8 +518,13 @@ def test_bifurcation_direction_examples():
     assert bifurcation_direction(rows).tolist() == [270.0, 20.0, 135.0, 0.0]
     # NaN pads a row's missing branches
     assert bifurcation_direction([[math.nan, 100.0, math.nan, 60.0]]).tolist() == [80.0]
-    with pytest.raises(PreconditionError):
-        bifurcation_direction([[10.0, math.nan, math.nan]])
+    # padding past eight columns is allowed; one angle, a ninth angle
+    # and an angle outside [0, 360) are not
+    assert bifurcation_direction([[math.nan] * 8 + [100.0, 60.0]]).tolist() == [80.0]
+    for row in ([10.0, math.nan, math.nan], [float(a) for a in range(0, 360, 40)], [10.0, 360.0],
+                [-1.0, 10.0, math.nan]):
+        with pytest.raises(InvalidInputError):
+            bifurcation_direction([row])
 
 
 def test_bifurcation_direction_matches_scalar_rule():
@@ -877,6 +885,23 @@ def test_extract_matches_eager_oracle_on_noisy_diagonal_ridges():
         assert len(got) > 0
         assert got == extract_eager(img, cfg, source="img")
         assert [m.theta for m in got] == [m.theta for m in extract_eager(img, cfg)]
+
+
+def test_extract_bytes_match_the_committed_files():
+    # tests/data holds four rendered prints and the .min files an earlier
+    # version of `extract` wrote for each at four (rm, border_margin)
+    # settings, named in the file name; tests/data/README.md says how
+    # they were made. rm 0 keeps every detection, so every raw
+    # orientation is pinned, and rm 16 takes two merge rounds on the
+    # 45-degree prints
+    data = Path(__file__).parent / "data"
+    files = sorted(data.glob("*.min"))
+    assert len(files) == 16
+    for path in files:
+        stem, setting = path.stem.split(".")
+        rm, margin = re.fullmatch(r"rm(\d+)_margin(\d+)", setting).groups()
+        got = extract(read_pgm(data / f"{stem}.pgm"), MatchConfig(rm=float(rm), border_margin=float(margin)))
+        assert format_minutiae(got) == path.read_text(), path.name
 
 
 def _spiral_grid(rng, width, height, cell=50.0, margin=20.0):
