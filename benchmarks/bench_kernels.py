@@ -207,7 +207,8 @@ def main():
 
     def merged_rows():
         out = imgproc.merge_close(*kept, 5.0)
-        return [(x, y, b, minutiae[r].theta) for x, y, b, r in zip(*(v.tolist() for v in out))]
+        rows = [(x, y, b, minutiae[r].theta) for x, y, b, r in zip(*(v.tolist() for v in out))]
+        return sorted(rows, key=lambda row: (row[1], row[0]))  # as merge_close_dense sorts
 
     def dense_rows():
         return [(m.x, m.y, m.kind is MinutiaKind.BIFURCATION, m.theta) for m in merge_close_dense(minutiae, 5.0)]

@@ -6,6 +6,10 @@ images or pre-extracted minutiae files; the two are told apart by
 content. All pair orderings and reductions are deterministic, so a run
 produces byte-identical outputs at any worker count.
 
+`evaluate` is the `sweep` of one configuration. A sweep reads each print
+once and runs an image through detection once and cleanup once per
+distinct (rm, border_margin), in the process that read it.
+
 With `threads` above 1, image loading and pair scoring run in worker
 processes made by fork, so they inherit the loaded sets and the scoring
 closures instead of receiving them pickled. The items are cut into
@@ -28,7 +32,7 @@ import numpy as np
 
 from .config import MatchConfig
 from .errors import InvalidInputError, InvariantError
-from .imgproc import clean_minutiae, raw_minutiae
+from .imgproc import CLEANUP_FIELDS, clean_minutiae, raw_minutiae
 from .minutiae import MinutiaSet, parse_minutiae
 from .pgm import looks_like_pgm, parse_pgm
 from .scoring import CSV_HEADER, ScoreBreakdown, breakdown_to_csv_row, match_pair
@@ -185,11 +189,11 @@ def load_dataset(path) -> Dataset:
     raise InvalidInputError(f"dataset path {p} is neither a directory nor a manifest")
 
 
-def _read_print(path, source=None):
-    """Read one print as far as no config is needed.
+def _load(path, cfgs, source=None):
+    """One print's MinutiaSet under each of cfgs, reading the file once.
 
-    A minutiae file is final, so it gives its MinutiaSet; a PGM image
-    gives its detections, skeleton and source, for `_finish`.
+    A minutiae file is final, so every config gets the set it holds; a
+    PGM image goes through detection once and cleanup once per config.
     """
     try:
         data = Path(path).read_bytes()
@@ -197,25 +201,18 @@ def _read_print(path, source=None):
         raise InvalidInputError(f"cannot read {path}: {exc}") from None
     name = str(path)
     if looks_like_pgm(data):
-        return (*raw_minutiae(parse_pgm(data, name)), source or name)
+        detected, sk = raw_minutiae(parse_pgm(data, name))
+        return [clean_minutiae(detected, sk, cfg, source or name) for cfg in cfgs]
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError:
         raise InvalidInputError(f"{name}: neither a PGM image nor a minutiae file") from None
-    return replace(parse_minutiae(text, name), source=source or name)
-
-
-def _finish(read, cfg):
-    """The MinutiaSet of a print that `_read_print` gave, under cfg."""
-    if isinstance(read, MinutiaSet):
-        return read
-    detected, sk, source = read
-    return clean_minutiae(detected, sk, cfg, source)
+    return [replace(parse_minutiae(text, name), source=source or name)] * len(cfgs)
 
 
 def load_fingerprint(path, cfg=None, source=None) -> MinutiaSet:
     """Read one print: a PGM is run through extraction, a minutiae file as-is."""
-    return _finish(_read_print(path, source), cfg)
+    return _load(path, [cfg], source)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -367,19 +364,9 @@ def _load_cost(entry):
     return float(entry.path.lower().endswith(".pgm"))
 
 
-def score_pairs(pairs, cfg=None, threads=1, sets=None) -> ScoreTable:
-    """Score labeled entry pairs; each entry is loaded and extracted once.
-
-    `sets` maps entry path to a pre-extracted MinutiaSet and overrides
-    loading, which the sweep uses to share work across configurations.
-    """
+def score_pairs(pairs, cfg=None, threads=1, *, sets) -> ScoreTable:
+    """Score labeled entry pairs; `sets` maps each entry path to its MinutiaSet."""
     cfg = cfg if cfg is not None else MatchConfig()
-    if sets is None:
-        unique = _unique_entries(pairs)
-        loaded = _ordered_map(
-            lambda e: load_fingerprint(e.path, cfg, source=e.label), unique, threads, _load_cost
-        )
-        sets = {e.path: ms for e, ms in zip(unique, loaded)}
 
     def one(pair):
         a, b, label = pair
@@ -449,14 +436,13 @@ def rates_and_metrics(table: ScoreTable) -> EvalReport:
 
 
 def evaluate(ds: Dataset, cfg=None, mode=MODE_FVC, threads=1, exclude_gated=False):
-    """Full protocol run: (ScoreTable, EvalReport).
+    """Full protocol run: (ScoreTable, EvalReport), a sweep of one configuration.
 
     With exclude_gated the gated pairs still appear in the table (and in
     scores.csv) but are dropped from every rate computation.
     """
-    pairs = pair_protocol(ds, mode)
-    table = score_pairs(pairs, cfg, threads)
-    return table, rates_and_metrics(table.without_gated() if exclude_gated else table)
+    [(_, table, report)] = sweep(ds, [{}], cfg, mode, threads, exclude_gated)
+    return table, report
 
 
 # ---------------------------------------------------------------------------
@@ -511,10 +497,9 @@ def sweep(ds: Dataset, grid, base_cfg=None, mode=MODE_FVC, threads=1,
           exclude_gated=False, out_dir=None):
     """One evaluation per parameter override set; results in grid order.
 
-    The image-to-detection stage is shared across configurations; only
-    cleanup (border margin, merging) and matching rerun. With out_dir,
-    writes `curves_NNN.csv` per configuration plus a `grid.csv` mapping
-    file.
+    Images are cleaned once per distinct value of `imgproc.CLEANUP_FIELDS`
+    and matched once per configuration. With out_dir, writes
+    `curves_NNN.csv` per configuration plus a `grid.csv` mapping file.
     """
     base_cfg = base_cfg if base_cfg is not None else MatchConfig()
     grid = [dict(g) for g in grid]
@@ -528,15 +513,17 @@ def sweep(ds: Dataset, grid, base_cfg=None, mode=MODE_FVC, threads=1,
 
     pairs = pair_protocol(ds, mode)
     unique = _unique_entries(pairs)
-
-    read = dict(zip((e.path for e in unique), _ordered_map(
-        lambda e: _read_print(e.path, e.label), unique, threads, _load_cost)))
+    keys = [tuple(getattr(cfg, name) for name in CLEANUP_FIELDS) for cfg in cfgs]
+    cleanups = dict(zip(keys, cfgs))  # one config per distinct cleanup
+    loaded = _ordered_map(lambda e: _load(e.path, list(cleanups.values()), e.label),
+                          unique, threads, _load_cost)
+    sets_of = {key: {e.path: ms for e, ms in zip(unique, column)}
+               for key, column in zip(cleanups, zip(*loaded))}
 
     results = []
     grid_lines = ["index," + ",".join(SWEEP_KEYS) + ",eer,best_f_threshold"]
-    for idx, (overrides, cfg) in enumerate(zip(grid, cfgs)):
-        sets = {path: _finish(r, cfg) for path, r in read.items()}
-        table = score_pairs(pairs, cfg, threads, sets=sets)
+    for idx, (overrides, cfg, key) in enumerate(zip(grid, cfgs, keys)):
+        table = score_pairs(pairs, cfg, threads, sets=sets_of[key])
         report = rates_and_metrics(table.without_gated() if exclude_gated else table)
         results.append((overrides, table, report))
         vals = ",".join(repr(float(getattr(cfg, k))) for k in SWEEP_KEYS)

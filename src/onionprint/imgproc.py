@@ -222,8 +222,9 @@ def merge_close(x, y, bif, rm):
     the member nearest the centroid (ties to lowest (y, x)), whose
     orientation the merged minutia takes. Merged centroids can re-enter
     each other's radius, so the pass repeats until stable; the result
-    therefore keeps all pairwise distances above rm. Output is sorted by
-    (y, x).
+    therefore keeps all pairwise distances above rm. Groups come out in
+    the order of their lowest member index; `MinutiaSet.from_arrays`
+    sorts them.
 
     A round makes the same numpy calls however many groups it forms;
     only the union-find passes and the MERGE_CHUNK batches vary with the
@@ -267,8 +268,7 @@ def merge_close(x, y, bif, rm):
             rep = rep[order[nearest]]
             bif = np.logical_or.reduceat(bif[order], starts)
             x, y = cx, cy
-    out = np.lexsort((x, y))
-    return x[out], y[out], bif[out], rep[out]
+    return x, y, bif, rep
 
 
 def _merge_roots(x, y, rm, moved):
@@ -378,6 +378,10 @@ def raw_minutiae(img):
     _thin(packed)
     y, x, bif = kernels.crossing_minutiae(packed)
     return (x, y, bif), kernels.unpack_rows(packed, np.shape(img)[1])
+
+
+# the MatchConfig fields that clean_minutiae reads
+CLEANUP_FIELDS = ("rm", "border_margin")
 
 
 def clean_minutiae(detected, sk, cfg=None, source=None) -> MinutiaSet:

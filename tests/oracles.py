@@ -51,13 +51,16 @@ def hull_vertex_indices(pts, strict_only=False):
     if n <= 2:
         return list(range(n))
     tri = np.array(list(itertools.combinations(range(n), 3)))
+    corners = pts[tri.T]  # (3, triangles, 2)
     out = []
     for idx in range(n):
-        rows = tri[(tri != idx).all(axis=1)]
+        # a triangle with the point as a vertex gives a zero cross product
+        # there, so it never holds the point strictly and needs no filter
+        rows = slice(None) if strict_only else (tri != idx).all(axis=1)
         q = pts[idx]
         contained = False
-        if len(rows) > 0:
-            a, b, c = pts[rows[:, 0]], pts[rows[:, 1]], pts[rows[:, 2]]
+        if strict_only or rows.any():
+            a, b, c = corners[:, rows]
             s1 = cross2(b[:, 0] - a[:, 0], b[:, 1] - a[:, 1], q[0] - a[:, 0], q[1] - a[:, 1])
             s2 = cross2(c[:, 0] - b[:, 0], c[:, 1] - b[:, 1], q[0] - b[:, 0], q[1] - b[:, 1])
             s3 = cross2(a[:, 0] - c[:, 0], a[:, 1] - c[:, 1], q[0] - c[:, 0], q[1] - c[:, 1])

@@ -22,8 +22,7 @@ from onionprint.minutiae import MinutiaSet, write_minutiae
 from onionprint.scoring import final_score, match_pair, minutiae_score
 from onionprint.synth import synthetic_corpus
 from onionprint.turning import ring_distances
-from oracles import (Transform, apply_transform, dedup_points, grid_min_distance,
-                     hull_vertex_indices, peel_layers_oracle,
+from oracles import (Transform, apply_transform, grid_min_distance, peel_layers_oracle,
                      random_convex_polygon, ring_set)
 
 
@@ -63,10 +62,10 @@ def test_criterion_1_geometry_matches_bruteforce():
     mismatches = 0
     for pts, lay in zip(cases, results):
         hull = lay[0]
-        distinct = dedup_points(pts)
-        want_hull = ring_set(distinct[hull_vertex_indices(distinct, strict_only=True)])
+        # the oracle peels the deduplicated points, so its first layer is
+        # their hull
         want_layers = peel_layers_oracle(pts, strict_only=True)
-        hull_ok = ring_set(hull) == want_hull
+        hull_ok = ring_set(hull) == want_layers[0]
         layers_ok = len(lay) == len(want_layers) and all(
             ring_set(ring) == want for ring, want in zip(lay, want_layers))
         if not (hull_ok and layers_ok):

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -426,8 +427,8 @@ def _image_dataset_dir(tmp_path, seed=81, fingers=2, impressions=2, side=112):
 
 
 def test_sweep_over_images_equals_direct_runs(tmp_path):
-    # the cache keeps detections and skeleton per image and reruns only
-    # the cleanup, orientation tracing included, for each merge radius
+    # the sweep detects on each image once and reruns only the cleanup,
+    # orientation tracing included, for each merge radius
     ds = load_dataset(_image_dataset_dir(tmp_path))
     cfg = MatchConfig(border_margin=8.0)
     grid = [{"rm": rm} for rm in (2.0, 8.0, 24.0)]  # planted minutiae here are 7 to 52 px apart
@@ -586,6 +587,33 @@ def test_only_images_are_loaded_in_worker_processes(tmp_path, monkeypatch, many_
     assert seen == forked
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_sweep_detects_once_per_image_and_cleans_once_per_cleanup(tmp_path, monkeypatch, many_cpus,
+                                                                   threads):
+    # four images, rm 0 and 16, sim 0 and 0.15: detection runs once per
+    # image and cleanup once per image and rm, where the image was read
+    log = tmp_path / "calls.log"
+
+    def logged(fn):
+        def call(*args, **kwargs):
+            with open(log, "a") as fh:  # the children's calls are seen too
+                fh.write(f"{fn.__name__} {os.getpid()}\n")
+            return fn(*args, **kwargs)
+        return call
+
+    for name in ("raw_minutiae", "clean_minutiae"):
+        monkeypatch.setattr(evaluation, name, logged(getattr(evaluation, name)))
+    ds = load_dataset(Path(__file__).parent / "data" / "ridges.csv")
+    grid = [{"rm": rm, "sim": sim} for rm in (0.0, 16.0) for sim in (0.0, 0.15)]
+    sweep(ds, grid, MatchConfig(border_margin=0.0), mode="all_pairs", threads=threads)
+    calls = [tuple(line.split()) for line in log.read_text().splitlines()]
+    assert Counter(name for name, _ in calls) == {"raw_minutiae": 4, "clean_minutiae": 8}
+    by_process = Counter(calls)
+    pids = {pid for _, pid in calls}
+    assert len(pids) == threads
+    assert all(by_process["clean_minutiae", pid] == 2 * by_process["raw_minutiae", pid] for pid in pids)
+
+
 def _report_bytes(out):
     return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
@@ -599,7 +627,7 @@ def test_outputs_byte_identical_at_every_worker_count(tmp_path, many_cpus, kind)
     else:
         ds = load_dataset(_image_dataset_dir(tmp_path, fingers=2, impressions=2))
         cfg = MatchConfig(border_margin=8.0)
-        grid = [{"rm": 2.0}, {"rm": 6.0}]  # rm reruns clean-up on staged detections
+        grid = [{"rm": 2.0}, {"rm": 6.0}]  # rm reruns clean-up on shared detections
     n_pairs = len(pair_protocol(ds, "all_pairs"))
     outputs = {}
     for threads in (1, 2, 3, n_pairs + 1):

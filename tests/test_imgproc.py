@@ -10,6 +10,7 @@ from onionprint import kernels
 from onionprint.config import MatchConfig
 from onionprint.errors import InvalidInputError
 from onionprint.imgproc import (
+    CLEANUP_FIELDS,
     _thin,
     bifurcation_direction,
     binarize,
@@ -67,9 +68,11 @@ def _rows(d):
 
 
 def _merge(ms, rm):
-    """merge_close over minutiae: (x, y, kind, orientation of the representative) rows."""
+    """merge_close over minutiae: (x, y, kind, orientation of the representative)
+    rows, sorted as `merge_close_dense` sorts them."""
     *out, rep = merge_close(*_detections(ms), rm)
-    return [(x, y, kind, ms[r].theta) for (x, y, kind), r in zip(_rows(out), rep.tolist())]
+    rows = [(x, y, kind, ms[r].theta) for (x, y, kind), r in zip(_rows(out), rep.tolist())]
+    return sorted(rows, key=lambda row: (row[1], row[0], row[2].value))
 
 
 def _thetas(sk, d):
@@ -885,6 +888,21 @@ def test_extract_matches_eager_oracle_on_noisy_diagonal_ridges():
         assert len(got) > 0
         assert got == extract_eager(img, cfg, source="img")
         assert [m.theta for m in got] == [m.theta for m in extract_eager(img, cfg)]
+
+
+def test_cleanup_fields_name_the_config_fields_clean_minutiae_reads():
+    # sweeps clean an image once per distinct value of these fields
+    read = set()
+
+    class Recording(MatchConfig):
+        def __getattribute__(self, name):
+            read.add(name)
+            return super().__getattribute__(name)
+
+    cfg = Recording()
+    read.clear()  # construction validates every field
+    clean_minutiae(*raw_minutiae(read_pgm(Path(__file__).parent / "data" / "ridges_00deg_noise05.pgm")), cfg)
+    assert read & set(MatchConfig.__dataclass_fields__) == set(CLEANUP_FIELDS)
 
 
 def test_extract_bytes_match_the_committed_files():
