@@ -8,7 +8,9 @@ produces byte-identical outputs at any worker count.
 
 `evaluate` is the `sweep` of one configuration. A sweep reads each print
 once and runs an image through detection once and cleanup once per
-distinct (rm, border_margin), in the process that read it.
+distinct (rm, border_margin), in the process that read it. Configurations
+that differ only in their gates, sim and diff, share each pair's
+alignment, peeling and ring comparison.
 
 With `threads` above 1, image loading and pair scoring run in worker
 processes made by fork, so they inherit the loaded sets and the scoring
@@ -35,7 +37,7 @@ from .errors import InvalidInputError, InvariantError
 from .imgproc import CLEANUP_FIELDS, clean_minutiae, raw_minutiae
 from .minutiae import MinutiaSet, parse_minutiae
 from .pgm import looks_like_pgm, parse_pgm
-from .scoring import CSV_HEADER, ScoreBreakdown, breakdown_to_csv_row, match_pair
+from .scoring import CSV_HEADER, ScoreBreakdown, breakdown_to_csv_row, match_under
 
 GENUINE = "genuine"
 IMPOSTOR = "impostor"
@@ -364,14 +366,13 @@ def _load_cost(entry):
     return float(entry.path.lower().endswith(".pgm"))
 
 
-def score_pairs(pairs, cfg=None, threads=1, *, sets) -> ScoreTable:
-    """Score labeled entry pairs; `sets` maps each entry path to its MinutiaSet."""
-    cfg = cfg if cfg is not None else MatchConfig()
+def score_pairs(pairs, cfgs, threads=1, *, sets) -> list:
+    """One ScoreTable per config of cfgs (same r0, theta0); `sets` maps paths to MinutiaSets."""
 
     def one(pair):
         a, b, label = pair
-        bd = match_pair(sets[a.path], sets[b.path], cfg, ida=a.label, idb=b.label)
-        return ScoreRow(label, bd)
+        bds = match_under(sets[a.path], sets[b.path], cfgs, ida=a.label, idb=b.label)
+        return [ScoreRow(label, bd) for bd in bds]
 
     def cost(pair):
         # alignment, most of a pair's time, bounds all m * n hypotheses. On
@@ -381,7 +382,7 @@ def score_pairs(pairs, cfg=None, threads=1, *, sets) -> ScoreTable:
         # m * n * (m + n)
         return len(sets[pair[0].path]) * len(sets[pair[1].path])
 
-    return ScoreTable(tuple(_ordered_map(one, pairs, threads, cost)))
+    return [ScoreTable(rows) for rows in zip(*_ordered_map(one, pairs, threads, cost))]
 
 
 # ---------------------------------------------------------------------------
@@ -464,8 +465,12 @@ def curves_csv_lines(report: EvalReport):
 
 
 def summary_lines(table: ScoreTable, report: EvalReport):
-    genuine = int(table.genuine_mask().sum())
-    yield f"pairs = {len(table)} (genuine {genuine}, impostor {len(table) - genuine})"
+    genuine, impostor = report.tp[0] + report.fn[0], report.fp[0] + report.tn[0]
+    yield f"pairs = {genuine + impostor} (genuine {genuine}, impostor {impostor})"
+    if len(table) > genuine + impostor:  # gated pairs left out of the rates
+        left_gen = int(table.genuine_mask().sum()) - genuine
+        left_imp = len(table) - genuine - impostor - left_gen
+        yield f"excluded_gated = {left_gen + left_imp} (genuine {left_gen}, impostor {left_imp})"
     yield f"eer = {report.eer!r}"
     yield f"eer_threshold = {report.eer_threshold!r}"
     yield f"eer_grid_threshold = {report.eer_grid_threshold!r}"
@@ -497,9 +502,9 @@ def sweep(ds: Dataset, grid, base_cfg=None, mode=MODE_FVC, threads=1,
           exclude_gated=False, out_dir=None):
     """One evaluation per parameter override set; results in grid order.
 
-    Images are cleaned once per distinct value of `imgproc.CLEANUP_FIELDS`
-    and matched once per configuration. With out_dir, writes
-    `curves_NNN.csv` per configuration plus a `grid.csv` mapping file.
+    Images are cleaned once per distinct value of `imgproc.CLEANUP_FIELDS`, and
+    configurations that differ only in sim and diff are scored in one pass. Once
+    all are rated, out_dir gets `curves_NNN.csv` per configuration and a `grid.csv`.
     """
     base_cfg = base_cfg if base_cfg is not None else MatchConfig()
     grid = [dict(g) for g in grid]
@@ -519,19 +524,23 @@ def sweep(ds: Dataset, grid, base_cfg=None, mode=MODE_FVC, threads=1,
                           unique, threads, _load_cost)
     sets_of = {key: {e.path: ms for e, ms in zip(unique, column)}
                for key, column in zip(cleanups, zip(*loaded))}
+    groups = {}  # the configs that differ only in their gates
+    for cfg, key in zip(cfgs, keys):
+        groups.setdefault((key, cfg.r0, cfg.theta0), []).append(cfg)
+    tables = {cfg: table for (key, _, _), group in groups.items()
+              for cfg, table in zip(group, score_pairs(pairs, group, threads, sets=sets_of[key]))}
 
     results = []
     grid_lines = ["index," + ",".join(SWEEP_KEYS) + ",eer,best_f_threshold"]
-    for idx, (overrides, cfg, key) in enumerate(zip(grid, cfgs, keys)):
-        table = score_pairs(pairs, cfg, threads, sets=sets_of[key])
+    for idx, (overrides, cfg) in enumerate(zip(grid, cfgs)):
+        table = tables[cfg]
         report = rates_and_metrics(table.without_gated() if exclude_gated else table)
         results.append((overrides, table, report))
         vals = ",".join(repr(float(getattr(cfg, k))) for k in SWEEP_KEYS)
         grid_lines.append(f"{idx:03d},{vals},{report.eer!r},{report.best_f_threshold!r}")
-        if out_dir is not None:
-            Path(out_dir).mkdir(parents=True, exist_ok=True)
-            _write_lines(Path(out_dir) / f"curves_{idx:03d}.csv", curves_csv_lines(report))
-
     if out_dir is not None:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
+        for idx, (_, _, report) in enumerate(results):
+            _write_lines(Path(out_dir) / f"curves_{idx:03d}.csv", curves_csv_lines(report))
         _write_lines(Path(out_dir) / "grid.csv", grid_lines)
     return results

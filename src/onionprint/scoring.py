@@ -102,12 +102,17 @@ def final_score(minutiae_score, average):
 
 def match_pair(a: MinutiaSet, b: MinutiaSet, cfg=None, ida=None, idb=None) -> ScoreBreakdown:
     """Score two fingerprints given as extracted minutia sets."""
-    cfg = cfg if cfg is not None else MatchConfig()
+    return match_under(a, b, [cfg if cfg is not None else MatchConfig()], ida, idb)[0]
+
+
+def match_under(a: MinutiaSet, b: MinutiaSet, cfgs, ida=None, idb=None) -> list:
+    """The pair's ScoreBreakdown under each of cfgs, which share r0 and theta0: one
+    alignment and peeling, and one shape stage if some config's gates leave the pair open."""
     ida = ida if ida is not None else (a.source or "")
     idb = idb if idb is not None else (b.source or "")
 
     _, _, pairs_i, pairs_j, _ = kernels.best_alignment(
-        a.x, a.y, a.theta, b.x, b.y, b.theta, float(cfg.r0), float(cfg.theta0)
+        a.x, a.y, a.theta, b.x, b.y, b.theta, float(cfgs[0].r0), float(cfgs[0].theta0)
     )
     k, m, n = len(pairs_i), len(a), len(b)
     score = minutiae_score(k, m, n)
@@ -116,23 +121,19 @@ def match_pair(a: MinutiaSet, b: MinutiaSet, cfg=None, ida=None, idb=None) -> Sc
     layers_b = geometry.convex_layers(b.positions()[pairs_j])
     la, lb = len(layers_a), len(layers_b)
 
-    gate = ""
-    if score < cfg.sim:
-        gate = GATE_LOW_SIM
-    elif abs(la - lb) > cfg.diff:
-        gate = GATE_LAYER_DIFF
-    if gate:
-        return _checked(ScoreBreakdown(
-            ida, idb, k, m, n, score, la, lb, (), None, None, 0.0, gate
-        ), 0)
-
-    dists = tuple(layer_distances(layers_a, layers_b))
-    avg = average_distance(dists)
-    alpha, final = final_score(score, avg)
-    rings = min(len(_proper(layers_a)), len(_proper(layers_b)))
-    return _checked(ScoreBreakdown(
-        ida, idb, k, m, n, score, la, lb, dists, avg, alpha, final
-    ), rings)
+    gates = [GATE_LOW_SIM if score < cfg.sim else GATE_LAYER_DIFF if abs(la - lb) > cfg.diff
+             else "" for cfg in cfgs]
+    if "" in gates:  # some config leaves the pair open
+        dists = tuple(layer_distances(layers_a, layers_b))
+        avg = average_distance(dists)
+        alpha, final = final_score(score, avg)
+        rings = min(len(_proper(layers_a)), len(_proper(layers_b)))
+        scored = _checked(ScoreBreakdown(
+            ida, idb, k, m, n, score, la, lb, dists, avg, alpha, final
+        ), rings)
+    return [_checked(ScoreBreakdown(
+        ida, idb, k, m, n, score, la, lb, (), None, None, 0.0, gate
+    ), 0) if gate else scored for gate in gates]
 
 
 def _checked(bd: ScoreBreakdown, rings: int) -> ScoreBreakdown:

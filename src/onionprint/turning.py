@@ -78,8 +78,7 @@ def _encode(rings):
         angles = np.zeros_like(lengths)
         turns = _atan2(px * qy - py * qx, px * qx + py * qy).astype(float)
         np.cumsum(turns, axis=1, out=angles[:, 1:])
-        first = [math.atan2(dy, dx) for dx, dy in zip(ex[:, 0].tolist(), ey[:, 0].tolist())]
-        angles += np.array(first)[:, None]
+        angles += _atan2(ey[:, :1], ex[:, :1]).astype(float)  # the first edge's direction
     if not (np.isfinite(perimeter).all() and np.isfinite(angles).all()):
         raise InvalidInputError("polygon too large: its turning function overflows")
     return breaks, angles, counts, perimeter

@@ -144,7 +144,7 @@ def test_criterion_4_score_chain_arithmetic():
 def test_criterion_5_synthetic_separation(corpus):
     ds, sets = _in_memory_dataset(corpus)
     start = time.perf_counter()
-    table = score_pairs(pair_protocol(ds, MODE_FVC), MatchConfig(), threads=1, sets=sets)
+    [table] = score_pairs(pair_protocol(ds, MODE_FVC), [MatchConfig()], threads=1, sets=sets)
     report = rates_and_metrics(table)
     elapsed = time.perf_counter() - start
     finals = table.finals()

@@ -147,6 +147,26 @@ def test_match_ring_too_large_to_encode_exits_2(tmp_path):
     assert len(done.stderr.splitlines()) == 1
 
 
+def test_sweep_ring_too_large_exits_2_and_writes_no_curves(tmp_path):
+    # the genuine pair matches the three far-apart minutiae of each side,
+    # k 3 of 4: sim 0.8 gates it, and at sim 0.5 its ring overflows
+    far = [(-6e307, 0.0, 10.0), (6e307, 5.0, 20.0), (3.0, 4.0, 30.0)]
+    sets = {"1_1": far + [(100.0, 100.0, 40.0)], "1_2": far + [(200.0, 300.0, 200.0)],
+            "2_1": [(10.0, 10.0, 90.0), (50.0, 60.0, 180.0), (90.0, 20.0, 270.0)]}
+    root, out = tmp_path / "ds", tmp_path / "sweep"
+    root.mkdir()
+    for name, rows in sets.items():
+        write_minutiae(root / f"{name}.min",
+                       MinutiaSet.from_iterable(Minutia(*row, MinutiaKind.ENDING) for row in rows))
+    done = subprocess.run([sys.executable, "-m", "onionprint.cli", "sweep", str(root),
+                           "--sim", "0.8,0.5", "--out", str(out)],
+                          env=_env_with_src(), capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    assert done.stderr.startswith("error:") and "too large" in done.stderr
+    assert len(done.stderr.splitlines()) == 1
+    assert not list(out.glob("curves_*.csv"))  # nor for the grid point before the failing one
+
+
 def test_match_different_fingers_below_one(tmp_path, capsys):
     root = _corpus_dir(tmp_path)
     assert main(["match", str(root / "1_1.txt"), str(root / "2_1.txt")]) == 0

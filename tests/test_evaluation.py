@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from onionprint import evaluation
+from onionprint import evaluation, kernels, turning
 from onionprint.config import MatchConfig
 from onionprint.errors import InvalidInputError, InvariantError
 from onionprint.evaluation import (
@@ -33,6 +33,7 @@ from onionprint.evaluation import (
     rates_and_metrics,
     score_pairs,
     scores_csv_lines,
+    summary_lines,
     sweep,
     write_report_files,
 )
@@ -368,6 +369,26 @@ def test_evaluate_exclude_gated_changes_rates_not_rows(tmp_path):
     assert all(a <= b + 1e-12 for a, b in zip(rep_all.fmr, rep_excl.fmr))
 
 
+def test_exclude_gated_summary_counts_the_rated_pairs(tmp_path):
+    ds = load_dataset(_corpus_dir(tmp_path, seed=78))
+    table, report = evaluate(ds, mode="all_pairs", exclude_gated=True)
+    labels = Counter(r.label for r in table.rows)
+    gated = Counter(r.label for r in table.rows if r.breakdown.gated)
+    assert gated[IMPOSTOR] > 0
+    rated = labels - gated
+    lines = list(summary_lines(table, report))
+    assert lines[:2] == [
+        f"pairs = {rated.total()} (genuine {rated[GENUINE]}, impostor {rated[IMPOSTOR]})",
+        f"excluded_gated = {gated.total()} (genuine {gated[GENUINE]}, impostor {gated[IMPOSTOR]})",
+    ]
+    # without exclusion every pair is rated and no line names an exclusion
+    table, report = evaluate(ds, mode="all_pairs")
+    lines = list(summary_lines(table, report))
+    assert lines[0] == (f"pairs = {labels.total()} (genuine {labels[GENUINE]}, "
+                        f"impostor {labels[IMPOSTOR]})")
+    assert lines[1].startswith("eer = ")
+
+
 def test_synthetic_corpus_separates(tmp_path):
     ds = load_dataset(_corpus_dir(tmp_path, seed=79, fingers=4, impressions=3))
     table, rep = evaluate(ds, mode="all_pairs")
@@ -614,6 +635,34 @@ def test_sweep_detects_once_per_image_and_cleans_once_per_cleanup(tmp_path, monk
     assert all(by_process["clean_minutiae", pid] == 2 * by_process["raw_minutiae", pid] for pid in pids)
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_sweep_aligns_once_per_pair_and_group(tmp_path, monkeypatch, many_cpus, threads):
+    # r0 10 and 15 make two groups of four gate-only neighbours; the
+    # neighbours share each pair's alignment and its ring comparison
+    log = tmp_path / "calls.log"
+
+    def logged(fn):
+        def call(*args, **kwargs):
+            with open(log, "a") as fh:  # the children's calls are seen too
+                fh.write(f"{fn.__name__} {os.getpid()}\n")
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(kernels, "best_alignment", logged(kernels.best_alignment))
+    monkeypatch.setattr(turning, "ring_distances", logged(turning.ring_distances))
+    ds = load_dataset(Path(__file__).parent / "data" / "min4x3")
+    grid = [{"r0": r0, "sim": sim, "diff": diff}
+            for r0 in (10.0, 15.0) for sim in (0.0, 0.15) for diff in (2.0, math.inf)]
+    sweep(ds, grid, mode="fvc", threads=threads)
+    calls = [tuple(line.split()) for line in log.read_text().splitlines()]
+    pairs = len(pair_protocol(ds, "fvc"))
+    # sim 0 with diff inf gates no pair, so every pair reaches the rings once
+    assert Counter(name for name, _ in calls) == {"best_alignment": 2 * pairs,
+                                                  "ring_distances": 2 * pairs}
+    # one pass per group: the caller, and threads - 1 children per group
+    assert len({pid for _, pid in calls}) == 1 + 2 * (threads - 1)
+
+
 def _report_bytes(out):
     return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
@@ -623,7 +672,8 @@ def test_outputs_byte_identical_at_every_worker_count(tmp_path, many_cpus, kind)
     if kind == "minutiae":
         ds = load_dataset(_corpus_dir(tmp_path))
         cfg = MatchConfig()
-        grid = [{"r0": 10.0}, {"r0": 15.0, "sim": 0.1}]
+        # the last two share a group, scored in one pass
+        grid = [{"r0": 10.0}, {"r0": 15.0, "sim": 0.1}, {"r0": 15.0, "sim": 0.0, "diff": math.inf}]
     else:
         ds = load_dataset(_image_dataset_dir(tmp_path, fingers=2, impressions=2))
         cfg = MatchConfig(border_margin=8.0)
@@ -637,5 +687,5 @@ def test_outputs_byte_identical_at_every_worker_count(tmp_path, many_cpus, kind)
         sweep(ds, grid, cfg, mode="all_pairs", threads=threads, out_dir=out / "sweep")
         outputs[threads] = (_report_bytes(out / "evaluate"), _report_bytes(out / "sweep"))
     assert sorted(outputs[1][0]) == ["curves.csv", "scores.csv", "summary.txt"]
-    assert sorted(outputs[1][1]) == ["curves_000.csv", "curves_001.csv", "grid.csv"]
+    assert sorted(outputs[1][1]) == [f"curves_{i:03d}.csv" for i in range(len(grid))] + ["grid.csv"]
     assert all(got == outputs[1] for got in outputs.values())

@@ -15,6 +15,7 @@ import io
 import sys
 from pathlib import Path
 
+from onionprint import evaluation
 from onionprint.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -39,29 +40,44 @@ RUNS = [
 ]
 
 
+def run(argv, out):
+    """Run one command with `out` as its output directory: {file name: bytes}."""
+    argv = [str(a) for a in argv] + (["--out", str(out)] if argv[0] != "match" else [])
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(argv)
+    assert code == 0, (argv, code)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "stdout.txt").write_text(stdout.getvalue())
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
 def run_all(out_root):
     """Run every command of RUNS: {run name: {file name: bytes}}."""
-    got = {}
-    for name, argv in RUNS:
-        out = Path(out_root) / name
-        argv = [str(a) for a in argv] + (["--out", str(out)] if argv[0] != "match" else [])
-        stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout):
-            code = main(argv)
-        assert code == 0, (name, code)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "stdout.txt").write_text(stdout.getvalue())
-        got[name] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-    return got
+    return {name: run(argv, Path(out_root) / name) for name, argv in RUNS}
+
+
+def _pinned(name):
+    return {p.name: p.read_bytes() for p in sorted((PINNED / name).iterdir())}
 
 
 def test_reports_match_the_committed_bytes(tmp_path):
     got = run_all(tmp_path)
     for name, _ in RUNS:
-        expected = {p.name: p.read_bytes() for p in sorted((PINNED / name).iterdir())}
+        expected = _pinned(name)
         assert sorted(got[name]) == sorted(expected), name
         for file, data in expected.items():
             assert got[name][file] == data, f"{name}/{file}"
+
+
+def test_sweep_at_two_threads_matches_the_committed_bytes(tmp_path, monkeypatch):
+    # the gate-only neighbours share each pair's scoring in worker processes
+    monkeypatch.setattr(evaluation, "usable_cpus", lambda: 2)
+    got = run(dict(RUNS)["sweep_min"] + ["--threads", "2"], tmp_path / "sweep_min")
+    expected = _pinned("sweep_min")
+    assert sorted(got) == sorted(expected)
+    for file, data in expected.items():
+        assert got[file] == data, file
 
 
 if __name__ == "__main__":
