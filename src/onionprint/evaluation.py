@@ -6,11 +6,10 @@ images or pre-extracted minutiae files; the two are told apart by
 content. All pair orderings and reductions are deterministic, so a run
 produces byte-identical outputs at any worker count.
 
-`evaluate` is the `sweep` of one configuration. A sweep reads each print
-once and runs an image through detection once and cleanup once per
-distinct (rm, border_margin), in the process that read it. Configurations
-that differ only in their gates, sim and diff, share each pair's
-alignment, peeling and ring comparison.
+`evaluate` is the `sweep` of one configuration. A sweep loads, scores and
+rates, and each stage runs once per distinct input: a print is read once and
+an image detected once, cleaned once per distinct (rm, border_margin), and a
+pair aligned and peeled once per distinct pair of sets and (r0, theta0).
 
 With `threads` above 1, image loading and pair scoring run in worker
 processes made by fork, so they inherit the loaded sets and the scoring
@@ -194,8 +193,9 @@ def load_dataset(path) -> Dataset:
 def _load(path, cfgs, source=None):
     """One print's MinutiaSet under each of cfgs, reading the file once.
 
-    A minutiae file is final, so every config gets the set it holds; a
-    PGM image goes through detection once and cleanup once per config.
+    A minutiae file is final, so every config gets the one set it holds; a
+    PGM image goes through detection once and cleanup once per distinct
+    value of `CLEANUP_FIELDS`, and configs that agree on it get one set.
     """
     try:
         data = Path(path).read_bytes()
@@ -204,7 +204,10 @@ def _load(path, cfgs, source=None):
     name = str(path)
     if looks_like_pgm(data):
         detected, sk = raw_minutiae(parse_pgm(data, name))
-        return [clean_minutiae(detected, sk, cfg, source or name) for cfg in cfgs]
+        keys = [tuple(getattr(cfg, field) for field in CLEANUP_FIELDS) for cfg in cfgs]
+        cleaned = {key: clean_minutiae(detected, sk, cfg, source or name)
+                   for key, cfg in dict(zip(keys, cfgs)).items()}  # cleanup reads only the key
+        return [cleaned[key] for key in keys]
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError:
@@ -367,7 +370,11 @@ def _load_cost(entry):
 
 
 def score_pairs(pairs, cfgs, threads=1, *, sets) -> list:
-    """One ScoreTable per config of cfgs (same r0, theta0); `sets` maps paths to MinutiaSets."""
+    """One ScoreTable per config of cfgs, from one pass over the pairs.
+
+    `sets` maps each path to its MinutiaSet under each config, in cfgs order;
+    `scoring.match_under` shares each stage among the configs with equal inputs.
+    """
 
     def one(pair):
         a, b, label = pair
@@ -380,7 +387,7 @@ def score_pairs(pairs, cfgs, threads=1, *, sets) -> list:
         # minutiae (2-CPU Xeon), a 2-way cut by this estimate ended about
         # 11 % sooner than a cut by pair count and 6 % sooner than one by
         # m * n * (m + n)
-        return len(sets[pair[0].path]) * len(sets[pair[1].path])
+        return len(sets[pair[0].path][0]) * len(sets[pair[1].path][0])
 
     return [ScoreTable(rows) for rows in zip(*_ordered_map(one, pairs, threads, cost))]
 
@@ -502,9 +509,10 @@ def sweep(ds: Dataset, grid, base_cfg=None, mode=MODE_FVC, threads=1,
           exclude_gated=False, out_dir=None):
     """One evaluation per parameter override set; results in grid order.
 
-    Images are cleaned once per distinct value of `imgproc.CLEANUP_FIELDS`, and
-    configurations that differ only in sim and diff are scored in one pass. Once
-    all are rated, out_dir gets `curves_NNN.csv` per configuration and a `grid.csv`.
+    It loads each print once, scores every configuration in one pass over the
+    pairs, and rates each; a stage runs once per distinct input (see `_load` and
+    `scoring.match_under`). Once all are rated, out_dir gets `curves_NNN.csv` per
+    configuration and a `grid.csv`.
     """
     base_cfg = base_cfg if base_cfg is not None else MatchConfig()
     grid = [dict(g) for g in grid]
@@ -518,22 +526,12 @@ def sweep(ds: Dataset, grid, base_cfg=None, mode=MODE_FVC, threads=1,
 
     pairs = pair_protocol(ds, mode)
     unique = _unique_entries(pairs)
-    keys = [tuple(getattr(cfg, name) for name in CLEANUP_FIELDS) for cfg in cfgs]
-    cleanups = dict(zip(keys, cfgs))  # one config per distinct cleanup
-    loaded = _ordered_map(lambda e: _load(e.path, list(cleanups.values()), e.label),
-                          unique, threads, _load_cost)
-    sets_of = {key: {e.path: ms for e, ms in zip(unique, column)}
-               for key, column in zip(cleanups, zip(*loaded))}
-    groups = {}  # the configs that differ only in their gates
-    for cfg, key in zip(cfgs, keys):
-        groups.setdefault((key, cfg.r0, cfg.theta0), []).append(cfg)
-    tables = {cfg: table for (key, _, _), group in groups.items()
-              for cfg, table in zip(group, score_pairs(pairs, group, threads, sets=sets_of[key]))}
+    loaded = _ordered_map(lambda e: _load(e.path, cfgs, e.label), unique, threads, _load_cost)
+    tables = score_pairs(pairs, cfgs, threads, sets={e.path: ms for e, ms in zip(unique, loaded)})
 
     results = []
     grid_lines = ["index," + ",".join(SWEEP_KEYS) + ",eer,best_f_threshold"]
-    for idx, (overrides, cfg) in enumerate(zip(grid, cfgs)):
-        table = tables[cfg]
+    for idx, (overrides, cfg, table) in enumerate(zip(grid, cfgs, tables)):
         report = rates_and_metrics(table.without_gated() if exclude_gated else table)
         results.append((overrides, table, report))
         vals = ",".join(repr(float(getattr(cfg, k))) for k in SWEEP_KEYS)

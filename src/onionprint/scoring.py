@@ -102,38 +102,39 @@ def final_score(minutiae_score, average):
 
 def match_pair(a: MinutiaSet, b: MinutiaSet, cfg=None, ida=None, idb=None) -> ScoreBreakdown:
     """Score two fingerprints given as extracted minutia sets."""
-    return match_under(a, b, [cfg if cfg is not None else MatchConfig()], ida, idb)[0]
+    return match_under([a], [b], [cfg if cfg is not None else MatchConfig()], ida, idb)[0]
 
 
-def match_under(a: MinutiaSet, b: MinutiaSet, cfgs, ida=None, idb=None) -> list:
-    """The pair's ScoreBreakdown under each of cfgs, which share r0 and theta0: one
-    alignment and peeling, and one shape stage if some config's gates leave the pair open."""
-    ida = ida if ida is not None else (a.source or "")
-    idb = idb if idb is not None else (b.source or "")
-
-    _, _, pairs_i, pairs_j, _ = kernels.best_alignment(
-        a.x, a.y, a.theta, b.x, b.y, b.theta, float(cfgs[0].r0), float(cfgs[0].theta0)
-    )
-    k, m, n = len(pairs_i), len(a), len(b)
-    score = minutiae_score(k, m, n)
-    # one peeling per side serves both the ring-count gate and the rings
-    layers_a = geometry.convex_layers(a.positions()[pairs_i])
-    layers_b = geometry.convex_layers(b.positions()[pairs_j])
-    la, lb = len(layers_a), len(layers_b)
-
-    gates = [GATE_LOW_SIM if score < cfg.sim else GATE_LAYER_DIFF if abs(la - lb) > cfg.diff
-             else "" for cfg in cfgs]
-    if "" in gates:  # some config leaves the pair open
-        dists = tuple(layer_distances(layers_a, layers_b))
-        avg = average_distance(dists)
-        alpha, final = final_score(score, avg)
-        rings = min(len(_proper(layers_a)), len(_proper(layers_b)))
-        scored = _checked(ScoreBreakdown(
-            ida, idb, k, m, n, score, la, lb, dists, avg, alpha, final
-        ), rings)
-    return [_checked(ScoreBreakdown(
-        ida, idb, k, m, n, score, la, lb, (), None, None, 0.0, gate
-    ), 0) if gate else scored for gate in gates]
+def match_under(sets_a, sets_b, cfgs, ida=None, idb=None) -> list:
+    """The ScoreBreakdown of sets_a[c] against sets_b[c] under cfgs[c], for each c. A stage runs
+    once per distinct input: alignment and peeling once per (id(a), id(b), r0, theta0), and the
+    shape stage once per such key that some config's gates leave open."""
+    stages, out = {}, []  # key -> [layers_a, layers_b, a breakdown's leading fields, its open breakdown]
+    for a, b, cfg in zip(sets_a, sets_b, cfgs):
+        key = (id(a), id(b), cfg.r0, cfg.theta0)
+        if key not in stages:
+            _, _, pairs_i, pairs_j, _ = kernels.best_alignment(
+                a.x, a.y, a.theta, b.x, b.y, b.theta, float(cfg.r0), float(cfg.theta0)
+            )
+            k, m, n = len(pairs_i), len(a), len(b)
+            # one peeling per side serves both the ring-count gate and the rings
+            layers_a = geometry.convex_layers(a.positions()[pairs_i])
+            layers_b = geometry.convex_layers(b.positions()[pairs_j])
+            stages[key] = [layers_a, layers_b, (
+                ida if ida is not None else (a.source or ""), idb if idb is not None else (b.source or ""),
+                k, m, n, minutiae_score(k, m, n), len(layers_a), len(layers_b)), None]
+        layers_a, layers_b, head, bd = stage = stages[key]
+        score, la, lb = head[-3:]
+        gate = GATE_LOW_SIM if score < cfg.sim else GATE_LAYER_DIFF if abs(la - lb) > cfg.diff else ""
+        if gate:
+            bd = _checked(ScoreBreakdown(*head, (), None, None, 0.0, gate), 0)
+        elif bd is None:  # the first config to leave this pair open runs the shape stage
+            dists = tuple(layer_distances(layers_a, layers_b))
+            avg = average_distance(dists)
+            rings = min(len(_proper(layers_a)), len(_proper(layers_b)))
+            bd = stage[3] = _checked(ScoreBreakdown(*head, dists, avg, *final_score(score, avg)), rings)
+        out.append(bd)
+    return out
 
 
 def _checked(bd: ScoreBreakdown, rings: int) -> ScoreBreakdown:

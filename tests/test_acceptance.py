@@ -44,7 +44,7 @@ def _in_memory_dataset(corpus):
     for finger, impression, ms in corpus:
         entry = DatasetEntry(finger, impression, f"mem:{finger}_{impression}")
         entries.append(entry)
-        sets[entry.path] = ms
+        sets[entry.path] = [ms]  # the print's set under the one configuration scored
     return Dataset(tuple(entries)), sets
 
 

@@ -636,9 +636,10 @@ def test_sweep_detects_once_per_image_and_cleans_once_per_cleanup(tmp_path, monk
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_sweep_aligns_once_per_pair_and_group(tmp_path, monkeypatch, many_cpus, threads):
-    # r0 10 and 15 make two groups of four gate-only neighbours; the
-    # neighbours share each pair's alignment and its ring comparison
+def test_sweep_aligns_once_per_pair_and_r0(tmp_path, monkeypatch, many_cpus, threads):
+    # sixteen configs over rm, r0, sim and diff: a .min set is the same under
+    # every rm, so each pair is aligned once per r0 and its rings compared
+    # once per r0, all in one scoring pass
     log = tmp_path / "calls.log"
 
     def logged(fn):
@@ -651,16 +652,35 @@ def test_sweep_aligns_once_per_pair_and_group(tmp_path, monkeypatch, many_cpus, 
     monkeypatch.setattr(kernels, "best_alignment", logged(kernels.best_alignment))
     monkeypatch.setattr(turning, "ring_distances", logged(turning.ring_distances))
     ds = load_dataset(Path(__file__).parent / "data" / "min4x3")
-    grid = [{"r0": r0, "sim": sim, "diff": diff}
+    grid = [{"rm": rm, "r0": r0, "sim": sim, "diff": diff} for rm in (3.0, 5.0)
             for r0 in (10.0, 15.0) for sim in (0.0, 0.15) for diff in (2.0, math.inf)]
     sweep(ds, grid, mode="fvc", threads=threads)
     calls = [tuple(line.split()) for line in log.read_text().splitlines()]
     pairs = len(pair_protocol(ds, "fvc"))
-    # sim 0 with diff inf gates no pair, so every pair reaches the rings once
+    # sim 0 with diff inf gates no pair, so every pair reaches the rings
     assert Counter(name for name, _ in calls) == {"best_alignment": 2 * pairs,
                                                   "ring_distances": 2 * pairs}
-    # one pass per group: the caller, and threads - 1 children per group
-    assert len({pid for _, pid in calls}) == 1 + 2 * (threads - 1)
+    # one pass: the caller and threads - 1 children
+    assert len({pid for _, pid in calls}) == threads
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_sweep_over_minutiae_and_images_equals_direct_runs(tmp_path, many_cpus, threads):
+    # a .min file gives every rm one set and an image one set per rm; either
+    # way each config scores as in a run of its own
+    data = Path(__file__).parent / "data"
+    manifest = tmp_path / "mixed.csv"
+    manifest.write_text(
+        f"1,1,{data / 'min4x3' / '1_1.min'}\n1,2,{data / 'min4x3' / '1_2.min'}\n"
+        f"2,1,{data / 'ridges_00deg_noise05.pgm'}\n2,2,{data / 'ridges_00deg_noise15.pgm'}\n")
+    ds = load_dataset(manifest)
+    cfg = MatchConfig(border_margin=0.0)
+    grid = [{"rm": rm, "r0": r0} for rm in (0.0, 16.0) for r0 in (10.0, 15.0)]
+    results = sweep(ds, grid, cfg, mode="all_pairs", threads=threads)
+    for (overrides, table, report), g in zip(results, grid):
+        assert overrides == g
+        assert (table, report) == evaluate(ds, replace(cfg, **g), mode="all_pairs")
+    assert len({r[1] for r in results}) == len(grid)  # each axis changes the scores
 
 
 def _report_bytes(out):
@@ -672,7 +692,7 @@ def test_outputs_byte_identical_at_every_worker_count(tmp_path, many_cpus, kind)
     if kind == "minutiae":
         ds = load_dataset(_corpus_dir(tmp_path))
         cfg = MatchConfig()
-        # the last two share a group, scored in one pass
+        # the last two share each pair's alignment and peeling
         grid = [{"r0": 10.0}, {"r0": 15.0, "sim": 0.1}, {"r0": 15.0, "sim": 0.0, "diff": math.inf}]
     else:
         ds = load_dataset(_image_dataset_dir(tmp_path, fingers=2, impressions=2))

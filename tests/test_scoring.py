@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from onionprint.config import MatchConfig
 from onionprint.errors import InvalidInputError, InvariantError
 from onionprint.geometry import convex_layers
 from onionprint.imgproc import extract
-from onionprint.minutiae import Minutia, MinutiaKind, MinutiaSet
+from onionprint.minutiae import Minutia, MinutiaKind, MinutiaSet, read_minutiae
 from onionprint.scoring import (
     CSV_HEADER,
     EMPTY_AVERAGE,
@@ -19,6 +20,7 @@ from onionprint.scoring import (
     final_score,
     layer_distances,
     match_pair,
+    match_under,
 )
 from oracles import Transform, apply_transform
 
@@ -237,6 +239,30 @@ def test_disabling_gates_never_lowers_scores():
         open_ = match_pair(a, b, off)
         assert not open_.gated
         assert open_.final >= gated.final
+
+
+def test_match_under_scores_each_config_as_match_pair_alone():
+    # configs that differ in r0, theta0 and both gates, over distinct and
+    # repeated pairs: sharing a stage between configs changes no breakdown
+    sets = {p.stem: read_minutiae(p) for p in sorted((Path(__file__).parent / "data" / "min4x3").glob("*.min"))}
+    open_ = {"sim": 0.0, "diff": math.inf}
+    cases = [
+        ("1_1", "1_2", MatchConfig(**open_)),
+        ("1_1", "1_2", MatchConfig(r0=6.0, **open_)),
+        ("1_1", "1_2", MatchConfig(theta0=3.0, **open_)),
+        ("1_1", "1_2", MatchConfig()),  # the first's alignment and rings, other gates
+        ("1_2", "1_1", MatchConfig(r0=6.0, theta0=3.0, diff=1.0)),
+        ("1_1", "2_1", MatchConfig(theta0=3.0, **open_)),
+        ("1_1", "2_1", MatchConfig(theta0=3.0)),  # low_sim
+        ("2_2", "2_3", MatchConfig(r0=6.0, **open_)),
+        ("2_2", "2_3", MatchConfig(diff=0.0)),  # layer_diff
+    ]
+    got = match_under([sets[a] for a, _, _ in cases], [sets[b] for _, b, _ in cases],
+                      [cfg for _, _, cfg in cases])
+    alone = [match_pair(sets[a], sets[b], cfg) for a, b, cfg in cases]
+    assert got == alone
+    assert {bd.gate_reason for bd in alone} == {"", GATE_LOW_SIM, GATE_LAYER_DIFF}
+    assert alone[1] != match_pair(sets["1_1"], sets["1_2"], MatchConfig(**open_))  # r0 matters
 
 
 def test_match_pair_symmetry():
