@@ -33,7 +33,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from onionprint import geometry, imgproc, kernels, scoring, synth, turning  # noqa: E402
+from onionprint import geometry, imgproc, kernels, scoring, synth  # noqa: E402
 from onionprint.config import MatchConfig  # noqa: E402
 from onionprint.minutiae import Minutia, MinutiaKind, MinutiaSet  # noqa: E402
 from oracles import (  # noqa: E402
@@ -163,8 +163,8 @@ def shape_stage_scan(layers_a, layers_b):
     """`scoring.layer_distances` one ring pair and one shift at a time."""
     out = []
     for ra, rb in zip(scoring._proper(layers_a), scoring._proper(layers_b)):
-        fs, fa, _, _ = turning._encode([ra])
-        gs, ga, _, _ = turning._encode([rb])
+        fs, fa, _, _ = kernels._encode([ra])
+        gs, ga, _, _ = kernels._encode([rb])
         out.append(min_turning_distance_scan(fs[0], fa[0], gs[0], ga[0])[0])
     return out
 

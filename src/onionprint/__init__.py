@@ -11,7 +11,7 @@ from .errors import InvalidInputError, InvariantError, OnionprintError
 from .evaluation import Dataset, EvalReport, ScoreTable, evaluate, load_dataset, sweep
 from .geometry import convex_layers
 from .imgproc import extract
-from .minutiae import Minutia, MinutiaKind, MinutiaSet, read_minutiae, write_minutiae
+from .minutiae import Minutia, MinutiaKind, MinutiaSet, write_minutiae
 from .pgm import read_pgm, write_pgm
 from .scoring import ScoreBreakdown, match_pair
 
@@ -36,7 +36,6 @@ __all__ = [
     "load_config_file",
     "load_dataset",
     "match_pair",
-    "read_minutiae",
     "read_pgm",
     "sweep",
     "write_minutiae",

@@ -1,9 +1,10 @@
 """Hot numeric kernels.
 
 Three kernels dominate runtime: the thinning subiteration, the alignment
-search over minutia-pair hypotheses, and the critical-shift scan of the
-turning-function distance, which one call runs for every peer ring pair
-of a fingerprint pair. Each has one numpy implementation;
+search over minutia-pair hypotheses, and the turning-function distance,
+which one call encodes and scans for every peer ring pair of a
+fingerprint pair; this module alone knows the layout of its tables.
+Each has one numpy implementation;
 ``tests/oracles.py`` keeps a plain reference for each, and the tests
 compare the two.
 
@@ -31,6 +32,8 @@ import itertools
 import math
 
 import numpy as np
+
+from .errors import InvalidInputError
 
 TWO_PI = 2.0 * math.pi
 
@@ -410,7 +413,16 @@ def best_alignment(xi, yi, ti, xj, yj, tj, r0, theta0):
 
 
 # ---------------------------------------------------------------------------
-# Turning-distance critical-shift scan
+# Turning distance of convex rings
+#
+# A ring is encoded as a step function mapping normalized arc length in
+# [0, 1) to the cumulative tangent direction in radians. The walk starts
+# at the ring's lexicographically smallest vertex, so congruent rings
+# produce identical encodings whatever their input order. Only edge
+# differences enter the encoding, so it holds far from the origin too.
+# Edge directions come from math.atan2 element by element: numpy's
+# arctan2 picks its SIMD kernel by CPU, and the AVX-512 one rounds some
+# results differently, so report scores would depend on the machine.
 #
 # Both turning functions are step functions on [0, 1). At a fixed shift
 # the optimal rotation has a closed form for the L2 norm, and the
@@ -418,13 +430,14 @@ def best_alignment(xi, yi, ti, xj, yj, tj, r0, theta0):
 # m*n critical shifts need evaluation. The moments of the difference are
 # integrated exactly over the merged breakpoint partition.
 #
-# One call evaluates the critical shifts of a batch of ring pairs, one
-# table row per shift. A row holds its pair's f breaks, then its g
-# breaks, as if the pair were alone, then padding at position 1.0 that a
-# stable sort keeps after every break. Padding adds nothing to a row:
-# the last break's cell still ends at 1.0, and each row is summed over
-# its pair's own m + n cells only (`row_sums`), since numpy's pairwise
-# summation associates by the number of terms.
+# `min_turning_distance` is the way in: one call encodes every peer ring
+# of a fingerprint pair and evaluates the critical shifts of every ring
+# pair, one table row per shift. A row holds its pair's f breaks, then
+# its g breaks, as if the pair were alone, then padding at position 1.0
+# that a stable sort keeps after every break. Padding adds nothing to a
+# row: the last break's cell still ends at 1.0, and each row, like each
+# ring's perimeter, is summed over its own entries only (`row_sums`),
+# since numpy's pairwise summation associates by the number of terms.
 # ---------------------------------------------------------------------------
 
 # Cells of one pass over the table, m * n rows of max(m + n) + 1 entries
@@ -459,20 +472,63 @@ def _frac(x):
     return x - np.floor(x)
 
 
-def min_turning_distance(fs, fa, m, gs, ga, n):
-    """(distance, shift, rotation) of every ring pair, each minimized
-    over that pair's m * n critical shifts: three (R,) arrays.
+_atan2 = np.frompyfunc(math.atan2, 2, 1)
 
-    Row r of `fs` and `fa` holds the breaks and angles of pair r's first
-    turning function in its first m[r] columns, `gs` and `ga` those of
-    its second in n[r]; later columns are ignored. There is at least one
-    pair, and every m[r] and n[r] is at least 1. All shifts of all pairs
-    at once, via one sorted merged-break table, in passes over
-    consecutive pairs of at most SHIFT_CELLS cells (one pair at least),
-    so that memory stays bounded whatever the batch.
+
+def _encode(rings):
+    """Turning functions of rings as `geometry.convex_layers` peels them,
+    counterclockwise with 3 or more distinct vertices, as tables.
+
+    Returns (breaks, angles, counts, perimeters): row k of the (K, V)
+    tables holds ring k's turning function in its first counts[k]
+    columns, and later columns continue the ring cyclically, so every
+    entry is finite. Breaks run from 0.0, strictly increasing, below 1.0;
+    angles[k, i], the direction of the edge leaving vertex i, is
+    unwrapped so that one full tour adds exactly 2*pi. An encoding that
+    overflows (edges some 1e154 long) raises InvalidInputError.
     """
-    m = np.asarray(m, np.intp)
-    n = np.asarray(n, np.intp)
+    counts = np.array([len(ring) for ring in rings])
+    flat = np.concatenate(rings, dtype=np.float64)
+    x, y = flat[:, 0], flat[:, 1]
+    base = (np.cumsum(counts) - counts)[:, None]
+    # ring k starts at its first vertex in (x, y) order
+    start = np.lexsort((y, x, np.repeat(np.arange(len(rings)), counts)))[base] - base
+    # vertex c from the start, and the one after it
+    walk = (np.arange(int(counts.max()) + 1) + start) % counts[:, None] + base
+    with np.errstate(over="ignore", invalid="ignore"):
+        ex = np.diff(x[walk])
+        ey = np.diff(y[walk])
+        lengths = np.hypot(ex, ey)
+        perimeter = row_sums(lengths, [(size, 1) for size in counts.tolist()])
+        breaks = np.zeros_like(lengths)
+        np.cumsum(lengths[:, :-1], axis=1, out=breaks[:, 1:])
+        breaks /= perimeter[:, None]
+        # cross/dot of consecutive edges give the exterior turn at each
+        # vertex after the first
+        px, py, qx, qy = ex[:, :-1], ey[:, :-1], ex[:, 1:], ey[:, 1:]
+        angles = np.zeros_like(lengths)
+        turns = _atan2(px * qy - py * qx, px * qx + py * qy).astype(float)
+        np.cumsum(turns, axis=1, out=angles[:, 1:])
+        angles += _atan2(ey[:, :1], ex[:, :1]).astype(float)  # the first edge's direction
+    if not (np.isfinite(perimeter).all() and np.isfinite(angles).all()):
+        raise InvalidInputError("polygon too large: its turning function overflows")
+    return breaks, angles, counts, perimeter
+
+
+def min_turning_distance(rings_f, rings_g):
+    """Turning distance of each ring pair (rings_f[r], rings_g[r]),
+    minimized over the pair's m * n critical shifts, as a list.
+
+    All rings are encoded at once, f[0], g[0], f[1], ... in that order,
+    and all shifts of all pairs evaluated via one sorted merged-break
+    table, in passes over consecutive pairs of at most SHIFT_CELLS cells
+    (one pair at least), so that memory stays bounded whatever the batch.
+    """
+    if not rings_f:
+        return []
+    breaks, angles, counts, _ = _encode([r for pair in zip(rings_f, rings_g) for r in pair])
+    fs, fa, m = breaks[0::2], angles[0::2], counts[0::2]
+    gs, ga, n = breaks[1::2], angles[1::2], counts[1::2]
     cuts = [0]
     rows = width = 0
     for k, (mn, w) in enumerate(zip((m * n).tolist(), (m + n + 1).tolist())):
@@ -484,11 +540,14 @@ def min_turning_distance(fs, fa, m, gs, ga, n):
     cuts.append(m.shape[0])
     parts = [_shift_pass(fs[a:b], fa[a:b], m[a:b], gs[a:b], ga[a:b], n[a:b])
              for a, b in zip(cuts[:-1], cuts[1:])]
-    return tuple(np.concatenate(part) for part in zip(*parts))
+    return np.concatenate(parts).tolist()
 
 
 def _shift_pass(fs, fa, m, gs, ga, n):
-    """`min_turning_distance` over one table."""
+    """The distances of `min_turning_distance` over one table: row r of
+    `fs` and `fa` holds the breaks and angles of pair r's first turning
+    function in its first m[r] columns, `gs` and `ga` those of its second
+    in n[r]; later columns are ignored."""
     npairs = m.shape[0]
     tot = m + n
     mn = m * n
@@ -556,4 +615,4 @@ def _shift_pass(fs, fa, m, gs, ga, n):
     table = np.full((npairs, int(mn.max())), np.inf)
     table[pair, q] = d2
     best = first + np.argmin(table, axis=1)
-    return np.sqrt(np.maximum(d2[best], 0.0)), shifts[best], -i1[best]
+    return np.sqrt(np.maximum(d2[best], 0.0))

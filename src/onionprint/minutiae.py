@@ -175,10 +175,3 @@ def parse_minutiae(text, source=None) -> MinutiaSet:
         bifs.append(bif)
     return MinutiaSet.from_arrays(xs, ys, thetas, bifs, source)
 
-
-def read_minutiae(path) -> MinutiaSet:
-    try:
-        text = Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InvalidInputError(f"cannot read {path}: {exc}") from exc
-    return parse_minutiae(text, source=str(path))

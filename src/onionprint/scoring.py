@@ -13,9 +13,9 @@ gates run first: too few matched minutiae, or ring counts too far apart.
 import math
 from dataclasses import dataclass
 
-from . import geometry, kernels, turning
+from . import geometry, kernels
 from .config import MatchConfig
-from .errors import InvalidInputError, InvariantError
+from .errors import InvariantError
 from .minutiae import MinutiaSet
 
 GATE_LOW_SIM = "low_sim"
@@ -77,7 +77,7 @@ def layer_distances(rings_input, rings_template):
     """
     rings_a, rings_b = _proper(rings_input), _proper(rings_template)
     rings = min(len(rings_a), len(rings_b))
-    return turning.ring_distances(rings_a[:rings], rings_b[:rings])
+    return kernels.min_turning_distance(rings_a[:rings], rings_b[:rings])
 
 
 def average_distance(dists) -> float:
@@ -88,10 +88,6 @@ def average_distance(dists) -> float:
 
 def final_score(minutiae_score, average):
     """(alpha, final) from the score ratio squashed through 1 - 2^-alpha."""
-    if not (0.0 <= minutiae_score <= 1.0):
-        raise InvalidInputError(f"minutiae score must be in [0, 1], got {minutiae_score}")
-    if average < 0:
-        raise InvalidInputError(f"average distance must be nonnegative, got {average}")
     if minutiae_score == 0.0:
         return 0.0, 0.0
     if average == 0.0:

@@ -18,10 +18,10 @@ from onionprint.evaluation import (MODE_ALL_PAIRS, MODE_FVC, THRESHOLDS, Dataset
                                    pair_protocol, rates_and_metrics,
                                    score_pairs, write_report_files)
 from onionprint.geometry import convex_layers
+from onionprint.kernels import min_turning_distance
 from onionprint.minutiae import MinutiaSet, write_minutiae
 from onionprint.scoring import final_score, match_pair, minutiae_score
 from onionprint.synth import synthetic_corpus
-from onionprint.turning import ring_distances
 from oracles import (Transform, apply_transform, grid_min_distance, peel_layers_oracle,
                      random_convex_polygon, ring_set)
 
@@ -80,7 +80,7 @@ def test_criterion_2_turning_distance_properties():
     polys = [random_convex_polygon(rng, int(rng.integers(3, 31)))
              for _ in range(200)]
     # the shape stage's own call: one batch of peer ring pairs
-    worst_self = max(ring_distances(polys, polys))
+    worst_self = max(min_turning_distance(polys, polys))
     moves = []
     for poly in polys:
         ang = rng.uniform(0.0, 2.0 * math.pi)
@@ -90,16 +90,16 @@ def test_criterion_2_turning_distance_properties():
         moved[:, 0] = scale * (cosv * poly[:, 0] - sinv * poly[:, 1]) + rng.uniform(-100, 100)
         moved[:, 1] = scale * (sinv * poly[:, 0] + cosv * poly[:, 1]) + rng.uniform(-100, 100)
         moves.append(np.roll(moved, int(rng.integers(0, len(moved))), axis=0))
-    worst_sim = max(ring_distances(polys, moves))
-    fg = ring_distances(polys[:-1], polys[1:])
-    gf = ring_distances(polys[1:], polys[:-1])
+    worst_sim = max(min_turning_distance(polys, moves))
+    fg = min_turning_distance(polys[:-1], polys[1:])
+    gf = min_turning_distance(polys[1:], polys[:-1])
     worst_sym = max(abs(d - e) for d, e in zip(fg, gf))
-    fh = ring_distances(polys[:-2], polys[2:])
+    fh = min_turning_distance(polys[:-2], polys[2:])
     worst_tri = max(0.0, *(d - e - g for d, e, g in zip(fh, fg, fg[1:])))
 
     square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     rect = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [0.0, 1.0]])
-    got = ring_distances([square], [rect])[0]
+    got = min_turning_distance([square], [rect])[0]
     want = grid_min_distance(square, rect, grid=10_000)
     grid_err = abs(got - want)
 

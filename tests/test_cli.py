@@ -14,8 +14,7 @@ import onionprint
 from onionprint import evaluation, scoring, synth
 from onionprint.cli import main
 from onionprint.imgproc import raw_minutiae
-from onionprint.minutiae import (FILE_HEADER, Minutia, MinutiaKind, MinutiaSet, read_minutiae,
-                                 write_minutiae)
+from onionprint.minutiae import FILE_HEADER, Minutia, MinutiaKind, MinutiaSet, write_minutiae
 from onionprint.pgm import write_pgm
 
 # Address-space limit for the bounded-memory runs. Extracting the noise
@@ -134,6 +133,19 @@ def test_match_far_apart_coordinates_prints_no_warnings(tmp_path, capsys):
     done = subprocess.run([sys.executable, "-m", "onionprint.cli", "match", str(a), str(b)],
                           env=_env_with_src(), capture_output=True, text=True, timeout=120)
     assert (done.returncode, done.stdout, done.stderr) == (0, want, "")
+
+
+def test_match_small_ring_far_from_the_origin_matches_itself(tmp_path):
+    # a valid ring whose shoelace sum over absolute coordinates cancels
+    # to zero or below: its turning function is built from edge
+    # differences, so the offset changes nothing
+    path = tmp_path / "far.min"
+    path.write_text(FILE_HEADER + "\n100000000.000 100000000.000 0.000 E\n"
+                    "100000000.001 100000000.001 10.000 E\n100000000.002 100000000.003 20.000 B\n")
+    done = subprocess.run([sys.executable, "-m", "onionprint.cli", "match", str(path), str(path)],
+                          env=_env_with_src(), capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert "final = 1.0\n" in done.stdout and "l = 1\n" in done.stdout
 
 
 def test_match_ring_too_large_to_encode_exits_2(tmp_path):
@@ -553,4 +565,4 @@ def test_extract_uniform_noise_image_in_bounded_memory(tmp_path):
     write_pgm(path, img)
     done = _run_cli_with_memory_limit("extract", path, tmp_path / "noise.min")
     assert done.returncode == 0, done.stderr
-    read_minutiae(tmp_path / "noise.min")
+    evaluation.load_fingerprint(tmp_path / "noise.min")

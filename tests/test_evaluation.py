@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from onionprint import evaluation, kernels, turning
+from onionprint import evaluation, kernels
 from onionprint.config import MatchConfig
 from onionprint.errors import InvalidInputError, InvariantError
 from onionprint.evaluation import (
@@ -650,7 +650,7 @@ def test_sweep_aligns_once_per_pair_and_r0(tmp_path, monkeypatch, many_cpus, thr
         return call
 
     monkeypatch.setattr(kernels, "best_alignment", logged(kernels.best_alignment))
-    monkeypatch.setattr(turning, "ring_distances", logged(turning.ring_distances))
+    monkeypatch.setattr(kernels, "min_turning_distance", logged(kernels.min_turning_distance))
     ds = load_dataset(Path(__file__).parent / "data" / "min4x3")
     grid = [{"rm": rm, "r0": r0, "sim": sim, "diff": diff} for rm in (3.0, 5.0)
             for r0 in (10.0, 15.0) for sim in (0.0, 0.15) for diff in (2.0, math.inf)]
@@ -659,7 +659,7 @@ def test_sweep_aligns_once_per_pair_and_r0(tmp_path, monkeypatch, many_cpus, thr
     pairs = len(pair_protocol(ds, "fvc"))
     # sim 0 with diff inf gates no pair, so every pair reaches the rings
     assert Counter(name for name, _ in calls) == {"best_alignment": 2 * pairs,
-                                                  "ring_distances": 2 * pairs}
+                                                  "min_turning_distance": 2 * pairs}
     # one pass: the caller and threads - 1 children
     assert len({pid for _, pid in calls}) == threads
 

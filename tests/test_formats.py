@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import onionprint
 from onionprint.errors import InvalidInputError
+from onionprint.evaluation import load_fingerprint
 from onionprint.minutiae import (
     FILE_HEADER,
     Minutia,
@@ -21,7 +22,6 @@ from onionprint.minutiae import (
     MinutiaSet,
     format_minutiae,
     parse_minutiae,
-    read_minutiae,
     write_minutiae,
 )
 from onionprint.pgm import looks_like_pgm, parse_pgm, read_pgm, write_pgm
@@ -199,7 +199,7 @@ def test_minutiae_write_read_angle_just_below_360(tmp_path):
     p = tmp_path / "m.txt"
     write_minutiae(p, ms)
     assert p.read_text().splitlines()[1] == "4.000 5.000 0.000 E"
-    assert [m.theta for m in read_minutiae(p)] == [0.0]
+    assert [m.theta for m in load_fingerprint(p)] == [0.0]
 
 
 def test_minutiae_sorted_by_y_x_kind():
@@ -308,12 +308,12 @@ def test_minutiae_file_io(tmp_path):
     ms = MinutiaSet.from_iterable([Minutia(3.0, 4.0, 180.0, MinutiaKind.ENDING)])
     p = tmp_path / "m.txt"
     write_minutiae(p, ms)
-    assert read_minutiae(p) == ms
+    assert load_fingerprint(p) == ms
     with pytest.raises(InvalidInputError):
-        read_minutiae(tmp_path / "absent.txt")
+        load_fingerprint(tmp_path / "absent.txt")
     p.write_bytes(FILE_HEADER.encode() + b"\n3 4 180 \xff\n")
     with pytest.raises(InvalidInputError, match="m.txt"):
-        read_minutiae(p)
+        load_fingerprint(p)
 
 
 _FIELD = st.one_of(st.floats().map(repr), st.text(max_size=6),

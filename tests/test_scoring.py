@@ -6,10 +6,11 @@ import pytest
 
 from onionprint import scoring
 from onionprint.config import MatchConfig
-from onionprint.errors import InvalidInputError, InvariantError
+from onionprint.errors import InvariantError
+from onionprint.evaluation import load_fingerprint
 from onionprint.geometry import convex_layers
 from onionprint.imgproc import extract
-from onionprint.minutiae import Minutia, MinutiaKind, MinutiaSet, read_minutiae
+from onionprint.minutiae import Minutia, MinutiaKind, MinutiaSet
 from onionprint.scoring import (
     CSV_HEADER,
     EMPTY_AVERAGE,
@@ -128,13 +129,6 @@ def test_final_score_monotonicity():
             assert 0.0 <= final_score(ms, av)[1] <= 1.0
 
 
-def test_final_score_rejects_bad_inputs():
-    with pytest.raises(InvalidInputError):
-        final_score(1.5, 1.0)
-    with pytest.raises(InvalidInputError):
-        final_score(0.5, -1.0)
-
-
 # ---------------------------------------------------------------------------
 # pair scoring
 # ---------------------------------------------------------------------------
@@ -244,7 +238,7 @@ def test_disabling_gates_never_lowers_scores():
 def test_match_under_scores_each_config_as_match_pair_alone():
     # configs that differ in r0, theta0 and both gates, over distinct and
     # repeated pairs: sharing a stage between configs changes no breakdown
-    sets = {p.stem: read_minutiae(p) for p in sorted((Path(__file__).parent / "data" / "min4x3").glob("*.min"))}
+    sets = {p.stem: load_fingerprint(p) for p in sorted((Path(__file__).parent / "data" / "min4x3").glob("*.min"))}
     open_ = {"sim": 0.0, "diff": math.inf}
     cases = [
         ("1_1", "1_2", MatchConfig(**open_)),

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from onionprint import kernels, turning
+from onionprint import kernels
 from onionprint.errors import InvalidInputError
 from onionprint.geometry import convex_layers
 from onionprint.scoring import layer_distances
@@ -34,27 +34,26 @@ class _Fn:
 
 
 def _fn(poly):
-    """`turning._encode` on a batch of one ring."""
-    breaks, angles, counts, perimeter = turning._encode([poly])
+    """`kernels._encode` on a batch of one ring."""
+    breaks, angles, counts, perimeter = kernels._encode([poly])
     v = counts[0]
     return _Fn(breaks=breaks[0, :v], angles=angles[0, :v], perimeter=float(perimeter[0]))
 
 
-def _distance(f, g):
-    """(distance, shift, rotation) of one ring pair, from the kernel."""
-    return tuple(float(v[0]) for v in kernels.min_turning_distance(*_tables([f]), *_tables([g])))
+def _distance(pf, pg):
+    """The kernel's distance of one ring pair."""
+    return kernels.min_turning_distance([pf], [pg])[0]
 
 
-def _tables(fns):
-    """Padded (breaks, angles, counts) tables of turning functions, as
-    `kernels.min_turning_distance` takes one side of its ring pairs."""
-    width = max(len(f) for f in fns)
-    breaks = np.full((len(fns), width), np.nan)
-    angles = np.full((len(fns), width), np.nan)
-    for row, f in enumerate(fns):
-        breaks[row, :len(f)] = f.breaks
-        angles[row, :len(f)] = f.angles
-    return breaks, angles, [len(f) for f in fns]
+def _scan(f, g):
+    """(distance, shift, rotation) of one pair of turning functions, from
+    the reference scan; its shift and rotation reproduce its distance."""
+    d, t, r = min_turning_distance_scan(f.breaks, f.angles, g.breaks, g.angles)
+    assert 0.0 <= t < 1.0
+    at = distance_at_shift(f, g, t)
+    assert at.distance == pytest.approx(d, abs=1e-9)
+    assert at.rotation == pytest.approx(r, abs=1e-9)
+    return d, t, r
 
 
 SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
@@ -109,13 +108,22 @@ def test_cyclic_extension():
                                                           abs=1e-12)
 
 
+# a ring whose edges overflow: the one bad ring a peeling can give
+HUGE = [(-6e307, 0.0), (6e307, 5.0), (3.0, 4.0)]
+
+
 def test_rejects_bad_polygons():
-    with pytest.raises(InvalidInputError):
-        turning._encode([[(0.0, 0.0), (1.0, 0.0)]])
-    with pytest.raises(InvalidInputError):
-        turning._encode([list(reversed(SQUARE))])  # clockwise
-    with pytest.raises(InvalidInputError):
-        turning._encode([[(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]])  # zero area
+    # only an encoding that overflows is bad; a small ring far from the
+    # origin, as a .min file rounds it, is a ring like any other
+    with pytest.raises(InvalidInputError, match="too large"):
+        _fn(HUGE)
+    tiny = np.array([(0.0, 0.0), (0.001, 0.001), (0.002, 0.003)])
+    for offset in (0.0, 1e4, 1e6, 1e8):
+        far = tiny + offset
+        f = _fn(far)
+        assert f.breaks[0] == 0.0 and np.all(np.diff(f.breaks) > 0)
+        # the far ring moved to the origin, exactly (Sterbenz)
+        assert _distance(far, far - offset) <= 1e-9
 
 
 def test_shift_distance_identity():
@@ -166,15 +174,14 @@ def test_shift_distance_rejects_other_norms():
     with pytest.raises(TypeError):
         distance_at_shift(f, f, 0.0, p=1)
     with pytest.raises(TypeError):
-        turning.ring_distances([SQUARE], [SQUARE], p=3)
+        kernels.min_turning_distance([SQUARE], [SQUARE], p=3)
 
 
 def test_turning_distance_identity():
     rng = np.random.default_rng(33)
     for _ in range(10):
         poly = random_convex_polygon(rng, int(rng.integers(3, 31)))
-        f = _fn(poly)
-        assert _distance(f, f)[0] <= 1e-9
+        assert _distance(poly, poly) <= 1e-9
 
 
 def test_turning_distance_similarity_invariance():
@@ -184,31 +191,24 @@ def test_turning_distance_similarity_invariance():
         ang = math.radians(37.0)
         rot = np.array([[math.cos(ang), -math.sin(ang)], [math.sin(ang), math.cos(ang)]])
         moved = 3.0 * (poly @ rot.T) + np.array([12.5, -4.0])
-        d = _distance(_fn(poly), _fn(moved))[0]
+        d = _distance(poly, moved)
         assert d <= 1e-9
 
 
 def test_turning_distance_square_vs_rectangle_grid_oracle():
-    f = _fn(SQUARE)
-    g = _fn(RECT_2_1)
-    distance, shift, rotation = _distance(f, g)
+    distance = _distance(SQUARE, RECT_2_1)
     assert distance == pytest.approx(grid_min_distance(SQUARE, RECT_2_1), abs=1e-4)
-    assert 0.0 <= shift < 1.0
-    # the reported shift and rotation reproduce the reported distance
-    at = distance_at_shift(f, g, shift)
-    assert at.distance == pytest.approx(distance, abs=1e-9)
-    assert at.rotation == pytest.approx(rotation, abs=1e-9)
+    assert distance == pytest.approx(_scan(_fn(SQUARE), _fn(RECT_2_1))[0], abs=1e-12)
 
 
 def test_turning_distance_is_a_pseudometric():
     rng = np.random.default_rng(35)
     for _ in range(12):
-        polys = [random_convex_polygon(rng, int(rng.integers(3, 15))) for _ in range(3)]
-        fa, fb, fc = (_fn(p) for p in polys)
-        dab = _distance(fa, fb)[0]
-        dba = _distance(fb, fa)[0]
-        dac = _distance(fa, fc)[0]
-        dbc = _distance(fb, fc)[0]
+        pa, pb, pc = (random_convex_polygon(rng, int(rng.integers(3, 15))) for _ in range(3))
+        dab = _distance(pa, pb)
+        dba = _distance(pb, pa)
+        dac = _distance(pa, pc)
+        dbc = _distance(pb, pc)
         assert dab >= 0.0
         assert abs(dab - dba) <= 1e-9
         assert dac <= dab + dbc + 1e-9
@@ -219,21 +219,19 @@ def test_turning_distance_never_exceeds_any_shift():
     pf = random_convex_polygon(rng, 12)
     pg = random_convex_polygon(rng, 9)
     f, g = _fn(pf), _fn(pg)
-    best = _distance(f, g)[0]
+    best = _distance(pf, pg)
     for t in rng.uniform(0.0, 1.0, 50):
         assert best <= distance_at_shift(f, g, float(t)).distance + 1e-12
 
 
 def test_min_turning_distance_matches_scalar_scan():
     rng = np.random.default_rng(37)
-    fs = [_fn(random_convex_polygon(rng, int(rng.integers(3, 20)))) for _ in range(10)]
-    gs = [_fn(random_convex_polygon(rng, int(rng.integers(3, 20)))) for _ in range(10)]
-    got = zip(*kernels.min_turning_distance(*_tables(fs), *_tables(gs)))
-    for f, g, (d2, t2, r2) in zip(fs, gs, got):
-        d1, t1, r1 = min_turning_distance_scan(f.breaks, f.angles, g.breaks, g.angles)
-        assert d1 == pytest.approx(d2, abs=1e-12)
-        assert t1 == pytest.approx(t2, abs=1e-12)
-        assert r1 == pytest.approx(r2, abs=1e-12)
+    pfs = [random_convex_polygon(rng, int(rng.integers(3, 20))) for _ in range(10)]
+    pgs = [random_convex_polygon(rng, int(rng.integers(3, 20))) for _ in range(10)]
+    got = kernels.min_turning_distance(pfs, pgs)
+    assert len(got) == 10
+    for pf, pg, d in zip(pfs, pgs, got):
+        assert _scan(_fn(pf), _fn(pg))[0] == pytest.approx(d, abs=1e-12)
 
 
 def _batch_cases(rng):
@@ -265,7 +263,7 @@ def _batch_cases(rng):
 
 def test_batched_turning_functions_equal_each_ring_alone():
     rings = [r for cases in _batch_cases(np.random.default_rng(38)) for pair in cases for r in pair]
-    breaks, angles, counts, perimeters = turning._encode(rings)
+    breaks, angles, counts, perimeters = kernels._encode(rings)
     for row, ring in enumerate(rings):
         alone = _fn(ring)
         v = len(alone)
@@ -285,40 +283,24 @@ def test_batched_distances_equal_each_pair_alone_and_the_scan():
     pairs = random_pairs + symmetric
     sums = {len(a) + len(b) for a, b in pairs}
     assert min(sums) < 8 and any(8 <= s <= 16 for s in sums) and max(sums) > 16
-    fs = [_fn(a) for a, _ in pairs]
-    gs = [_fn(b) for _, b in pairs]
-    batch = list(zip(*(v.tolist() for v in kernels.min_turning_distance(*_tables(fs), *_tables(gs)))))
-    assert [d for d, _, _ in batch] == turning.ring_distances([a for a, _ in pairs], [b for _, b in pairs])
+    batch = kernels.min_turning_distance([a for a, _ in pairs], [b for _, b in pairs])
+    assert len(batch) == len(pairs)
     snapped = 0
-    for k, (f, g, got) in enumerate(zip(fs, gs, batch)):
-        assert got == _distance(f, g)
-        d, t, r = min_turning_distance_scan(f.breaks, f.angles, g.breaks, g.angles)
-        assert got[0] == pytest.approx(d, abs=1e-12)
-        if k < len(random_pairs):
-            assert got[1] == t
-            assert got[2] == pytest.approx(r, abs=1e-12)
-        else:
-            # one of the tied shifts: it gives the reported distance
-            at = distance_at_shift(f, g, got[1])
-            assert at.distance == pytest.approx(got[0], abs=1e-9)
-            assert at.rotation == pytest.approx(got[2], abs=1e-9)
-        shifted = np.sort(np.concatenate([(f.breaks - got[1]) % 1.0, g.breaks]))
+    for (a, b), got in zip(pairs, batch):
+        assert got == _distance(a, b)
+        f, g = _fn(a), _fn(b)
+        d, t, _ = _scan(f, g)
+        assert got == pytest.approx(d, abs=1e-12)
+        shifted = np.sort(np.concatenate([(f.breaks - t) % 1.0, g.breaks]))
         snapped += bool(np.any(np.diff(shifted) <= kernels.SNAP_EPS))
     assert snapped >= 5
 
 
-@pytest.mark.parametrize("bad", [
-    [(0.0, 0.0), (1.0, 0.0)],
-    list(reversed(SQUARE)),
-    [(0.0, 0.0), (1.0, 0.0), (1.0, 0.0), (0.0, 1.0)],
-    [(0.0, 0.0), (1.0, math.nan), (0.0, 1.0)],
-    [(-6e307, 0.0), (6e307, 5.0), (3.0, 4.0)],
-])
-def test_batch_with_one_bad_ring_raises_as_that_ring_alone(bad):
+def test_batch_with_one_bad_ring_raises_as_that_ring_alone():
     with pytest.raises(InvalidInputError) as alone:
-        turning._encode([bad])
+        kernels.min_turning_distance([HUGE], [SQUARE])
     with pytest.raises(InvalidInputError) as batch:
-        turning.ring_distances([SQUARE, RECT_2_1, bad], [RECT_2_1, SQUARE, SQUARE])
+        kernels.min_turning_distance([SQUARE, RECT_2_1, HUGE], [RECT_2_1, SQUARE, SQUARE])
     assert str(batch.value) == str(alone.value)
 
 
@@ -345,15 +327,14 @@ def test_row_sums_equal_each_row_summed_alone():
 
 def test_passes_of_the_shift_table_change_no_result(monkeypatch):
     random_pairs, symmetric = _batch_cases(np.random.default_rng(42))
-    args = (*_tables([_fn(a) for a, _ in random_pairs + symmetric]),
-            *_tables([_fn(b) for _, b in random_pairs + symmetric]))
-    whole = [v.tolist() for v in kernels.min_turning_distance(*args)]
+    args = ([a for a, _ in random_pairs + symmetric], [b for _, b in random_pairs + symmetric])
+    whole = kernels.min_turning_distance(*args)
     passes = []
     real = kernels._shift_pass
     monkeypatch.setattr(kernels, "_shift_pass", lambda *a: passes.append(len(a[2])) or real(*a))
     monkeypatch.setattr(kernels, "SHIFT_CELLS", 400)
-    assert [v.tolist() for v in kernels.min_turning_distance(*args)] == whole
-    assert len(passes) > 3 and sum(passes) == len(whole[0])
+    assert kernels.min_turning_distance(*args) == whole
+    assert len(passes) > 3 and sum(passes) == len(whole)
 
 
 def test_shape_stage_memory_is_bounded():
