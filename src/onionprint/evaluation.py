@@ -23,6 +23,7 @@ order is the one raised, as with one worker.
 """
 
 import csv
+import functools
 import itertools
 import os
 import pickle  # numpy has already loaded it
@@ -55,8 +56,9 @@ class DatasetEntry:
     impression_id: int
     path: str
 
-    @property
+    @functools.cached_property
     def label(self) -> str:
+        """`FFF_I`, made once: every breakdown of the entry's pairs holds this one string."""
         return f"{self.finger_id}_{self.impression_id}"
 
 

@@ -32,7 +32,7 @@ COLUMNS = ("idA", "idB", "k", "m", "n", "minutiae_score", "layersA", "layersB", 
 CSV_HEADER = ",".join(COLUMNS)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScoreBreakdown:
     ida: str
     idb: str
@@ -109,8 +109,9 @@ def match_under(sets_a, sets_b, cfgs, ida=None, idb=None) -> list:
     for a, b, cfg in zip(sets_a, sets_b, cfgs):
         key = (id(a), id(b), cfg.r0, cfg.theta0)
         if key not in stages:
+            pa, pb = a.prepared, b.prepared
             _, _, pairs_i, pairs_j, _ = kernels.best_alignment(
-                a.x, a.y, a.theta, b.x, b.y, b.theta, float(cfg.r0), float(cfg.theta0)
+                pa, pa.y, pa.t, pb, pb.y, pb.t, float(cfg.r0), float(cfg.theta0)
             )
             k, m, n = len(pairs_i), len(a), len(b)
             # one peeling per side serves both the ring-count gate and the rings

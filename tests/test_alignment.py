@@ -10,7 +10,7 @@ from onionprint.config import MatchConfig
 from onionprint.errors import InvalidInputError
 from onionprint.minutiae import Minutia, MinutiaKind, MinutiaSet
 from onionprint.scoring import match_pair, minutiae_score
-from onionprint.synth import synthetic_corpus
+from onionprint.synth import synthetic_corpus, synthetic_finger
 from oracles import (
     Transform,
     alignment_bounds_bruteforce,
@@ -478,6 +478,101 @@ def test_alignment_bounds_memory_does_not_grow_with_tight_tolerances():
         finally:
             tracemalloc.stop()
         assert peak < 8 << 20, (r0, theta0, peak)
+
+
+def test_prepared_print_memory_is_bounded():
+    # a 45-minutia print keeps its anchor-relative points and its table on
+    # the stock grid: some 100 KB, and preparing it peaks under 1 MB
+    ms = MinutiaSet.from_iterable(synthetic_finger(np.random.default_rng(124), 45, 45))
+    grid = kernels._grid(15.0, 10.0, 512.0)
+    tracemalloc.start()
+    try:
+        kept = kernels.Print(ms.x, ms.y, ms.theta)
+        kept.table(grid)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 130 << 10, held
+    assert peak < 1 << 20, peak
+
+
+def _assert_prepared_bounds_match_bruteforce(sets, r0=15.0, theta0=10.0):
+    """Every ordered pair of the sets, each set against itself too, bounded
+    through the prints the sets keep, as the brute force bounds it."""
+    for a, b in itertools.product(sets, repeat=2):
+        pa, pb = a.prepared, b.prepared
+        got = kernels._alignment_bounds(pa, pa.y, pa.t, pb, pb.y, pb.t, r0, theta0)
+        assert got.tolist() == alignment_bounds_bruteforce(*_kernel_args(a, b, r0, theta0)).tolist(), (r0, theta0)
+
+
+def test_prepared_bounds_match_bruteforce_across_scale_classes():
+    # coordinates within 100, 1,000 and 30,000: a pair takes the scale
+    # class of its larger print, so each print is filed on several grids,
+    # and the input is the larger of the two as often as the smaller
+    rng = np.random.default_rng(125)
+    sets = [_random_set(rng, 10, box) for box in (100.0, 100.0, 1000.0, 3e4)]
+    _assert_prepared_bounds_match_bruteforce(sets)
+    assert len(sets[0].prepared._tables) == 3
+    assert len({grid for s in sets for grid in s.prepared._tables}) == 3
+
+
+def test_prepared_bounds_match_bruteforce_at_extreme_tolerances():
+    rng = np.random.default_rng(126)
+    sets = [_random_set(rng, int(rng.integers(1, 12))) for _ in range(3)]
+    for r0, theta0 in itertools.product(EXTREME_R0, EXTREME_THETA0):
+        _assert_prepared_bounds_match_bruteforce(sets, r0, theta0)
+
+
+def test_prepared_bounds_match_bruteforce_on_wide_spreads_and_near_float_limit():
+    # the spreads that cap cells and slabs, and the sets whose differences
+    # or spread overflow (see the tests of the bound on fresh arrays)
+    rng = np.random.default_rng(127)
+    wide = [_random_set(rng, 12, box) for box in (2e5, 1e9)]
+    for r0, theta0 in [(15.0, 10.0), (0.0, 0.0)]:
+        _assert_prepared_bounds_match_bruteforce(wide, r0, theta0)
+    limits = [[_mu(-1e308, 0.0, 10.0), _mu(1e308, 5.0, 20.0), _mu(3.0, 4.0, 30.0)],
+              [_mu(1e308, 1e308, 15.0), _mu(-1e308, -9e307, 25.0), _mu(1.0, 1.0, 35.0)],
+              [_mu(-6e307, 0.0, 10.0), _mu(6e307, 5.0, 20.0), _mu(3.0, 4.0, 30.0)],
+              [_mu(6e307, 6e307, 15.0), _mu(-6e307, -5e307, 25.0), _mu(1.0, 1.0, 35.0)]]
+    sets = [MinutiaSet.from_iterable(ms) for ms in limits]
+    with np.errstate(all="ignore"):
+        for r0 in EXTREME_R0:
+            _assert_prepared_bounds_match_bruteforce(sets, r0, 10.0)
+
+
+def test_prepared_own_neighbours_are_tested_at_the_pairs_pad():
+    # the scale class is 512 and the pair's scale 300, so the pair's pad
+    # is 15.0003 and the class's 15.000512: the input's point 15.0004
+    # from its anchor is filed as a near neighbour but is no partner of
+    # the template's anchor, while the template's point 10 from its
+    # anchor is one of the input's; the bound of (0, 0) is then 1, not 2
+    a = MinutiaSet.from_iterable([_mu(100.0, 100.0), _mu(115.0004, 100.0), _mu(300.0, 300.0, 90.0)])
+    b = MinutiaSet.from_iterable([_mu(50.0, 50.0), _mu(50.0, 60.0)])
+    _assert_prepared_bounds_match_bruteforce([a, b])
+    pa, pb = a.prepared, b.prepared
+    assert kernels._alignment_bounds(pa, pa.y, pa.t, pb, pb.y, pb.t, 15.0, 10.0)[0] == 1
+
+
+def test_match_pair_prepares_each_print_once_per_grid(monkeypatch):
+    # repeated pairs, both ways round, and a third print: three
+    # preparations, all on the stock grid
+    calls = []
+    real = kernels._prepare
+
+    def logged(x, y, t, m, grid):
+        calls.append((id(x), grid))
+        return real(x, y, t, m, grid)
+
+    monkeypatch.setattr(kernels, "_prepare", logged)
+    rng = np.random.default_rng(128)
+    a, b, c = (_random_set(rng, 20) for _ in range(3))
+    first = match_pair(a, b)
+    for _ in range(3):
+        assert match_pair(a, b) == first
+        match_pair(b, a)
+    match_pair(a, c)
+    assert len(calls) == len(set(calls)) == 3
+    assert len({grid for _, grid in calls}) == 1
 
 
 def test_alignment_bounds_admit_everything_without_a_table():

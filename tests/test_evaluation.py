@@ -664,6 +664,41 @@ def test_sweep_aligns_once_per_pair_and_r0(tmp_path, monkeypatch, many_cpus, thr
     assert len({pid for _, pid in calls}) == threads
 
 
+def test_breakdowns_share_their_entries_labels():
+    # an entry formats its label once, and every breakdown of its pairs
+    # holds that one string, so kept results cost no id strings of their own
+    ds = load_dataset(Path(__file__).parent / "data" / "min4x3")
+    table, _ = evaluate(ds, mode="all_pairs")
+    labels = {e.label: e.label for e in ds.entries}
+    assert all(e.label is e.label for e in ds.entries)
+    assert all(labels[r.breakdown.ida] is r.breakdown.ida and labels[r.breakdown.idb] is r.breakdown.idb
+               for r in table.rows)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_sweep_prepares_each_print_once_per_grid(tmp_path, monkeypatch, many_cpus, threads):
+    # a sweep over r0 aligns every pair once per r0, and a process files
+    # each print it aligns once per grid, however many pairs it is in
+    log = tmp_path / "calls.log"
+    real = kernels._prepare
+
+    def logged(x, y, t, m, grid):
+        with open(log, "a") as fh:  # the children's calls are seen too
+            fh.write(f"{os.getpid()} {id(x)} {grid!r}\n")
+        return real(x, y, t, m, grid)
+
+    monkeypatch.setattr(kernels, "_prepare", logged)
+    ds = load_dataset(Path(__file__).parent / "data" / "min4x3")
+    sweep(ds, [{"r0": 10.0}, {"r0": 15.0}], mode="all_pairs", threads=threads)
+    calls = log.read_text().splitlines()
+    assert len(calls) == len(set(calls))
+    assert len({line.split()[0] for line in calls}) == threads
+    # every print spans 256 to 512 pixels: one scale class, one grid per r0
+    assert len({line.split(maxsplit=2)[2] for line in calls}) == 2
+    if threads == 1:
+        assert len(calls) == 2 * len(ds)
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_sweep_over_minutiae_and_images_equals_direct_runs(tmp_path, many_cpus, threads):
     # a .min file gives every rm one set and an image one set per rm; either

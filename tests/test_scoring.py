@@ -1,4 +1,5 @@
 import math
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -290,3 +291,18 @@ def test_breakdown_csv_row():
     assert cells[2] == "10"
     assert cells[5] == "1.0"
     assert cells[12] == ""
+
+
+def test_breakdowns_round_trip_through_pickle():
+    # worker processes send their breakdowns back pickled at the highest
+    # protocol; a slotted frozen dataclass has to come back whole
+    rng = np.random.default_rng(308)
+    a = _random_set(rng, 30)
+    scored = match_pair(a, a, ida="1_1", idb="1_2")
+    gated = match_pair(a, MinutiaSet.from_iterable([_mu(5.0, 5.0), _mu(110.0, 110.0, 180.0)]))
+    assert not scored.gated and scored.l > 0 and gated.gated
+    for bd in (scored, gated):
+        again = pickle.loads(pickle.dumps(bd, pickle.HIGHEST_PROTOCOL))
+        assert again == bd
+        assert (again.gated, again.l, again.layer_dists) == (bd.gated, bd.l, bd.layer_dists)
+    assert not hasattr(scored, "__dict__")
