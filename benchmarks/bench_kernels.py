@@ -14,8 +14,13 @@ print against `extract_eager`, which traces every detection with the
 scalar trace and merges densely; one pair's whole shape stage
 (`scoring.layer_distances`, which encodes and compares every peer ring
 pair in one batch) against each ring encoded alone and the
-shift-by-shift sweep one ring pair at a time; the branch-and-bound
-`best_alignment` against the exhaustive search; its bound pass
+shift-by-shift sweep one ring pair at a time; the same ring pairs'
+`kernels.min_turning_distance`, which screens every critical shift in
+closed form and sweeps only those that can win, against the table of
+every critical shift; the branch-and-bound `best_alignment`
+against the exhaustive search; the largest bound level that search
+verifies on its pair, in passes (`kernels._verify_level`), against a
+dense m x n table per hypothesis; its bound pass
 `_alignment_bounds`, which files each print's anchor-relative points by
 orientation slab and cell, against the brute-force bound over all
 m^2 n^2 quadruples, twice: on two prepared prints, where only the
@@ -46,10 +51,12 @@ from oracles import (  # noqa: E402
     detect_minutiae_scalar,
     extract_eager,
     merge_close_dense,
+    min_turning_distance_full,
     min_turning_distance_scan,
     orientation_scalar,
     thin_and_detect_lut,
     thin_scalar,
+    verify_hypothesis,
 )
 
 
@@ -154,18 +161,18 @@ def alignment_workload(seed=3, size=50):
 
 
 def shape_workload(seed=4, size=40):
-    """The peelings of a genuine pair: every peer ring pair, innermost first."""
+    """The proper rings of a genuine pair's peelings, innermost first."""
     rng = np.random.default_rng(seed)
     finger = synth.synthetic_finger(rng, n_min=size, n_max=size)
     a = MinutiaSet.from_iterable(finger)
     b = synth.jittered_impression(rng, finger)
-    return geometry.convex_layers(a.positions()), geometry.convex_layers(b.positions())
+    return tuple(scoring.proper_rings(geometry.convex_layers(s.positions())) for s in (a, b))
 
 
-def shape_stage_scan(layers_a, layers_b):
+def shape_stage_scan(rings_a, rings_b):
     """`scoring.layer_distances` one ring pair and one shift at a time."""
     out = []
-    for ra, rb in zip(scoring._proper(layers_a), scoring._proper(layers_b)):
+    for ra, rb in zip(rings_a, rings_b):
         fs, fa, _, _ = kernels._encode([ra])
         gs, ga, _, _ = kernels._encode([rb])
         out.append(min_turning_distance_scan(fs[0], fa[0], gs[0], ga[0])[0])
@@ -175,6 +182,31 @@ def shape_stage_scan(layers_a, layers_b):
 def agree(a, b):
     """Distances equal to 1e-9: the two sum in different orders."""
     return len(a) == len(b) and all(math.isclose(x, y, rel_tol=0.0, abs_tol=1e-9) for x, y in zip(a, b))
+
+
+def level_workload(args):
+    """The pair's two prints and the largest bound level `best_alignment`
+    verifies on it, as hypothesis numbers a n + b."""
+    bound = kernels._alignment_bounds(*args)
+    k = len(kernels.best_alignment(*args)[2])
+    level = max((np.flatnonzero(bound == v) for v in range(k, int(bound.max()) + 1)), key=len)
+    return kernels.Print(*args[:3]), kernels.Print(*args[3:6]), level
+
+
+def level_winner(results):
+    """The best of (k, ssum, hypothesis, pairs_i, pairs_j) results: most
+    pairs, then least summed distance, then first hypothesis."""
+    k, ssum, h, pi, pj = min(results, key=lambda r: (-r[0], r[1], r[2]))
+    return k, ssum, h, pi.tolist(), pj.tolist()
+
+
+def level_dense(args, level):
+    """`level_winner` of the level, one dense table per hypothesis."""
+    results = []
+    for h in level.tolist():
+        k, ssum, pi, pj = verify_hypothesis(*args, *divmod(h, len(args[3])))
+        results.append((k, ssum, h, pi, pj))
+    return level_winner(results)
 
 
 def same_alignment(got, want):
@@ -205,8 +237,9 @@ def main():
     # prepared by the row's first call, the check against the reference
     prints = [kernels.Print(*bound_args[:3]), kernels.Print(*bound_args[3:6])]
     prepared_args = (prints[0], prints[0].y, prints[0].t, prints[1], prints[1].y, prints[1].t, *bound_args[6:])
-    peelings = shape_workload()
-    rings = len(shape_stage_scan(*peelings))
+    peers = shape_workload()
+    rings = len(shape_stage_scan(*peers))
+    level_i, level_j, level = level_workload(align_args)
     kept, minutiae = merge_workload(detected, sk)
     branches = branch_table()
     cfg = MatchConfig()
@@ -232,10 +265,15 @@ def main():
          lambda: [bifurcation_direction_scalar(row[~np.isnan(row)]) for row in branches], lambda a, b: a == b, 20),
         (f"extract {sk.shape[1]}x{sk.shape[0]} print", lambda: imgproc.extract(img, cfg),
          lambda: extract_eager(img, cfg), lambda a, b: a == b and a.theta.tolist() == b.theta.tolist(), 10),
-        (f"layer_distances {rings} ring pairs", lambda: scoring.layer_distances(*peelings),
-         lambda: shape_stage_scan(*peelings), agree, 20),
+        (f"layer_distances {rings} ring pairs", lambda: scoring.layer_distances(*peers),
+         lambda: shape_stage_scan(*peers), agree, 20),
+        ("min_turning_distance, screened vs full table", lambda: kernels.min_turning_distance(*peers),
+         lambda: min_turning_distance_full(*peers), lambda a, b: a == b, 20),
         ("best_alignment 50 vs ~50", lambda: kernels.best_alignment(*align_args),
          lambda: best_alignment_exhaustive(*align_args), same_alignment, 3),
+        ("one bound level vs per-hypothesis dense verify",
+         lambda: level_winner(kernels._verify_level(level_i, level_j, level, *align_args[6:])),
+         lambda: level_dense(align_args, level), lambda a, b: a == b, 20),
         (f"_alignment_bounds {len(bound_args[0])} vs {len(bound_args[3])}, join",
          lambda: kernels._alignment_bounds(*prepared_args), lambda: alignment_bounds_bruteforce(*bound_args),
          np.array_equal, 10),
@@ -245,13 +283,13 @@ def main():
         (f"merge_close {len(kept[0])} points", merged_rows, dense_rows, lambda a, b: a == b, 3),
     ]
 
-    print(f"{'kernel':<40}{'fast':>12}{'reference':>12}{'speedup':>10}")
+    print(f"{'kernel':<48}{'fast':>12}{'reference':>12}{'speedup':>10}")
     for name, fast, ref, same, inner in rows:
         if not same(fast(), ref()):
             raise SystemExit(f"{name}: results differ from the reference")
         t_fast = best_of(fast, args.repeat, inner)
         t_ref = best_of(ref, args.repeat, 1)
-        print(f"{name:<40}{fmt(t_fast):>12}{fmt(t_ref):>12}{t_ref / t_fast:9.1f}x", flush=True)
+        print(f"{name:<48}{fmt(t_fast):>12}{fmt(t_ref):>12}{t_ref / t_fast:9.1f}x", flush=True)
 
 
 if __name__ == "__main__":

@@ -2,8 +2,8 @@
 
 Three kernels dominate runtime: the thinning subiteration, the alignment
 search over minutia-pair hypotheses, and the turning-function distance,
-which one call encodes and scans for every peer ring pair of a
-fingerprint pair; this module alone knows the layout of its tables.
+which one call encodes, screens and sweeps for every peer ring pair of
+a fingerprint pair; this module alone knows the layout of its tables.
 Each has one numpy implementation;
 ``tests/oracles.py`` keeps a plain reference for each, and the tests
 compare the two.
@@ -26,8 +26,16 @@ search gives. The bound finds partners by fixed-radius cell bucketing
 relative orientation, then position. As geometric hashing does with
 its invariants (Wolfson and Rigoutsos, IEEE CSE 4(4), 1997), each print
 files its anchor-relative points once per grid (``Print``), and a pair
-only joins two filed prints. ``benchmarks/bench_kernels.py`` times the
-kernels against their references.
+only joins two filed prints. The hypotheses that share a bound, a level,
+are verified together, each against the template points near its input
+points in x, so no pass builds a dense table.
+
+The turning distance is minimized over the shifts where two breakpoints
+align. A closed form gives it at every such shift (Arkin et al., IEEE
+TPAMI 13(3), 1991), and the exact sweep over merged breakpoints runs
+only at the shifts within a stated margin of each pair's minimum.
+``benchmarks/bench_kernels.py`` times the kernels against their
+references.
 """
 
 import collections
@@ -195,7 +203,10 @@ def crossing_minutiae(packed):
 # most the smaller of the number of distinct i and of distinct j with
 # such a partner. Hypotheses are verified in order of descending bound
 # until the bound drops below the best k found, so the winner is the
-# one the exhaustive search finds.
+# one the exhaustive search finds. Each level, the hypotheses of one
+# bound, is verified in passes (`_verify_level`): every hypothesis moves
+# the input points, and each point's candidates are the template points
+# within r0 and the pad of it in x, read from the template's x order.
 #
 # The partners are found over all hypotheses at once, in two halves.
 # Once per print and grid, `_prepare` files the print's anchor-relative
@@ -222,11 +233,13 @@ def crossing_minutiae(packed):
 # so that rounding at a tolerance edge never prunes a valid hypothesis.
 BOUND_EPS = 1e-6
 
-# Working memory of one pass of the join, in bytes: at most this plus
-# one anchor's worth, whatever the set sizes. The candidates from an
-# anchor's cells dominate it; the prints' tables are outside the passes,
-# and so are the survivors' keys, at most 8 bytes per distinct
-# (hypothesis, point) pair.
+# Working memory of one pass of the join, or of verifying a level, in
+# bytes: at most this plus one anchor's or one hypothesis's worth,
+# whatever the set sizes. Candidates dominate both: those from an
+# anchor's cells in the join, those within the x window of each moved
+# input point in verification. The prints' tables are outside the
+# passes, and so are the join's survivor keys, at most 8 bytes per
+# distinct (hypothesis, point) pair.
 # Passes this small reuse the memory the last one freed: at 4 MB, one
 # pass per pair, the benchmark's verify pairs faulted in 3.3 times the
 # pages, which the fewer numpy calls did not make up for.
@@ -239,40 +252,6 @@ PASS_BYTES = 1 << 19
 # 400 pixels has some 13,000.
 SIDE = 179
 MAX_SLABS = 32
-
-
-def _verify(xi, yi, ti, xj, yj, tj, r2, theta0, a, b):
-    """Greedy pairing under hypothesis (a, b): (k, ssum, pairs_i, pairs_j)."""
-    m = xi.shape[0]
-    n = xj.shape[0]
-    dth = (tj[b] - ti[a]) % 360.0
-    rad = dth * math.pi / 180.0
-    cosv, sinv = math.cos(rad), math.sin(rad)
-    dx = xj[b] - (cosv * xi[a] - sinv * yi[a])
-    dy = yj[b] - (sinv * xi[a] + cosv * yi[a])
-    px = cosv * xi - sinv * yi + dx
-    py = sinv * xi + cosv * yi + dy
-    d2 = (px[:, None] - xj[None, :]) ** 2 + (py[:, None] - yj[None, :]) ** 2
-    diff = np.abs((ti[:, None] + dth) % 360.0 - tj[None, :])
-    diff = np.minimum(diff, 360.0 - diff)
-    ok = (d2 <= r2) & (diff <= theta0)
-    ii, jj = np.nonzero(ok)  # row-major: i-major, j-minor
-    sd = np.sqrt(d2[ii, jj])
-    order = np.argsort(sd, kind="stable")
-    used_i = np.zeros(m, bool)
-    used_j = np.zeros(n, bool)
-    pi, pj = [], []
-    ssum = 0.0
-    for idx in order:
-        i, j = ii[idx], jj[idx]
-        if used_i[i] or used_j[j]:
-            continue
-        used_i[i] = True
-        used_j[j] = True
-        pi.append(i)
-        pj.append(j)
-        ssum += sd[idx]
-    return len(pi), ssum, np.asarray(pi, np.int64), np.asarray(pj, np.int64)
 
 
 def _local_frames(x, y, t):
@@ -517,8 +496,8 @@ def best_alignment(xi, yi, ti, xj, yj, tj, r0, theta0):
     Each set comes as its x, y and angle arrays; its `Print` may stand in
     for its x array, and then brings the tables its earlier pairs built.
     Empty sets give (0, 0, [], [], 0). Differences that overflow (points
-    some 1e308 apart) get no bound and fail every tolerance test, which
-    numpy need not warn about.
+    some 1e308 apart) get no bound and fail the distance test unless r0
+    squared overflows too, which numpy need not warn about.
     """
     set_i, set_j = _print(xi, yi, ti), _print(xj, yj, tj)
     m = len(set_i)
@@ -526,21 +505,103 @@ def best_alignment(xi, yi, ti, xj, yj, tj, r0, theta0):
     if m == 0 or n == 0:
         return 0, 0, np.empty(0, np.int64), np.empty(0, np.int64), 0.0
     bound = _alignment_bounds(set_i, set_i.y, set_i.t, set_j, set_j.y, set_j.t, r0, theta0)
-    xi, yi, ti, xj, yj, tj = set_i.x, set_i.y, set_i.t, set_j.x, set_j.y, set_j.t
-    r2 = r0 * r0
     best = None  # (k, ssum, hypothesis, pairs_i, pairs_j)
     # descending bound, then (a, b); a level below the best k cannot win,
     # a level equal to it still can, on ssum
     level = int(bound.max())
     while best is None or level >= best[0]:
-        for h in np.flatnonzero(bound == level).tolist():
-            k, ssum, pi, pj = _verify(xi, yi, ti, xj, yj, tj, r2, theta0, *divmod(h, n))
+        for k, ssum, h, pi, pj in _verify_level(set_i, set_j, np.flatnonzero(bound == level), r0, theta0):
             # a later level can hold an earlier (a, b), so that rule is explicit
             if best is None or k > best[0] or (k == best[0] and (ssum < best[1] or (ssum == best[1] and h < best[2]))):
                 best = (k, ssum, h, pi, pj)
         level -= 1
     a, b = divmod(best[2], n)
     return a, b, best[3], best[4], best[1]
+
+
+def _verify_level(set_i, set_j, hyps, r0, theta0):
+    """Greedy pairing under each hypothesis of `hyps`, ascending, in
+    passes: each pass's winner, (k, ssum, hypothesis, pairs_i, pairs_j).
+
+    Hypothesis (a, b) rotates the input by the angle from a to b and
+    moves a onto b. Input i and template j are partners when they lie
+    within r0 and their orientations within theta0; i's candidates are
+    the template points whose x lies within r0 of i's, padded as the
+    bound pads it, found in the template's x order. Each hypothesis
+    pairs its partners greedily by increasing distance, then i, then j,
+    and ssum adds up the paired distances one by one in that order.
+    """
+    xi, yi, ti, xj, yj, tj = set_i.x, set_i.y, set_i.t, set_j.x, set_j.y, set_j.t
+    m = xi.shape[0]
+    n = xj.shape[0]
+    full = min(m, n)
+    by_x = xj.argsort(kind="stable")
+    xs = xj.take(by_x)
+    template = np.array([xj, yj])
+    r2 = r0 * r0
+    pad = r0 + BOUND_EPS * max(1.0, r0, set_i.extent, set_j.extent)
+    # a pass holds about 128 bytes per input point and hypothesis, and
+    # as many per candidate
+    step = max(1, PASS_BYTES // (128 * m))
+    for h0 in range(0, hyps.shape[0], step):
+        hyp = hyps[h0:h0 + step]
+        a, b = np.divmod(hyp, n)
+        dth = (tj.take(b) - ti.take(a)) % 360.0
+        # math.cos and math.sin, as the exhaustive search rounds them
+        rot = np.array([(math.cos(r), math.sin(r), -math.sin(r), math.cos(r))
+                        for r in (dth * math.pi / 180.0).tolist()]).T.reshape(2, 2, -1, 1)
+        # (c x - s y, s x + c y) of every input point, then moved so that
+        # each hypothesis's anchor lands on its template point
+        p = rot[0] * xi + rot[1] * yi
+        p += (template.take(b, axis=1) - p[:, np.arange(hyp.shape[0]), a])[:, :, None]
+        p = p.reshape(2, -1)
+        turned = ((ti + dth[:, None]) % 360.0).ravel()
+        if r2 == math.inf:  # every distance passes, those that overflow too
+            lo = np.zeros(p.shape[1], np.intp)
+            cnt = np.full(p.shape[1], n)
+        else:
+            lo = xs.searchsorted(p[0] - pad, "left")
+            cnt = xs.searchsorted(p[0] + pad, "right") - lo
+        cuts = [0, hyp.shape[0]]
+        if 128 * int(cnt.sum()) > PASS_BYTES:
+            group = np.cumsum(cnt.reshape(-1, m).sum(axis=1)) * 128 // PASS_BYTES
+            cuts[1:1] = (np.flatnonzero(np.diff(group)) + 1).tolist()
+        for g0, g1 in zip(cuts[:-1], cuts[1:]):
+            cnt_p = cnt[g0 * m:g1 * m]
+            ends = cnt_p.cumsum()
+            pos = (lo[g0 * m:g1 * m] - ends + cnt_p).repeat(cnt_p)
+            pos += np.arange(pos.shape[0])
+            row = np.arange(g0 * m, g1 * m).repeat(cnt_p)
+            j = by_x.take(pos)
+            d = p.take(row, axis=1) - template.take(j, axis=1)
+            d *= d
+            d2 = d[0] + d[1]
+            diff = np.abs(turned.take(row) - tj.take(j))
+            ok = ((d2 <= r2) & (np.minimum(diff, 360.0 - diff) <= theta0)).nonzero()[0]
+            row, j, sd = row.take(ok), j.take(ok), np.sqrt(d2.take(ok))
+            order = np.lexsort((row * n + j, sd, row // m))
+            row, j, sd = row.take(order), j.take(order), sd.take(order)
+            h, i = np.divmod(row, m)
+            ends = h.searchsorted(np.arange(g0, g1 + 1)).tolist()
+            i, j, sd = i.tolist(), j.tolist(), sd.tolist()
+            best = None
+            for g in range(g1 - g0):
+                e0, e1 = ends[g], ends[g + 1]
+                if best is not None and e1 - e0 < best[0]:
+                    continue  # fewer partners than the best count
+                took, used_j, ssum = {}, set(), 0.0  # took maps i to j, in pairing order
+                for u, v, d in zip(i[e0:e1], j[e0:e1], sd[e0:e1]):
+                    if u in took or v in used_j:
+                        continue
+                    took[u] = v
+                    used_j.add(v)
+                    ssum += d
+                    if len(took) == full:
+                        break  # every later pair shares a point with these
+                if best is None or len(took) > best[0] or (len(took) == best[0] and ssum < best[1]):
+                    best = (len(took), ssum, g, took)
+            k, ssum, g, took = best
+            yield k, ssum, int(hyp[g0 + g]), np.array(list(took), np.int64), np.array(list(took.values()), np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -562,20 +623,33 @@ def best_alignment(xi, yi, ti, xj, yj, tj, r0, theta0):
 # integrated exactly over the merged breakpoint partition.
 #
 # `min_turning_distance` is the way in: one call encodes every peer ring
-# of a fingerprint pair and evaluates the critical shifts of every ring
-# pair, one table row per shift. A row holds its pair's f breaks, then
-# its g breaks, as if the pair were alone, then padding at position 1.0
-# that a stable sort keeps after every break. Padding adds nothing to a
-# row: the last break's cell still ends at 1.0, and each row, like each
-# ring's perimeter, is summed over its own entries only (`row_sums`),
-# since numpy's pairwise summation associates by the number of terms.
+# of a fingerprint pair, screens the critical shifts of every ring pair
+# in closed form (`_screen`), and evaluates the few that can win on the
+# merged partition, one table row per shift. A row holds its pair's f
+# breaks, then its g breaks, as if the pair were alone, then padding at
+# position 1.0 that a stable sort keeps after every break. Padding adds
+# nothing to a row: the last break's cell still ends at 1.0, and each
+# row, like each ring's perimeter, is summed over its own entries only
+# (`row_sums`), since numpy's pairwise summation associates by the
+# number of terms.
 # ---------------------------------------------------------------------------
 
-# Cells of one pass over the table, m * n rows of max(m + n) + 1 entries
-# for each pair in it: a pass holds some 0.1 KB per cell, about 7 MB,
-# whatever the batch. The pairs of 30-60 minutiae prints need some 4,000
-# cells, one pass.
+# Cells of one pass, m * n shifts of max(m + n) + 1 entries for each pair
+# in it, as if the table kept every shift: two regular polygons tie at
+# all of them. A pass holds some 0.1 KB per cell, about 7 MB, whatever
+# the batch. The pairs of 30-60 minutiae prints need some 4,000 cells,
+# one pass, and on genuine pairs the screen keeps one shift per ring
+# pair.
 SHIFT_CELLS = 1 << 16
+
+# The screen's d^2 is the closed form on the turning functions as they
+# are, while the table drops cells up to SNAP_EPS wide: each moves a row's d^2 by
+# at most 4 h^2 SNAP_EPS, and |h| < 8 pi, so under 2.6e-9 per cell. A
+# row has m + n cells, and float error in either is some 1e-12, so
+# delta = (m + n) SCREEN_EPS bounds how far the screen strays from the
+# table, and a shift more than 2 delta above its pair's screened minimum
+# cannot be the table's minimum.
+SCREEN_EPS = 4e-9
 
 
 def row_sums(table, runs):
@@ -648,12 +722,14 @@ def _encode(rings):
 
 def min_turning_distance(rings_f, rings_g):
     """Turning distance of each ring pair (rings_f[r], rings_g[r]),
-    minimized over the pair's m * n critical shifts, as a list.
+    minimized over the pair's m * n critical shifts, as a list; every
+    ring has 3 or more distinct vertices.
 
     All rings are encoded at once, f[0], g[0], f[1], ... in that order,
-    and all shifts of all pairs evaluated via one sorted merged-break
-    table, in passes over consecutive pairs of at most SHIFT_CELLS cells
-    (one pair at least), so that memory stays bounded whatever the batch.
+    and the shifts of all pairs screened and evaluated via one sorted
+    merged-break table, in passes over consecutive pairs of at most
+    SHIFT_CELLS cells (one pair at least), so that memory stays bounded
+    whatever the batch.
     """
     if not rings_f:
         return []
@@ -678,7 +754,13 @@ def _shift_pass(fs, fa, m, gs, ga, n):
     """The distances of `min_turning_distance` over one table: row r of
     `fs` and `fa` holds the breaks and angles of pair r's first turning
     function in its first m[r] columns, `gs` and `ga` those of its second
-    in n[r]; later columns are ignored."""
+    in n[r]; later columns are ignored.
+
+    The screen gives d^2 at every critical shift (`_screen`); only the
+    shifts within 2 delta of their pair's screened minimum, delta = (m +
+    n) SCREEN_EPS, get a row of the table, and the least d^2 of those
+    rows is the pair's.
+    """
     npairs = m.shape[0]
     tot = m + n
     mn = m * n
@@ -692,14 +774,19 @@ def _shift_pass(fs, fa, m, gs, ga, n):
     src += (mw + nw + 1) * np.arange(npairs)[:, None]
     pad = np.ones((npairs, 1))
 
-    # one row per critical shift: pair-major, then i-major like the
-    # reference scan. The table is flat, `width` entries a row, so that
-    # no operation broadcasts along rows this short.
+    # every critical shift, pair-major; the screen keeps a few of each
+    # pair, still pair-major
     pair = np.repeat(np.arange(npairs), mn)
     first = np.cumsum(mn) - mn
     q = np.arange(pair.shape[0]) - first[pair]
     i, j = np.divmod(q, n[pair])
     shifts = _frac(fs[pair, i] - gs[pair, j])
+    screen = _screen(fs, fa, m, gs, ga, n, pair, i, j, shifts)
+    keep = np.flatnonzero(screen <= (np.minimum.reduceat(screen, first) + 2 * SCREEN_EPS * tot)[pair])
+    pair, shifts = pair.take(keep), shifts.take(keep)
+
+    # one row per kept shift. The table is flat, `width` entries a row,
+    # so that no operation broadcasts along rows this short.
     shift = np.repeat(shifts, width)
     src = src[pair].ravel()
     isf = isf[pair].ravel()
@@ -736,14 +823,69 @@ def _shift_pass(fs, fa, m, gs, ga, n):
     np.subtract(pos[1:], pos[:-1], out=widths[:-1])
     np.copyto(widths, 0.0, where=widths <= SNAP_EPS)
     h = fv - gv
-    runs = list(zip(tot.tolist(), mn.tolist()))
+    kept = np.bincount(pair, minlength=npairs)
+    runs = list(zip(tot.tolist(), kept.tolist()))
     i1 = row_sums((h * widths).reshape(-1, width), runs)
     # two-pass form: summing squared deviations sidesteps the
     # cancellation of E[h^2] - E[h]^2 near zero distances
     dev = h - np.repeat(i1, width)
     d2 = row_sums((dev * dev * widths).reshape(-1, width), runs)
-    # first minimum of each pair, same tie rule as the reference scan
-    table = np.full((npairs, int(mn.max())), np.inf)
-    table[pair, q] = d2
-    best = first + np.argmin(table, axis=1)
-    return np.sqrt(np.maximum(d2[best], 0.0))
+    # the screen keeps each pair's least shift, so no pair's run is empty
+    return np.sqrt(np.maximum(np.minimum.reduceat(d2, np.cumsum(kept) - kept), 0.0))
+
+
+def _screen(fs, fa, m, gs, ga, n, pair, i, j, shifts):
+    """d^2 of each ring pair at its critical shifts (pair, i, j), in
+    closed form, without the table's SNAP_EPS cells.
+
+    A turning function with jumps J_k at breaks x_k is c + 2 pi s -
+    sum_k J_k w(s - x_k), w the sawtooth frac - 1/2, since its jumps add
+    up to a full turn. So at shift t the difference of f and g is a
+    constant plus sawtooth terms, and d^2, its variance, is
+    Var f + Var g - 2 X(t) with X(t) = sum_kl J_k K_l R(x_k - y_l - t),
+    R(u) = 1/12 - v (1 - v) / 2, v = frac(u), the sawtooth's
+    autocorrelation. X is piecewise quadratic between critical shifts
+    (Arkin et al., IEEE TPAMI 13(3), 1991), and at them it is a few
+    prefix sums of the weights J_k K_l over the shifts sorted.
+    """
+    npairs = m.shape[0]
+    jumps, var = _sawtooth(np.concatenate([fs, gs]), np.concatenate([fa, ga]), np.concatenate([m, n]))
+    # by pair, then shift: pair + t / 2 rounds only shifts closer than
+    # its ulp, and X moves by less than their weight times that
+    order = np.argsort(pair + shifts / 2.0)
+    t = shifts.take(order)
+    # prefix sums of w, w t and w t^2, w the weight J_i K_j of each shift
+    sums = np.zeros((3, t.shape[0] + 1))
+    np.multiply(jumps[pair, i], jumps[npairs + pair, j], out=sums[0, 1:])
+    sums[0, 1:] = sums[0, 1:].take(order)
+    np.multiply(sums[0, 1:], t, out=sums[1, 1:])
+    np.multiply(sums[1, 1:], t, out=sums[2, 1:])
+    np.cumsum(sums, axis=1, out=sums)
+    ends = np.cumsum(m * n)
+    base = sums[:, ends - m * n]
+    s0, s1, s2 = sums[:, ends] - base
+    # X = s0 / 12 + (s2 - s1) / 2 + t (s0 / 2 - s1 - W) + t^2 s0 / 2 + WT
+    # with W and WT the sums of w and w t over the pair's shifts up to t
+    lead = (var[:npairs] + var[npairs:] - s0 / 6.0 - s2 + s1 + 2.0 * base[1])[pair]
+    slope = (s0 / 2.0 - s1 + base[0])[pair]
+    d2 = np.empty_like(t)
+    d2[order] = lead - 2.0 * (t * (slope - sums[0, 1:] + t * (s0 / 2.0)[pair]) + sums[1, 1:])
+    return d2
+
+
+def _sawtooth(breaks, angles, counts):
+    """Each turning function's jumps, J_k at break k and zero past its
+    count, and the variance of f(s) - 2 pi s over [0, 1)."""
+    inside = np.arange(breaks.shape[1]) < counts[:, None]
+    jumps = np.zeros_like(angles)
+    np.subtract(angles[:, 1:], angles[:, :-1], out=jumps[:, 1:], where=inside[:, 1:])
+    jumps[:, 0] = TWO_PI - jumps.sum(axis=1)
+    ends = np.ones_like(breaks)
+    np.copyto(ends[:, :-1], breaks[:, 1:], where=inside[:, 1:])
+    widths = (ends - breaks) * inside
+    # f(s) - 2 pi s falls by 2 pi across a cell of width 1 from the
+    # cell's angle less 2 pi times its start: a cell's mean, plus pi^2
+    # w^2 / 3 for its slope
+    mean = angles - angles[:, :1] - TWO_PI * breaks - math.pi * widths
+    wm = widths * mean
+    return jumps, (wm * mean + widths ** 3 * (math.pi ** 2 / 3.0)).sum(axis=1) - wm.sum(axis=1) ** 2

@@ -63,21 +63,19 @@ def minutiae_score(k: int, m: int, n: int) -> float:
     return k / ((m + n) / 2.0)
 
 
-def _proper(rings):
-    """The rings with at least 3 vertices, innermost first."""
-    return [ring for ring in reversed(rings) if len(ring) >= 3]
+def proper_rings(layers):
+    """The rings of a peeling with at least 3 vertices, innermost first."""
+    return [ring for ring in reversed(layers) if len(ring) >= 3]
 
 
 def layer_distances(rings_input, rings_template):
-    """Turning distances of peer rings of two peelings, innermost pair first.
-
-    Peelings are (k, 2) ring arrays, outermost first. Rings with fewer
-    than 3 vertices have no turning function and are skipped; the shorter
-    remaining stack bounds the comparison. All pairs are one batch.
+    """Turning distances of peer rings, innermost pair first, of two
+    peelings' proper rings (`proper_rings`): rings with fewer than 3
+    vertices have no turning function. The shorter stack bounds the
+    comparison, and all pairs are one batch.
     """
-    rings_a, rings_b = _proper(rings_input), _proper(rings_template)
-    rings = min(len(rings_a), len(rings_b))
-    return kernels.min_turning_distance(rings_a[:rings], rings_b[:rings])
+    rings = min(len(rings_input), len(rings_template))
+    return kernels.min_turning_distance(rings_input[:rings], rings_template[:rings])
 
 
 def average_distance(dists) -> float:
@@ -126,10 +124,11 @@ def match_under(sets_a, sets_b, cfgs, ida=None, idb=None) -> list:
         if gate:
             bd = _checked(ScoreBreakdown(*head, (), None, None, 0.0, gate), 0)
         elif bd is None:  # the first config to leave this pair open runs the shape stage
-            dists = tuple(layer_distances(layers_a, layers_b))
+            rings_a, rings_b = proper_rings(layers_a), proper_rings(layers_b)
+            dists = tuple(layer_distances(rings_a, rings_b))
             avg = average_distance(dists)
-            rings = min(len(_proper(layers_a)), len(_proper(layers_b)))
-            bd = stage[3] = _checked(ScoreBreakdown(*head, dists, avg, *final_score(score, avg)), rings)
+            bd = stage[3] = _checked(ScoreBreakdown(*head, dists, avg, *final_score(score, avg)),
+                                     min(len(rings_a), len(rings_b)))
         out.append(bd)
     return out
 

@@ -354,6 +354,80 @@ def min_turning_distance_scan(fs, fa, gs, ga):
     return math.sqrt(max(best_d2, 0.0)), best_t, -best_i1
 
 
+def shift_table_full(fs, fa, m, gs, ga, n):
+    """d^2 at every critical shift of every ring pair, from one merged-break
+    table row per shift: the arithmetic `kernels.min_turning_distance`
+    runs on the rows its screen keeps, on all of them.
+
+    Row r of `fs` and `fa` holds the breaks and angles of pair r's first
+    turning function in its first m[r] columns, `gs` and `ga` those of
+    its second in n[r]. The result is pair-major, then i-major.
+    """
+    from onionprint.kernels import SNAP_EPS, _frac, row_sums
+
+    npairs = m.shape[0]
+    tot = m + n
+    mn = m * n
+    width = int(tot.max()) + 1
+    col = np.arange(width)
+    isf = col < m[:, None]
+    mw, nw = fs.shape[1], gs.shape[1]
+    src = np.where(isf, col, np.where(col < tot[:, None], mw - m[:, None] + col, mw + nw))
+    src += (mw + nw + 1) * np.arange(npairs)[:, None]
+    pad = np.ones((npairs, 1))
+    pair = np.repeat(np.arange(npairs), mn)
+    first = np.cumsum(mn) - mn
+    q = np.arange(pair.shape[0]) - first[pair]
+    i, j = np.divmod(q, n[pair])
+    shifts = _frac(fs[pair, i] - gs[pair, j])
+    shift = np.repeat(shifts, width)
+    src = src[pair].ravel()
+    isf = isf[pair].ravel()
+    pos = np.concatenate([fs, gs, pad], axis=1).take(src)
+    val = np.concatenate([fa, ga, pad], axis=1).take(src)
+    below = isf & (pos < shift)
+    np.add(val, TWO_PI * below, out=val, where=isf)
+    x = pos - shift
+    np.subtract(x, np.floor(x), out=pos, where=isf)
+    row0 = np.repeat(np.arange(0, pos.shape[0], width), width)
+    order = np.argsort(pos.reshape(-1, width), axis=1, kind="stable").ravel() + row0
+    pos = pos.take(order)
+    val = val.take(order)
+    isf = isf.take(order)
+    flat = np.arange(pos.shape[0])
+    f_idx = np.maximum.accumulate(np.where(isf, flat, -1))
+    g_idx = np.maximum.accumulate(np.where(isf, -1, flat))
+    k0 = below.reshape(-1, width).sum(axis=1)
+    fa_row = fa.shape[1] * pair
+    f_init = np.where(k0 > 0, fa.take(fa_row + np.maximum(k0 - 1, 0)) + TWO_PI,
+                      fa.take(fa_row + m[pair] - 1)) - TWO_PI
+    g_init = (ga.take(ga.shape[1] * np.arange(npairs) + n - 1) - TWO_PI)[pair]
+    fv = np.where(f_idx < row0, np.repeat(f_init, width), val.take(f_idx))
+    gv = np.where(g_idx < row0, np.repeat(g_init, width), val.take(g_idx))
+    widths = np.zeros_like(pos)
+    np.subtract(pos[1:], pos[:-1], out=widths[:-1])
+    np.copyto(widths, 0.0, where=widths <= SNAP_EPS)
+    h = fv - gv
+    runs = list(zip(tot.tolist(), mn.tolist()))
+    i1 = row_sums((h * widths).reshape(-1, width), runs)
+    dev = h - np.repeat(i1, width)
+    return row_sums((dev * dev * widths).reshape(-1, width), runs)
+
+
+def min_turning_distance_full(rings_f, rings_g):
+    """`kernels.min_turning_distance` from the table of every critical
+    shift (`shift_table_full`), one ring pair at a time: the first
+    minimum of each pair."""
+    from onionprint.kernels import _encode
+
+    out = []
+    for pair in zip(rings_f, rings_g):
+        breaks, angles, counts, _ = _encode(list(pair))
+        d2 = shift_table_full(breaks[:1], angles[:1], counts[:1], breaks[1:], angles[1:], counts[1:])
+        out.append(math.sqrt(max(float(d2.min()), 0.0)))
+    return out
+
+
 def random_convex_polygon(rng, nv, radius=100.0):
     """Convex polygon with nv vertices: hull of points on a random ellipse."""
     ang = np.sort(rng.uniform(0.0, TWO_PI, nv))
@@ -779,6 +853,47 @@ def merge_groups_unionfind(points, rm):
     return frozenset(frozenset(g) for g in groups.values())
 
 
+def verify_hypothesis(xi, yi, ti, xj, yj, tj, r0, theta0, a, b):
+    """Greedy pairing under hypothesis (a, b) over the dense m x n table
+    of every input and template point: (k, ssum, pairs_i, pairs_j).
+
+    The input is rotated by the angle from a to b and moved so that a
+    lands on b. Pairs within r0 and theta0 are taken by increasing
+    distance, ties in (i, j) order, and ssum adds the taken distances
+    one by one in that order.
+    """
+    m = xi.shape[0]
+    n = xj.shape[0]
+    dth = (tj[b] - ti[a]) % 360.0
+    rad = dth * math.pi / 180.0
+    cosv, sinv = math.cos(rad), math.sin(rad)
+    dx = xj[b] - (cosv * xi[a] - sinv * yi[a])
+    dy = yj[b] - (sinv * xi[a] + cosv * yi[a])
+    px = cosv * xi - sinv * yi + dx
+    py = sinv * xi + cosv * yi + dy
+    d2 = (px[:, None] - xj[None, :]) ** 2 + (py[:, None] - yj[None, :]) ** 2
+    diff = np.abs((ti[:, None] + dth) % 360.0 - tj[None, :])
+    diff = np.minimum(diff, 360.0 - diff)
+    ok = (d2 <= r0 * r0) & (diff <= theta0)
+    ii, jj = np.nonzero(ok)  # row-major: i-major, j-minor
+    sd = np.sqrt(d2[ii, jj])
+    order = np.argsort(sd, kind="stable")
+    used_i = np.zeros(m, bool)
+    used_j = np.zeros(n, bool)
+    pi, pj = [], []
+    ssum = 0.0
+    for idx in order:
+        i, j = ii[idx], jj[idx]
+        if used_i[i] or used_j[j]:
+            continue
+        used_i[i] = True
+        used_j[j] = True
+        pi.append(i)
+        pj.append(j)
+        ssum += sd[idx]
+    return len(pi), ssum, np.asarray(pi, np.int64), np.asarray(pj, np.int64)
+
+
 def best_alignment_exhaustive(xi, yi, ti, xj, yj, tj, r0, theta0):
     """Verify every (a, b) hypothesis in (a, b) order; the reference search.
 
@@ -790,46 +905,14 @@ def best_alignment_exhaustive(xi, yi, ti, xj, yj, tj, r0, theta0):
     n = xj.shape[0]
     if m == 0 or n == 0:
         return 0, 0, np.empty(0, np.int64), np.empty(0, np.int64), 0.0
-    r2 = r0 * r0
-
-    def candidate_match(a, b):
-        dth = (tj[b] - ti[a]) % 360.0
-        rad = dth * math.pi / 180.0
-        cosv, sinv = math.cos(rad), math.sin(rad)
-        dx = xj[b] - (cosv * xi[a] - sinv * yi[a])
-        dy = yj[b] - (sinv * xi[a] + cosv * yi[a])
-        px = cosv * xi - sinv * yi + dx
-        py = sinv * xi + cosv * yi + dy
-        d2 = (px[:, None] - xj[None, :]) ** 2 + (py[:, None] - yj[None, :]) ** 2
-        diff = np.abs((ti[:, None] + dth) % 360.0 - tj[None, :])
-        diff = np.minimum(diff, 360.0 - diff)
-        ok = (d2 <= r2) & (diff <= theta0)
-        ii, jj = np.nonzero(ok)  # row-major: i-major, j-minor
-        sd = np.sqrt(d2[ii, jj])
-        order = np.argsort(sd, kind="stable")
-        used_i = np.zeros(m, bool)
-        used_j = np.zeros(n, bool)
-        pi, pj = [], []
-        ssum = 0.0
-        for idx in order:
-            i, j = ii[idx], jj[idx]
-            if used_i[i] or used_j[j]:
-                continue
-            used_i[i] = True
-            used_j[j] = True
-            pi.append(i)
-            pj.append(j)
-            ssum += sd[idx]
-        return len(pi), ssum, pi, pj
-
     best = (-1, np.inf, 0, 0)
     for a in range(m):
         for b in range(n):
-            k, ssum, _, _ = candidate_match(a, b)
+            k, ssum, _, _ = verify_hypothesis(xi, yi, ti, xj, yj, tj, r0, theta0, a, b)
             if k > best[0] or (k == best[0] and ssum < best[1]):
                 best = (k, ssum, a, b)
-    _, ssum, pi, pj = candidate_match(best[2], best[3])
-    return best[2], best[3], np.asarray(pi, np.int64), np.asarray(pj, np.int64), ssum
+    _, ssum, pi, pj = verify_hypothesis(xi, yi, ti, xj, yj, tj, r0, theta0, best[2], best[3])
+    return best[2], best[3], pi, pj, ssum
 
 
 def alignment_bounds_bruteforce(xi, yi, ti, xj, yj, tj, r0, theta0):

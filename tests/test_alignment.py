@@ -306,6 +306,60 @@ def test_best_alignment_coordinates_near_float_limit():
         _assert_matches_exhaustive(_kernel_args(a, a))
 
 
+def test_best_alignment_matches_exhaustive_on_wide_spreads_and_open_tolerances():
+    # spreads of 2e5 and 1e9, and a moved copy 1e9 from the origin whose
+    # partners lie a few units away; then every point a partner of every
+    # point (theta0 = 180 with r0 = inf, or 1e300, whose square
+    # overflows), on random sets and on sets whose differences overflow,
+    # where infinite distances then pass the test
+    rng = np.random.default_rng(129)
+    motion = Transform(dtheta=70.0, dx=1e9, dy=-1e9)
+    for box, r0, theta0 in [(2e5, 15.0, 10.0), (1e9, 15.0, 10.0), (1e9, 0.0, 0.0), (120.0, math.inf, 180.0),
+                            (1e9, math.inf, 180.0), (120.0, 1e300, 180.0)]:
+        a = _random_set(rng, 12, box)
+        b = _random_set(rng, 12, box)
+        _assert_matches_exhaustive(_kernel_args(a, b, r0, theta0))
+        near = _random_set(rng, 14)
+        moved = MinutiaSet.from_iterable(
+            _mu(m.x + rng.normal(0.0, 3.0), m.y + rng.normal(0.0, 3.0), m.theta + rng.normal(0.0, 3.0))
+            for m in (apply_transform(motion, m) for m in list(near)[:12]))
+        _assert_matches_exhaustive(_kernel_args(near, moved, r0, theta0))
+    limits = [[_mu(-1e308, 0.0, 10.0), _mu(1e308, 5.0, 20.0), _mu(3.0, 4.0, 30.0)],
+              [_mu(1e308, 1e308, 15.0), _mu(-1e308, -9e307, 25.0), _mu(1.0, 1.0, 35.0)]]
+    a, b = map(MinutiaSet.from_iterable, limits)
+    with np.errstate(all="ignore"):
+        for r0, theta0 in [(math.inf, 180.0), (1e300, 180.0), (math.inf, 10.0)]:
+            _assert_matches_exhaustive(_kernel_args(a, b, r0, theta0))
+            _assert_matches_exhaustive(_kernel_args(b, a, r0, theta0))
+
+
+def test_verifying_one_full_level_runs_in_passes():
+    # 60 minutiae on a circle, each along it, against a turned and moved
+    # copy: every hypothesis maps the circle onto itself, so all 3,600
+    # bounds are 60, one level, and every hypothesis pairs all 60. Its
+    # 1.07 million candidates would take some 140 MB at once; in passes
+    # of PASS_BYTES the level peaks near 1 MB. At r0 = inf and
+    # theta0 = 180 every pair is a candidate, and the first pass shows
+    # that the level is not built whole first.
+    ang = np.arange(60) * 6.0
+    x, y = 200.0 * np.cos(np.radians(ang)), 200.0 * np.sin(np.radians(ang))
+    turn = math.radians(33.0)
+    circle = kernels.Print(x, y, (ang + 90.0) % 360.0)
+    copy = kernels.Print(math.cos(turn) * x - math.sin(turn) * y + 40.0,
+                         math.sin(turn) * x + math.cos(turn) * y - 25.0, (ang + 123.0) % 360.0)
+    level = np.arange(3600)
+    for r0, theta0, passes in [(15.0, 10.0, None), (math.inf, 180.0, 1)]:
+        tracemalloc.start()
+        try:
+            winners = [w[:3] for w in itertools.islice(
+                kernels._verify_level(circle, copy, level, r0, theta0), passes)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert {w[0] for w in winners} == {60}
+        assert peak < 4 * kernels.PASS_BYTES, (r0, peak)
+
+
 def _spaced_points(rng, count):
     """Distinct integer grid points 50 apart, so partners never compete."""
     cells = rng.choice(64, size=count, replace=False)

@@ -23,6 +23,7 @@ from onionprint.scoring import (
     layer_distances,
     match_pair,
     match_under,
+    proper_rings,
 )
 from oracles import Transform, apply_transform
 
@@ -47,8 +48,8 @@ def _nested_triangles(radii, cx=50.0, cy=50.0):
 
 
 def _ring_distances(a, b):
-    """layer_distances of the peelings of two minutia lists."""
-    return layer_distances(*(convex_layers([(m.x, m.y) for m in ms]) for ms in (a, b)))
+    """layer_distances of the proper rings of two minutia lists' peelings."""
+    return layer_distances(*(proper_rings(convex_layers([(m.x, m.y) for m in ms])) for ms in (a, b)))
 
 
 def _random_set(rng, n, box=120.0):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from dataclasses import dataclass
@@ -8,14 +9,17 @@ import pytest
 from onionprint import kernels
 from onionprint.errors import InvalidInputError
 from onionprint.geometry import convex_layers
-from onionprint.scoring import layer_distances
+from onionprint.scoring import layer_distances, proper_rings
+from onionprint.synth import synthetic_corpus
 from oracles import (
     distance_at_shift,
     grid_min_distance,
+    min_turning_distance_full,
     min_turning_distance_scan,
     overlap_shift_distance,
     random_convex_polygon,
     riemann_shift_distance,
+    shift_table_full,
     turning_value,
 )
 
@@ -337,6 +341,57 @@ def test_passes_of_the_shift_table_change_no_result(monkeypatch):
     assert len(passes) > 3 and sum(passes) == len(whole)
 
 
+def _genuine_peer_rings():
+    """The peer rings the scored genuine pairs of a synthetic corpus
+    compare: every two impressions of a finger, aligned at the stock
+    tolerances and peeled."""
+    corpus = synthetic_corpus(1, 10, 3)
+    pairs = []
+    for (fa, _, a), (fb, _, b) in itertools.combinations(corpus, 2):
+        if fa != fb:
+            continue
+        pa, pb = a.prepared, b.prepared
+        pairs_i, pairs_j = kernels.best_alignment(pa, pa.y, pa.t, pb, pb.y, pb.t, 15.0, 10.0)[2:4]
+        rings_a = proper_rings(convex_layers(a.positions()[pairs_i]))
+        rings_b = proper_rings(convex_layers(b.positions()[pairs_j]))
+        pairs += zip(rings_a, rings_b)
+    return pairs
+
+
+def _screen_families():
+    """Ring pairs the screen must not change: the batch cases, rings of
+    30 to 60 vertices, and the peer rings of genuine pairs."""
+    random_pairs, symmetric = _batch_cases(np.random.default_rng(44))
+    rng = np.random.default_rng(45)
+    large = [tuple(random_convex_polygon(rng, int(rng.integers(30, 61))) for _ in range(2)) for _ in range(8)]
+    return {"batch": random_pairs + symmetric, "large": large, "genuine": _genuine_peer_rings()}
+
+
+def test_screened_distances_equal_the_full_table():
+    for name, pairs in _screen_families().items():
+        rings_f, rings_g = [a for a, _ in pairs], [b for _, b in pairs]
+        assert len(pairs) >= 8, name
+        assert kernels.min_turning_distance(rings_f, rings_g) == min_turning_distance_full(rings_f, rings_g), name
+
+
+def test_screen_stays_within_a_tenth_of_its_margin():
+    # the screen keeps the shifts within 2 delta of each pair's screened
+    # minimum; that keeps every minimum of the table only while the
+    # screen strays from the table by less than delta at every shift
+    for name, pairs in _screen_families().items():
+        breaks, angles, counts, _ = kernels._encode([r for pair in pairs for r in pair])
+        fs, fa, m = breaks[0::2], angles[0::2], counts[0::2]
+        gs, ga, n = breaks[1::2], angles[1::2], counts[1::2]
+        pair = np.repeat(np.arange(len(pairs)), m * n)
+        q = np.arange(pair.shape[0]) - (np.cumsum(m * n) - m * n)[pair]
+        i, j = np.divmod(q, n[pair])
+        screen = kernels._screen(fs, fa, m, gs, ga, n, pair, i, j, kernels._frac(fs[pair, i] - gs[pair, j]))
+        table = np.concatenate([shift_table_full(fs[r:r + 1], fa[r:r + 1], m[r:r + 1], gs[r:r + 1], ga[r:r + 1],
+                                                 n[r:r + 1]) for r in range(len(pairs))])
+        delta = (kernels.SCREEN_EPS * (m + n))[pair]
+        assert (np.abs(screen - table) <= delta / 10).all(), name
+
+
 def test_shape_stage_memory_is_bounded():
     # every ring pair of two 600-point peelings in one call: 34 ring
     # pairs, 510,848 table cells in all, some 50 MB in one table
@@ -345,7 +400,7 @@ def test_shape_stage_memory_is_bounded():
     layers = [convex_layers(p) for p in (pts, pts + rng.normal(0.0, 1.0, size=pts.shape))]
     tracemalloc.start()
     try:
-        dists = layer_distances(*layers)
+        dists = layer_distances(*map(proper_rings, layers))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
